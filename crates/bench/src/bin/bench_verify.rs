@@ -69,6 +69,12 @@ impl FamilyReport {
     fn speedup(&self) -> f64 {
         self.oracle_ms / self.engine_ms
     }
+
+    /// Engine wall time per explored state: the cost per state, apart from
+    /// how many states the family has.
+    fn engine_ns_per_state(&self) -> f64 {
+        self.engine_ms * 1e6 / self.engine_states.max(1) as f64
+    }
 }
 
 /// Asserts the equivalence contract between one engine and one oracle run.
@@ -177,7 +183,7 @@ fn bench_family(name: &str, cases: &[ModelCase]) -> FamilyReport {
         verify: verify_stats,
     };
     println!(
-        "{:<22} {:>2} models | {:>9.2} ms vs {:>9.2} ms | {:>7} vs {:>8} states | {:>6.1}x",
+        "{:<22} {:>2} models | {:>9.2} ms vs {:>9.2} ms | {:>7} vs {:>8} states | {:>6.1}x | {:>6.1} ns/state",
         report.name,
         report.models,
         report.engine_ms,
@@ -185,6 +191,7 @@ fn bench_family(name: &str, cases: &[ModelCase]) -> FamilyReport {
         report.engine_states,
         report.oracle_states,
         report.speedup(),
+        report.engine_ns_per_state(),
     );
     println!(
         "  hashing: {} probes ({:.1}% hash-hit, {} skips, {} deep-compares), \
@@ -339,16 +346,18 @@ fn render_json(quick: bool, reports: &[FamilyReport]) -> String {
             json,
             "    {{\"name\": \"{}\", \"models\": {}, \"engine_ms\": {:.3}, \
              \"oracle_ms\": {:.3}, \"engine_states\": {}, \"oracle_states\": {}, \
-             \"speedup\": {:.1}, \"intern_probes\": {}, \"hash_hits\": {}, \
-             \"hash_skips\": {}, \"deep_compares\": {}, \"rehashes\": {}, \
-             \"rehashed_entries\": {}, \"hash_words_incremental\": {}, \
-             \"hash_words_full_equiv\": {}, \"hash_work_collapse\": {:.1}}}{}",
+             \"engine_ns_per_state\": {:.1}, \"speedup\": {:.1}, \
+             \"intern_probes\": {}, \"hash_hits\": {}, \"hash_skips\": {}, \
+             \"deep_compares\": {}, \"rehashes\": {}, \"rehashed_entries\": {}, \
+             \"hash_words_incremental\": {}, \"hash_words_full_equiv\": {}, \
+             \"hash_work_collapse\": {:.1}}}{}",
             r.name,
             r.models,
             r.engine_ms,
             r.oracle_ms,
             r.engine_states,
             r.oracle_states,
+            r.engine_ns_per_state(),
             r.speedup(),
             r.verify.intern_probes,
             r.verify.hash_hits,

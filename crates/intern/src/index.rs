@@ -133,6 +133,35 @@ impl CachedHashIndex {
         }
     }
 
+    /// Hints the CPU to fetch the bucket a probe of `hash` starts at, so a
+    /// caller that knows its next hashes ahead of time overlaps their cache
+    /// misses with current work. Changes no entry and no counter. A no-op
+    /// before the first allocation and on targets other than x86-64; a
+    /// growth between the hint and the probe only wastes the hint.
+    #[inline]
+    pub fn prefetch(&self, hash: u64) {
+        if self.ids.is_empty() {
+            return;
+        }
+        let slot = (hash as usize) & (self.ids.len() - 1);
+        #[cfg(target_arch = "x86_64")]
+        {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let id: *const u32 = &self.ids[slot];
+            let cached: *const u64 = &self.hashes[slot];
+            // SAFETY: `_mm_prefetch` is a cache hint: it never faults and
+            // loads nothing into the program, whatever the address. SSE is
+            // part of the x86-64 baseline, and both pointers come from
+            // in-bounds references.
+            unsafe {
+                _mm_prefetch::<_MM_HINT_T0>(id.cast());
+                _mm_prefetch::<_MM_HINT_T0>(cached.cast());
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = slot;
+    }
+
     /// Writes the index into a snapshot payload, bucket positions included,
     /// so the restored index probes exactly like the saved one. Work
     /// counters are not persisted — a restored index counts from zero.
@@ -316,6 +345,29 @@ mod tests {
             None
         );
         assert!(index.stats().hash_skips >= skips_before);
+    }
+
+    #[test]
+    fn prefetch_is_only_a_hint() {
+        let mut index = CachedHashIndex::new();
+        // Before the first allocation there is no bucket to fetch.
+        index.prefetch(0xDEAD_BEEF);
+        let mut arena = Vec::new();
+        for i in 0..2000u32 {
+            index.prefetch(seq_fingerprint(&[i]));
+            intern_words(&mut index, &mut arena, &[i]);
+        }
+        let stats = *index.stats();
+        let bytes = index.to_snapshot_bytes();
+        for hash in [0, u64::MAX, seq_fingerprint(&[7])] {
+            index.prefetch(hash);
+        }
+        assert_eq!(index.stats(), &stats, "prefetching counts no work");
+        assert_eq!(
+            index.to_snapshot_bytes(),
+            bytes,
+            "prefetching moves no entry"
+        );
     }
 
     #[test]

@@ -12,6 +12,15 @@
 //!   fixed-width word vector stored in a flat arena (`u16` words when every
 //!   application's code space fits, `u32` otherwise), instead of the oracle's
 //!   two heap-allocated `Vec`s per state.
+//! * **Compiled transition entries** — the step semantics are compiled once
+//!   per model into one entry per `(application, packed code)`: the
+//!   successor codes for time advance, grant, release and disturbance, the
+//!   laxity, and the flags the scheduler tests (waiting, using, expired,
+//!   release at `T_dw⁺`, release at `T_dw⁻`, eligible). Successors are built
+//!   by stepping codes with table lookups — no decode, division or
+//!   re-encode. Entries are cached per application up to a cap; codes above
+//!   it (wide-word models) are compiled on every lookup by the same builder,
+//!   so every model runs the same step code.
 //! * **Incremental Zobrist hashing** — each application's packed code owns a
 //!   Zobrist key per `(slot, code)` pair ([`cps_intern::ZobristKeys`]); a
 //!   state's 64-bit fingerprint is the XOR of one key per slot. Successors
@@ -20,21 +29,17 @@
 //!   never by re-mixing the whole word vector.
 //! * **Cached-hash interning** — states are deduplicated through a
 //!   [`cps_intern::CachedHashIndex`] that stores each interned state's
-//!   fingerprint next to its dense `u32` id (and alongside [`NodeMeta`] for
-//!   O(1) parent-hash lookup). Probes compare the cached hash before any
-//!   arena words, growth re-buckets from cached hashes instead of re-hashing
-//!   the arena, and exact word equality stays the final probe test — hash
-//!   collisions cost a compare, never a wrong verdict.
+//!   fingerprint next to its dense `u32` id. Probes compare the cached hash
+//!   before any arena words, growth re-buckets from cached hashes instead of
+//!   re-hashing the arena, and exact word equality stays the final probe
+//!   test — hash collisions cost a compare, never a wrong verdict.
 //! * **Bitmask disturbance enumeration** — the per-sample disturbance choices
 //!   are enumerated as a mixed-radix counter over groups of interchangeable
 //!   applications and recorded as a `u32` position bitmask; the oracle
 //!   materialises a `Vec<Vec<usize>>` of subsets per popped state.
-//! * **In-place stepping** — successors are computed on reusable scratch
-//!   buffers (decode, disturb, schedule, advance, encode); steady-state
-//!   exploration performs no per-successor heap allocation.
 //! * **Compact parent links** — each stored state keeps only a `u32` parent
 //!   id and the disturbance bitmask that produced it; counterexamples are
-//!   reconstructed by replaying that chain.
+//!   reconstructed by replaying that chain through the same entries.
 //! * **Symmetry reduction** — within every maximal run of *adjacent identical
 //!   profiles* the per-application codes are kept sorted, so states that
 //!   differ only by a permutation of interchangeable applications intern to
@@ -59,32 +64,34 @@
 //! engine explores the oracle's graph in the oracle's order and reports the
 //! identical count.
 //!
-//! # Parallel exploration
+//! # Exploration loop
 //!
-//! On a multi-thread [`cps_par::Pool`] (see [`SlotVerifyEngine::with_pool`]
-//! and the `CPS_THREADS` environment variable) the engine switches from the
-//! pop-one-state loop to a **level-batched BFS with deterministic sharded
-//! reduction**:
+//! One loop serves every [`cps_par::Pool`] width (see
+//! [`SlotVerifyEngine::with_pool`] and the `CPS_THREADS` environment
+//! variable). The arena is the BFS queue; the loop takes the queued states in
+//! chunks of at most `CHUNK_STATES` per worker and runs two phases on each:
 //!
-//! 1. the pending frontier `[head, len)` is scanned once to lay out each
-//!    state's disturbance-choice groups and mixed-radix choice count;
-//! 2. the flat choice space of the whole frontier is split into contiguous
-//!    shards, one per worker — sharding by disturbance-choice index, so a
-//!    single hot state's enumeration splits across threads just like a wide
-//!    frontier does; each worker steps, canonicalises and incrementally
-//!    hashes its successors into private staging buffers (no shared state);
-//! 3. a serial merge walks the shards **in choice order** — re-establishing
-//!    the exact serial visitation order before any id is assigned — and
-//!    replays interning, budget accounting and miss handling with the same
-//!    single-threaded index the serial loop uses.
+//! 1. **Stage.** Every state of the chunk is loaded once — its entries and
+//!    the half of the step no disturbance choice changes — and each choice's
+//!    successor is stepped, canonicalised and incrementally hashed into a
+//!    staging buffer the engine owns and reuses. On a pool wider than one
+//!    thread the chunk is split into contiguous state ranges, one buffer per
+//!    worker. Staging reads only states interned before the chunk, so the
+//!    workers share nothing mutable.
+//! 2. **Merge.** The staged records are interned in serial order, buffer by
+//!    buffer, replaying pop accounting, the state budget, cancellation and
+//!    the first deadline miss exactly as a pop-one-state loop interleaves
+//!    them. Each record's index bucket is prefetched
+//!    ([`cps_intern::CachedHashIndex::prefetch`]) a fixed distance ahead, so
+//!    the probes into a large index overlap their cache misses.
 //!
 //! Because ids, hashes, stats counters and the first-miss choice are all
 //! decided by the in-order merge, verdicts, witnesses, interned ids and
 //! [`VerifyStats`] are **bit-identical under any thread count** (asserted by
-//! the cross-thread-count property tests and on every `bench_par` run). The
-//! staging buffers make the parallel path's memory transiently proportional
-//! to the frontier's successor count, which is why `threads == 1` keeps the
-//! intern-as-you-go serial loop unchanged.
+//! the cross-thread-count property tests and on every `bench_par` run).
+//! Staging memory is bounded by the chunk, not by the BFS frontier.
+
+use std::ops::Range;
 
 use cps_core::AppTimingProfile;
 use cps_intern::{CachedHashIndex, ZobristKeys};
@@ -97,10 +104,17 @@ use crate::{SlotSharingModel, VerifyError};
 const NO_PARENT: u32 = u32::MAX;
 /// Disturbance choices are recorded as `u32` position bitmasks.
 const MAX_APPS: usize = 32;
-/// Minimum disturbance choices per shard before another worker spawns:
-/// levels below the grain run on fewer threads (same merged stream, less
-/// spawn overhead).
-const PAR_GRAIN: u64 = 128;
+/// Compiled entries are cached per application up to this many codes, the
+/// cap of the Zobrist key tables; larger codes are compiled on each lookup.
+const ENTRY_CAP: usize = 1024;
+/// Queued states one worker stages before the merge interns them. Bounds
+/// the staging memory; the cost per state is flat over a wide range.
+const CHUNK_STATES: usize = 2048;
+/// Fewest queued states per worker before another worker spawns: small
+/// chunks stage on fewer threads (same merged stream, less spawn overhead).
+const MIN_WORKER_STATES: usize = 64;
+/// Staged records between an index prefetch and the probe it prepares.
+const PREFETCH_DISTANCE: usize = 8;
 
 /// Hash/probe work counters of a [`SlotVerifyEngine`], cumulative over the
 /// engine's lifetime (benches and the mapping cascade report deltas between
@@ -168,7 +182,7 @@ impl VerifyStats {
 }
 
 /// Fixed-width storage for one application's packed cell code. `Send + Sync`
-/// lets shard workers read the arena and stage successor words.
+/// lets staging workers read the arena and stage successor words.
 trait StateWord: Copy + Eq + Ord + std::fmt::Debug + Default + Send + Sync {
     /// Exclusive upper bound on the code values the word can represent.
     const LIMIT: u64;
@@ -202,8 +216,8 @@ impl StateWord for u32 {
     }
 }
 
-/// The per-application location, decoded for stepping. Mirrors the oracle's
-/// `Cell` exactly.
+/// The per-application location, decoded by the entry builder. Mirrors the
+/// oracle's `Cell` exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Cell {
     Steady,
@@ -281,10 +295,45 @@ impl Encoding {
     }
 }
 
+/// [`Entry`] flag: waiting for the slot within the maximum wait.
+const WAITING: u8 = 1;
+/// [`Entry`] flag: holding the slot.
+const USING: u8 = 1 << 1;
+/// [`Entry`] flag: waiting past the maximum wait — the deadline check fails.
+const EXPIRED: u8 = 1 << 2;
+/// [`Entry`] flag: holding the slot with `T_dw⁺` served — released now.
+const RELEASE_PLUS: u8 = 1 << 3;
+/// [`Entry`] flag: holding the slot with `T_dw⁻` served — preemptable.
+const RELEASE_MIN: u8 = 1 << 4;
+/// [`Entry`] flag: steady with instances left — may be disturbed.
+const ELIGIBLE: u8 = 1 << 5;
+
+/// One application's sample step at one packed code. Successor codes
+/// include the sample's time advance; fields the location has no use for
+/// stay zero.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    /// The code after the sample when the scheduler leaves it alone.
+    advance: u32,
+    /// Waiting: the code after being granted the slot.
+    grant: u32,
+    /// Using: the code after leaving the slot, at `T_dw⁺` or preempted.
+    release: u32,
+    /// Eligible: the code a disturbance is sensed in (waiting from zero,
+    /// one instance more), *before* the step — look up its own entry.
+    disturb: u32,
+    /// Waiting: `max_wait − waited`, the scheduler's EDF key.
+    laxity: u32,
+    flags: u8,
+}
+
 /// Everything the exploration needs about one model + configuration pair.
 struct ModelCtx {
     params: Vec<AppParams>,
     enc: Vec<Encoding>,
+    /// Compiled entries per application, indexed by packed code, cached up
+    /// to [`ENTRY_CAP`] codes.
+    entries: Vec<Box<[Entry]>>,
     /// Maximal runs of adjacent identical profiles, covering `0..n` in order;
     /// runs of length ≥ 2 are the symmetry classes the canonicalisation
     /// sorts within.
@@ -383,27 +432,118 @@ impl ModelCtx {
             }
         }
 
-        Ok(ModelCtx {
+        let mut ctx = ModelCtx {
             params,
             enc,
+            entries: Vec::new(),
             runs,
             bound,
             budget: config.state_budget,
             n,
             max_code_space,
-            keys: ZobristKeys::new(code_spaces),
+            keys: ZobristKeys::new(code_spaces.iter().copied()),
             cancel: None,
-        })
+        };
+        ctx.entries = code_spaces
+            .iter()
+            .enumerate()
+            .map(|(app, &space)| {
+                (0..space.min(ENTRY_CAP as u64) as u32)
+                    .map(|code| ctx.compile(app, code))
+                    .collect()
+            })
+            .collect();
+        Ok(ctx)
     }
 
-    fn eligible(&self, cell: Cell, used: u32) -> bool {
-        matches!(cell, Cell::Steady) && self.bound.is_none_or(|b| used < b)
+    /// The entry of `code` at application `app`: cached, or compiled now.
+    #[inline]
+    fn entry(&self, app: usize, code: u32) -> Entry {
+        match self.entries[app].get(code as usize) {
+            Some(&entry) => entry,
+            None => self.compile(app, code),
+        }
     }
 
-    /// Polled wherever the state budget is charged; `true` asks the
-    /// exploration to stop with [`VerifyError::Canceled`].
-    fn is_canceled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_canceled)
+    /// The entry builder: decodes `code` and applies one sample of the
+    /// oracle's `Explorer::step` to the location — the only place the
+    /// engine interprets a packed code.
+    #[cold]
+    fn compile(&self, app: usize, code: u32) -> Entry {
+        let p = &self.params[app];
+        let enc = &self.enc[app];
+        let (cell, used) = enc.decode(code);
+        // A cooldown of `since` samples after one more sample.
+        let cool = |since: u32| {
+            let cell = if since + 1 < p.min_inter_arrival {
+                Cell::Cooldown { since: since + 1 }
+            } else if self.bound.is_some_and(|b| used >= b) {
+                Cell::Exhausted
+            } else {
+                Cell::Steady
+            };
+            enc.encode(cell, used)
+        };
+        let mut entry = Entry {
+            advance: code,
+            ..Entry::default()
+        };
+        match cell {
+            Cell::Steady if self.bound.is_none_or(|b| used < b) => {
+                entry.flags = ELIGIBLE;
+                // The instance counter only exists in bounded mode.
+                let used = used + u32::from(self.bound.is_some());
+                entry.disturb = enc.encode(Cell::Waiting { waited: 0 }, used);
+            }
+            Cell::Steady | Cell::Exhausted => {}
+            Cell::Waiting { waited } if waited > p.max_wait => entry.flags = EXPIRED,
+            Cell::Waiting { waited } => {
+                entry.flags = WAITING;
+                entry.laxity = p.max_wait - waited;
+                entry.advance = enc.encode(Cell::Waiting { waited: waited + 1 }, used);
+                let granted = Cell::Using {
+                    wait_at_grant: waited,
+                    received: 1,
+                };
+                entry.grant = enc.encode(granted, used);
+            }
+            Cell::Using {
+                wait_at_grant,
+                received,
+            } => {
+                entry.flags = USING;
+                if received >= p.t_dw_min[wait_at_grant as usize] {
+                    entry.flags |= RELEASE_MIN;
+                }
+                if received >= p.t_dw_plus[wait_at_grant as usize] {
+                    entry.flags |= RELEASE_PLUS;
+                } else {
+                    let held = Cell::Using {
+                        wait_at_grant,
+                        received: received + 1,
+                    };
+                    entry.advance = enc.encode(held, used);
+                }
+                entry.release = cool(wait_at_grant + received);
+            }
+            Cell::Cooldown { since } => entry.advance = cool(since),
+        }
+        entry
+    }
+
+    /// Charges one popped state: the checkpoint where the state budget and
+    /// cancellation are observed.
+    fn charge_pop(&self, explored: &mut usize) -> Result<(), VerifyError> {
+        *explored += 1;
+        if *explored > self.budget {
+            return Err(VerifyError::StateBudgetExhausted {
+                budget: self.budget,
+            });
+        }
+        if self.cancel.as_ref().is_some_and(CancelToken::is_canceled) {
+            return Err(VerifyError::Canceled);
+        }
+        Ok(())
     }
 }
 
@@ -438,113 +578,100 @@ struct NodeMeta {
     mask: u32,
 }
 
-enum StepOutcome {
-    Ok,
-    Miss { app: usize },
+/// Who may take the slot in a loaded state, before the choice's waiters bid.
+#[derive(Debug, Clone, Copy, Default)]
+enum Slot {
+    /// Nobody holds the slot, or its holder leaves at `T_dw⁺` this sample.
+    #[default]
+    Free,
+    /// The holder has served `T_dw⁻`: a waiter preempts it, and the holder
+    /// moves to `release`.
+    Preemptable { app: usize, release: u32 },
+    /// The holder keeps the slot whoever waits.
+    Held,
 }
 
-/// One sample of the deterministic semantics, applied in place *after* the
-/// caller has sensed the chosen disturbances: deadline check, occupant
-/// release, laxity-EDF grant/preemption, time advance. Mirrors the oracle's
-/// `Explorer::step` exactly.
-fn step_in_place(
-    params: &[AppParams],
-    bound: Option<u32>,
-    cells: &mut [Cell],
-    used: &[u32],
-) -> StepOutcome {
-    for (app, cell) in cells.iter().enumerate() {
-        if let Cell::Waiting { waited } = cell {
-            if *waited > params[app].max_wait {
-                return StepOutcome::Miss { app };
-            }
-        }
-    }
+/// One state loaded for stepping: the entries of its codes and the half of
+/// the sample step that no disturbance choice changes. Mirrors the oracle's
+/// `Explorer::step`: deadline check, occupant release, laxity-EDF
+/// grant/preemption, time advance.
+#[derive(Debug, Default)]
+struct Frame<W> {
+    entries: Vec<Entry>,
+    /// Successor codes when nobody is disturbed and nobody is granted (an
+    /// occupant at `T_dw⁺` already released).
+    base: Vec<W>,
+    /// The lowest `(laxity, application)` among the state's waiters, with
+    /// its grant code.
+    waiter: Option<(u32, usize, u32)>,
+    slot: Slot,
+    /// The first application past its maximum wait: every choice misses.
+    expired: Option<usize>,
+}
 
-    let mut occupant = cells.iter().position(|c| matches!(c, Cell::Using { .. }));
-    if let Some(app) = occupant {
-        if let Cell::Using {
-            wait_at_grant,
-            received,
-        } = cells[app]
-        {
-            if received >= params[app].t_dw_plus[wait_at_grant as usize] {
-                cells[app] = Cell::Cooldown {
-                    since: wait_at_grant + received,
-                };
-                occupant = None;
+impl<W: StateWord> Frame<W> {
+    fn load(&mut self, ctx: &ModelCtx, codes: &[W]) {
+        self.entries.clear();
+        self.base.clear();
+        self.waiter = None;
+        self.expired = None;
+        let mut occupant = None;
+        for (app, code) in codes.iter().enumerate() {
+            let e = ctx.entry(app, code.unpack());
+            if e.flags & EXPIRED != 0 && self.expired.is_none() {
+                self.expired = Some(app);
             }
+            if e.flags & WAITING != 0 && self.waiter.is_none_or(|(laxity, ..)| e.laxity < laxity) {
+                self.waiter = Some((e.laxity, app, e.grant));
+            }
+            if e.flags & USING != 0 && occupant.is_none() {
+                occupant = Some((app, e));
+            }
+            self.entries.push(e);
+            self.base.push(W::pack(e.advance));
         }
-    }
-
-    let mut best: Option<(u32, usize)> = None;
-    for (i, cell) in cells.iter().enumerate() {
-        if let Cell::Waiting { waited } = *cell {
-            let laxity = params[i].max_wait - waited;
-            if best.is_none_or(|b| (laxity, i) < b) {
-                best = Some((laxity, i));
+        self.slot = match occupant {
+            None => Slot::Free,
+            Some((app, e)) if e.flags & RELEASE_PLUS != 0 => {
+                self.base[app] = W::pack(e.release);
+                Slot::Free
             }
-        }
-    }
-    if let Some((_, waiter)) = best {
-        let granted = match occupant {
-            None => true,
-            Some(app) => {
-                if let Cell::Using {
-                    wait_at_grant,
-                    received,
-                } = cells[app]
-                {
-                    if received >= params[app].t_dw_min[wait_at_grant as usize] {
-                        cells[app] = Cell::Cooldown {
-                            since: wait_at_grant + received,
-                        };
-                        true
-                    } else {
-                        false
-                    }
-                } else {
-                    false
-                }
-            }
-        };
-        if granted {
-            if let Cell::Waiting { waited } = cells[waiter] {
-                cells[waiter] = Cell::Using {
-                    wait_at_grant: waited,
-                    received: 0,
-                };
-            }
-        }
-    }
-
-    for (app, cell) in cells.iter_mut().enumerate() {
-        *cell = match *cell {
-            Cell::Steady => Cell::Steady,
-            Cell::Exhausted => Cell::Exhausted,
-            Cell::Waiting { waited } => Cell::Waiting { waited: waited + 1 },
-            Cell::Using {
-                wait_at_grant,
-                received,
-            } => Cell::Using {
-                wait_at_grant,
-                received: received + 1,
+            Some((app, e)) if e.flags & RELEASE_MIN != 0 => Slot::Preemptable {
+                app,
+                release: e.release,
             },
-            Cell::Cooldown { since } => {
-                let since = since + 1;
-                if since >= params[app].min_inter_arrival {
-                    match bound {
-                        Some(b) if used[app] >= b => Cell::Exhausted,
-                        _ => Cell::Steady,
-                    }
-                } else {
-                    Cell::Cooldown { since }
-                }
-            }
+            Some(_) => Slot::Held,
         };
     }
 
-    StepOutcome::Ok
+    /// Turns `succ`, a copy of `base`, into the successor under the
+    /// disturbance choice `mask` (one bit per disturbed position). The
+    /// loaded state must not have expired.
+    fn apply_choice(&self, ctx: &ModelCtx, mask: u32, succ: &mut [W]) {
+        debug_assert!(self.expired.is_none());
+        let mut best = self.waiter;
+        let mut rest = mask;
+        while rest != 0 {
+            let app = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            debug_assert!(self.entries[app].flags & ELIGIBLE != 0);
+            let e = ctx.entry(app, self.entries[app].disturb);
+            succ[app] = W::pack(e.advance);
+            if best.is_none_or(|(laxity, waiter, _)| (e.laxity, app) < (laxity, waiter)) {
+                best = Some((e.laxity, app, e.grant));
+            }
+        }
+        if let Some((_, waiter, grant)) = best {
+            match self.slot {
+                Slot::Free => succ[waiter] = W::pack(grant),
+                Slot::Preemptable { app, release } => {
+                    succ[app] = W::pack(release);
+                    succ[waiter] = W::pack(grant);
+                }
+                Slot::Held => {}
+            }
+        }
+    }
 }
 
 /// Interns `words` under its incremental Zobrist fingerprint `hash`: returns
@@ -594,32 +721,143 @@ fn canonicalize<W: StateWord>(runs: &[(usize, usize)], words: &mut [W]) {
     }
 }
 
-/// Interchangeable-group structure of the eligible positions of one decoded
-/// canonical state (`row` is its arena slice): within a symmetry run the
+/// Interchangeable-group structure of the eligible positions of one loaded
+/// canonical state (`row`, with its `entries`): within a symmetry run the
 /// canonical form keeps equal codes adjacent, so one scan suffices.
 /// Positions outside any run of length ≥ 2 always form singleton groups.
 fn scan_groups<W: StateWord>(
-    ctx: &ModelCtx,
+    runs: &[(usize, usize)],
     row: &[W],
-    cells: &[Cell],
-    used: &[u32],
+    entries: &[Entry],
     groups: &mut Vec<(u32, u32)>,
 ) {
     groups.clear();
-    for &(run_start, run_end) in &ctx.runs {
+    for &(run_start, run_end) in runs {
         let mut i = run_start;
         while i < run_end {
-            if !ctx.eligible(cells[i], used[i]) {
+            if entries[i].flags & ELIGIBLE == 0 {
                 i += 1;
                 continue;
             }
-            let code = row[i];
             let mut j = i + 1;
-            while j < run_end && row[j] == code {
+            while j < run_end && row[j] == row[i] {
                 j += 1;
             }
             groups.push((i as u32, (j - i) as u32));
             i = j;
+        }
+    }
+}
+
+/// One staged successor: everything [`insert_if_new`] needs except the
+/// words themselves, which live at the matching offset of the stage's flat
+/// word buffer.
+#[derive(Debug, Clone, Copy)]
+struct SuccRecord {
+    parent: u32,
+    mask: u32,
+    hash: u64,
+    /// Slots whose canonical code differs from the canonical parent's — the
+    /// incremental hash work, folded into the stats when the merge consumes
+    /// the record (discarded post-miss records never count).
+    diffs: u32,
+}
+
+/// One worker's staging buffer, owned by the [`Core`] and reused across
+/// chunks and runs.
+#[derive(Debug, Default)]
+struct Stage<W> {
+    records: Vec<SuccRecord>,
+    /// `records.len() * n` packed words, record-major.
+    words: Vec<W>,
+    /// The first deadline miss in the staged range: `(parent id, mask)`.
+    /// Staging stops there — in serial order nothing after it is observed.
+    miss: Option<(u32, u32)>,
+    frame: Frame<W>,
+    /// Groups of interchangeable eligible positions: `(start, len)`.
+    groups: Vec<(u32, u32)>,
+    /// Mixed-radix disturbance counter, one digit per group.
+    counts: Vec<u32>,
+}
+
+impl<W: StateWord> Stage<W> {
+    /// Stages the successors of the interned states `states`, in serial
+    /// order. Reads only the arena and hashes of states interned before the
+    /// chunk.
+    fn fill(&mut self, ctx: &ModelCtx, arena: &[W], hashes: &[u64], states: Range<usize>) {
+        let n = ctx.n;
+        self.records.clear();
+        self.words.clear();
+        // Take the working size at the first fill, while the arena is still
+        // small: buffers that doubled in between the arena's own growth
+        // steps fragment the allocator's heap.
+        self.records.reserve(2 * CHUNK_STATES);
+        self.words.reserve(2 * CHUNK_STATES * n);
+        self.miss = None;
+        for id in states {
+            let row = &arena[id * n..(id + 1) * n];
+            self.frame.load(ctx, row);
+            if self.frame.expired.is_some() {
+                // The deadline check fails whatever is disturbed, so the
+                // first choice — nobody disturbed — is the miss.
+                self.miss = Some((id as u32, 0));
+                return;
+            }
+            scan_groups(&ctx.runs, row, &self.frame.entries, &mut self.groups);
+            self.counts.clear();
+            self.counts.resize(self.groups.len(), 0);
+            // Mixed-radix enumeration of disturbance choices (how many
+            // applications of each interchangeable group are disturbed),
+            // least significant group first — on all-singleton groups this
+            // is exactly the oracle's subset-mask order.
+            loop {
+                let mask = self
+                    .groups
+                    .iter()
+                    .zip(&self.counts)
+                    .fold(0, |mask, (&(start, _), &k)| {
+                        mask | (((1u64 << k) - 1) << start) as u32
+                    });
+                let at = self.words.len();
+                self.words.extend_from_slice(&self.frame.base);
+                let succ = &mut self.words[at..];
+                self.frame.apply_choice(ctx, mask, succ);
+                canonicalize(&ctx.runs, succ);
+                // Incremental Zobrist update: XOR out/in exactly the slots
+                // whose canonical code differs from the canonical parent's.
+                // One diff pass covers both the stepping and the symmetry
+                // sort — a slot the sort permuted back to its old code
+                // contributes nothing, exactly as XOR algebra demands.
+                let mut hash = hashes[id];
+                let mut diffs = 0u32;
+                for (i, (w, old)) in succ.iter().zip(row).enumerate() {
+                    if w != old {
+                        hash ^= ctx.keys.key(i, old.unpack()) ^ ctx.keys.key(i, w.unpack());
+                        diffs += 1;
+                    }
+                }
+                debug_assert_eq!(
+                    hash,
+                    ctx.keys.fingerprint(succ.iter().map(|w| w.unpack())),
+                    "incremental fingerprint must equal the from-scratch hash"
+                );
+                self.records.push(SuccRecord {
+                    parent: id as u32,
+                    mask,
+                    hash,
+                    diffs,
+                });
+
+                let mut g = 0;
+                while g < self.groups.len() && self.counts[g] == self.groups[g].1 {
+                    self.counts[g] = 0;
+                    g += 1;
+                }
+                if g == self.groups.len() {
+                    break;
+                }
+                self.counts[g] += 1;
+            }
         }
     }
 }
@@ -640,15 +878,8 @@ struct Core<W> {
     /// `meta`) — the parent hash every incremental successor update starts
     /// from, at the cost of one u64 per state instead of a re-hash per pop.
     hashes: Vec<u64>,
-    scratch: Vec<W>,
-    cur_cells: Vec<Cell>,
-    cur_used: Vec<u32>,
-    succ_cells: Vec<Cell>,
-    succ_used: Vec<u32>,
-    /// Groups of interchangeable eligible positions: `(start, len)`.
-    groups: Vec<(u32, u32)>,
-    /// Mixed-radix disturbance counter, one digit per group.
-    counts: Vec<u32>,
+    /// One staging buffer per worker.
+    stages: Vec<Stage<W>>,
     /// Per-slot XOR updates performed by the current run's incremental
     /// hashing; folded into `stats` by [`Core::run`].
     slot_updates: usize,
@@ -660,10 +891,6 @@ impl<W: StateWord> Core<W> {
     /// Runs the exploration, folding the index's work-counter deltas (plus
     /// the incremental-hashing work and its full-rehash equivalent) into the
     /// core's cumulative [`VerifyStats`] on every return path.
-    ///
-    /// A multi-thread pool selects the level-batched sharded exploration;
-    /// one thread keeps the intern-as-you-go serial loop. Both produce
-    /// bit-identical outcomes, ids and stats.
     fn run(
         &mut self,
         ctx: &ModelCtx,
@@ -671,11 +898,7 @@ impl<W: StateWord> Core<W> {
     ) -> Result<VerificationOutcome, VerifyError> {
         let before = *self.index.stats();
         self.slot_updates = 0;
-        let result = if pool.threads() > 1 {
-            self.run_parallel(ctx, pool)
-        } else {
-            self.run_inner(ctx)
-        };
+        let result = self.explore(ctx, pool);
         let delta = self.index.stats().since(&before);
         self.stats.intern_probes += delta.probes;
         self.stats.hash_hits += delta.hits;
@@ -691,20 +914,20 @@ impl<W: StateWord> Core<W> {
         result
     }
 
-    fn run_inner(&mut self, ctx: &ModelCtx) -> Result<VerificationOutcome, VerifyError> {
+    /// The exploration loop (see the module docs): stage a chunk of queued
+    /// states, then intern its successors in serial order.
+    fn explore(
+        &mut self,
+        ctx: &ModelCtx,
+        pool: &cps_par::Pool,
+    ) -> Result<VerificationOutcome, VerifyError> {
         let n = ctx.n;
         let Core {
             arena,
             meta,
             index,
             hashes,
-            scratch,
-            cur_cells,
-            cur_used,
-            succ_cells,
-            succ_used,
-            groups,
-            counts,
+            stages,
             slot_updates,
             ..
         } = self;
@@ -716,423 +939,67 @@ impl<W: StateWord> Core<W> {
         // The initial state — every application steady — encodes to all-zero
         // words under every layout and is its own canonical representative.
         // Its fingerprint is the one from-scratch hash of the whole run.
-        scratch.clear();
-        scratch.resize(n, W::pack(0));
-        let init_hash = ctx.keys.fingerprint(scratch.iter().map(|w| w.unpack()));
+        arena.resize(n, W::pack(0));
+        let init_hash = ctx.keys.fingerprint(std::iter::repeat_n(0, n));
         *slot_updates += n;
-        insert_if_new(
-            index, arena, meta, hashes, scratch, init_hash, NO_PARENT, 0, n,
-        );
+        let fresh = index.intern(init_hash, |_| false, 0).is_none();
+        debug_assert!(fresh, "a reset index holds no state");
+        meta.push(NodeMeta {
+            parent: NO_PARENT,
+            mask: 0,
+        });
+        hashes.push(init_hash);
 
+        // `head` is the next state to pop; the chunk `[head, end)` is staged
+        // whole, and the merge pops its states as their records come up.
         let mut head = 0usize;
         let mut explored = 0usize;
         while head < meta.len() {
-            let id = head as u32;
-            head += 1;
-            explored += 1;
-            if explored > ctx.budget {
-                return Err(VerifyError::StateBudgetExhausted { budget: ctx.budget });
+            let end = meta.len().min(head + CHUNK_STATES * pool.threads());
+            let workers = pool.threads().min((end - head).div_ceil(MIN_WORKER_STATES));
+            let per_worker = (end - head).div_ceil(workers);
+            if stages.len() < workers {
+                stages.resize_with(workers, Stage::default);
             }
-            if ctx.is_canceled() {
-                return Err(VerifyError::Canceled);
-            }
-
-            cur_cells.clear();
-            cur_used.clear();
-            let base = id as usize * n;
-            let cur_hash = hashes[id as usize];
-            for (i, w) in arena[base..base + n].iter().enumerate() {
-                let (cell, used) = ctx.enc[i].decode(w.unpack());
-                cur_cells.push(cell);
-                cur_used.push(used);
-            }
-
-            scan_groups(ctx, &arena[base..base + n], cur_cells, cur_used, groups);
-            counts.clear();
-            counts.resize(groups.len(), 0);
-
-            // Mixed-radix enumeration of disturbance choices (how many
-            // applications of each interchangeable group are disturbed),
-            // least significant group first — on all-singleton groups this
-            // is exactly the oracle's subset-mask order.
-            let mut more = true;
-            while more {
-                succ_cells.clear();
-                succ_cells.extend_from_slice(cur_cells);
-                succ_used.clear();
-                succ_used.extend_from_slice(cur_used);
-                let mut mask = 0u32;
-                for (g, &(group_start, _)) in groups.iter().enumerate() {
-                    for k in 0..counts[g] {
-                        let pos = (group_start + k) as usize;
-                        succ_cells[pos] = Cell::Waiting { waited: 0 };
-                        if ctx.bound.is_some() {
-                            succ_used[pos] = succ_used[pos].saturating_add(1);
-                        }
-                        mask |= 1 << pos;
-                    }
-                }
-
-                match step_in_place(&ctx.params, ctx.bound, succ_cells, succ_used) {
-                    StepOutcome::Miss { .. } => {
-                        let witness = build_witness(ctx, arena, meta, id, mask);
-                        return Ok(VerificationOutcome::new(false, explored, Some(witness)));
-                    }
-                    StepOutcome::Ok => {
-                        scratch.clear();
-                        for i in 0..n {
-                            scratch.push(W::pack(ctx.enc[i].encode(succ_cells[i], succ_used[i])));
-                        }
-                        canonicalize(&ctx.runs, scratch);
-                        // Incremental Zobrist update: XOR out/in exactly the
-                        // slots whose canonical code differs from the
-                        // canonical parent's. One diff pass covers both the
-                        // stepping and the symmetry sort — a slot the sort
-                        // permuted back to its old code contributes nothing,
-                        // exactly as XOR algebra demands.
-                        let mut succ_hash = cur_hash;
-                        for (i, (w, old)) in scratch.iter().zip(&arena[base..base + n]).enumerate()
-                        {
-                            if w != old {
-                                succ_hash ^=
-                                    ctx.keys.key(i, old.unpack()) ^ ctx.keys.key(i, w.unpack());
-                                *slot_updates += 1;
-                            }
-                        }
-                        debug_assert_eq!(
-                            succ_hash,
-                            ctx.keys.fingerprint(scratch.iter().map(|w| w.unpack())),
-                            "incremental fingerprint must equal the from-scratch hash"
-                        );
-                        insert_if_new(index, arena, meta, hashes, scratch, succ_hash, id, mask, n);
-                    }
-                }
-
-                more = false;
-                for g in 0..groups.len() {
-                    counts[g] += 1;
-                    if counts[g] <= groups[g].1 {
-                        more = true;
-                        break;
-                    }
-                    counts[g] = 0;
-                }
-            }
-        }
-
-        Ok(VerificationOutcome::new(true, explored, None))
-    }
-
-    /// Level-batched BFS with deterministic sharded reduction (see the
-    /// module docs): workers stage successors for contiguous shards of the
-    /// frontier's flat disturbance-choice space; a serial merge replays
-    /// interning, budget accounting and miss handling in exact serial order.
-    ///
-    /// Every observable of [`Core::run_inner`] — verdict, witness, explored
-    /// count, interned ids, index stats, incremental-hash work — is
-    /// reproduced bit-identically for any thread count.
-    fn run_parallel(
-        &mut self,
-        ctx: &ModelCtx,
-        pool: &cps_par::Pool,
-    ) -> Result<VerificationOutcome, VerifyError> {
-        let n = ctx.n;
-        self.arena.clear();
-        self.meta.clear();
-        self.hashes.clear();
-        self.index.reset();
-
-        // The initial state, exactly as in the serial loop.
-        self.scratch.clear();
-        self.scratch.resize(n, W::pack(0));
-        let init_hash = ctx
-            .keys
-            .fingerprint(self.scratch.iter().map(|w| w.unpack()));
-        self.slot_updates += n;
-        insert_if_new(
-            &mut self.index,
-            &mut self.arena,
-            &mut self.meta,
-            &mut self.hashes,
-            &self.scratch,
-            init_hash,
-            NO_PARENT,
-            0,
-            n,
-        );
-
-        let mut head = 0usize;
-        let mut explored = 0usize;
-        // Frontier layout, rebuilt per level: the flat group buffer, each
-        // parent's slice into it, and the prefix sums of the mixed-radix
-        // choice counts that define the shardable flat choice space.
-        let mut group_buf: Vec<(u32, u32)> = Vec::new();
-        let mut group_offsets: Vec<u32> = vec![0];
-        let mut choice_prefix: Vec<u64> = vec![0];
-
-        while head < self.meta.len() {
-            let batch_start = head;
-            let batch_end = self.meta.len();
-            head = batch_end;
-
-            // Phase 1 (serial, O(frontier · n)): choice-space layout.
-            group_buf.clear();
-            group_offsets.truncate(1);
-            choice_prefix.truncate(1);
-            for id in batch_start..batch_end {
-                let base = id * n;
-                self.cur_cells.clear();
-                self.cur_used.clear();
-                for (i, w) in self.arena[base..base + n].iter().enumerate() {
-                    let (cell, used) = ctx.enc[i].decode(w.unpack());
-                    self.cur_cells.push(cell);
-                    self.cur_used.push(used);
-                }
-                scan_groups(
-                    ctx,
-                    &self.arena[base..base + n],
-                    &self.cur_cells,
-                    &self.cur_used,
-                    &mut self.groups,
-                );
-                // ≤ 2^32: the radix product over ≤ 32 positions is maximal
-                // when every group is a singleton (2 per position).
-                let count: u64 = self
-                    .groups
-                    .iter()
-                    .map(|&(_, len)| u64::from(len) + 1)
-                    .product();
-                group_buf.extend_from_slice(&self.groups);
-                group_offsets.push(group_buf.len() as u32);
-                choice_prefix.push(choice_prefix.last().unwrap() + count);
-            }
-            let total = *choice_prefix.last().unwrap();
-
-            // Phase 2 (parallel): stage successors per contiguous choice
-            // shard, each worker with private buffers. Small levels stay on
-            // fewer workers (at least PAR_GRAIN choices per shard before
-            // another spawns): the shard boundaries move but the
-            // concatenated stream is the same, so the grain only trims
-            // spawn overhead, never the result.
-            let by_grain = usize::try_from(total.div_ceil(PAR_GRAIN)).unwrap_or(usize::MAX);
-            let workers = pool.threads().min(by_grain).max(1);
-            let chunk = total.div_ceil(workers as u64);
-            let arena = &self.arena;
-            let hashes = &self.hashes;
-            let (group_buf, group_offsets, choice_prefix) =
-                (&group_buf, &group_offsets, &choice_prefix);
-            let shards: Vec<ShardOutput<W>> = pool.map_indexed(workers, |w| {
-                let start = w as u64 * chunk;
-                let end = ((w as u64 + 1) * chunk).min(total);
-                generate_shard(
-                    ctx,
-                    arena,
-                    hashes,
-                    batch_start,
-                    group_buf,
-                    group_offsets,
-                    choice_prefix,
-                    start..end,
-                )
+            let (frozen, frozen_hashes) = (&*arena, &*hashes);
+            pool.map_mut(&mut stages[..workers], |w, stage| {
+                let start = (head + w * per_worker).min(end);
+                let states = start..(start + per_worker).min(end);
+                stage.fill(ctx, frozen, frozen_hashes, states);
             });
 
-            // Phase 3 (serial merge, in choice order): pop accounting,
-            // interning and miss handling exactly as the serial loop
-            // interleaves them.
-            let mut next_pop = batch_start;
-            for shard in &shards {
-                for (r, rec) in shard.records.iter().enumerate() {
-                    let parent = rec.parent as usize;
-                    if parent >= next_pop {
-                        for _ in next_pop..=parent {
-                            explored += 1;
-                            if explored > ctx.budget {
-                                return Err(VerifyError::StateBudgetExhausted {
-                                    budget: ctx.budget,
-                                });
-                            }
-                        }
-                        if ctx.is_canceled() {
-                            return Err(VerifyError::Canceled);
-                        }
-                        next_pop = parent + 1;
+            for stage in &stages[..workers] {
+                for rec in stage.records.iter().take(PREFETCH_DISTANCE) {
+                    index.prefetch(rec.hash);
+                }
+                for (r, rec) in stage.records.iter().enumerate() {
+                    if let Some(ahead) = stage.records.get(r + PREFETCH_DISTANCE) {
+                        index.prefetch(ahead.hash);
                     }
-                    self.slot_updates += rec.diffs as usize;
-                    let ws = r * n;
+                    // Every staged state has at least one record, so records
+                    // arrive grouped by parent in pop order.
+                    if rec.parent as usize == head {
+                        ctx.charge_pop(&mut explored)?;
+                        head += 1;
+                    }
+                    *slot_updates += rec.diffs as usize;
+                    let words = &stage.words[r * n..(r + 1) * n];
                     insert_if_new(
-                        &mut self.index,
-                        &mut self.arena,
-                        &mut self.meta,
-                        &mut self.hashes,
-                        &shard.words[ws..ws + n],
-                        rec.hash,
-                        rec.parent,
-                        rec.mask,
-                        n,
+                        index, arena, meta, hashes, words, rec.hash, rec.parent, rec.mask, n,
                     );
                 }
-                if let Some((miss_parent, mask)) = shard.miss {
-                    let parent = miss_parent as usize;
-                    if parent >= next_pop {
-                        for _ in next_pop..=parent {
-                            explored += 1;
-                            if explored > ctx.budget {
-                                return Err(VerifyError::StateBudgetExhausted {
-                                    budget: ctx.budget,
-                                });
-                            }
-                        }
-                        if ctx.is_canceled() {
-                            return Err(VerifyError::Canceled);
-                        }
-                    }
-                    let witness = build_witness(ctx, &self.arena, &self.meta, miss_parent, mask);
+                if let Some((parent, mask)) = stage.miss {
+                    debug_assert_eq!(parent as usize, head, "a missing state stages no record");
+                    ctx.charge_pop(&mut explored)?;
+                    let witness = build_witness(ctx, arena, meta, parent, mask);
                     return Ok(VerificationOutcome::new(false, explored, Some(witness)));
                 }
             }
-            debug_assert_eq!(
-                next_pop, batch_end,
-                "every pending state contributes at least one staged choice"
-            );
+            debug_assert_eq!(head, end, "every staged state is popped");
         }
 
         Ok(VerificationOutcome::new(true, explored, None))
     }
-}
-
-/// One successor staged by a shard worker for the in-order merge: everything
-/// [`insert_if_new`] needs except the words themselves, which live at the
-/// matching offset of the shard's flat word buffer.
-struct SuccRecord {
-    parent: u32,
-    mask: u32,
-    hash: u64,
-    /// Slots whose canonical code differs from the canonical parent's — the
-    /// incremental hash work, folded into the stats when the record is
-    /// consumed (so discarded post-miss records never count, exactly as in
-    /// the serial loop).
-    diffs: u32,
-}
-
-/// A worker's staged output for one contiguous shard of the frontier's flat
-/// choice space.
-struct ShardOutput<W> {
-    records: Vec<SuccRecord>,
-    /// `records.len() * n` packed words, record-major.
-    words: Vec<W>,
-    /// First deadline miss in the shard's range, if any: `(parent id,
-    /// disturbance mask)`. The worker stops at it — in serial order nothing
-    /// after the first miss is ever observed.
-    miss: Option<(u32, u32)>,
-}
-
-/// Generates the staged successors for choices `range` of the frontier's
-/// flat choice space (see [`Core::run_parallel`]'s phase 1 for the layout
-/// arguments). Pure: reads only the frozen pre-level arena/hashes.
-#[allow(clippy::too_many_arguments)]
-fn generate_shard<W: StateWord>(
-    ctx: &ModelCtx,
-    arena: &[W],
-    hashes: &[u64],
-    batch_start: usize,
-    group_buf: &[(u32, u32)],
-    group_offsets: &[u32],
-    choice_prefix: &[u64],
-    range: std::ops::Range<u64>,
-) -> ShardOutput<W> {
-    let n = ctx.n;
-    let mut out = ShardOutput {
-        records: Vec::new(),
-        words: Vec::new(),
-        miss: None,
-    };
-    if range.start >= range.end {
-        return out;
-    }
-    let mut cur_cells: Vec<Cell> = Vec::with_capacity(n);
-    let mut cur_used: Vec<u32> = Vec::with_capacity(n);
-    let mut succ_cells: Vec<Cell> = Vec::with_capacity(n);
-    let mut succ_used: Vec<u32> = Vec::with_capacity(n);
-    let mut scratch: Vec<W> = Vec::with_capacity(n);
-
-    // The parent whose choice interval contains the shard's first choice.
-    let mut parent_idx = choice_prefix.partition_point(|&p| p <= range.start) - 1;
-    let mut c = range.start;
-    while c < range.end {
-        let id = (batch_start + parent_idx) as u32;
-        let base = id as usize * n;
-        let cur_hash = hashes[id as usize];
-        cur_cells.clear();
-        cur_used.clear();
-        for (i, w) in arena[base..base + n].iter().enumerate() {
-            let (cell, used) = ctx.enc[i].decode(w.unpack());
-            cur_cells.push(cell);
-            cur_used.push(used);
-        }
-        let groups =
-            &group_buf[group_offsets[parent_idx] as usize..group_offsets[parent_idx + 1] as usize];
-        let stop = range.end.min(choice_prefix[parent_idx + 1]);
-        for choice in c..stop {
-            // Mixed-radix digits of the choice, least significant group
-            // first — the serial counter's enumeration order.
-            let mut digits = choice - choice_prefix[parent_idx];
-            succ_cells.clear();
-            succ_cells.extend_from_slice(&cur_cells);
-            succ_used.clear();
-            succ_used.extend_from_slice(&cur_used);
-            let mut mask = 0u32;
-            for &(group_start, group_len) in groups {
-                let radix = u64::from(group_len) + 1;
-                let k = (digits % radix) as u32;
-                digits /= radix;
-                for t in 0..k {
-                    let pos = (group_start + t) as usize;
-                    succ_cells[pos] = Cell::Waiting { waited: 0 };
-                    if ctx.bound.is_some() {
-                        succ_used[pos] = succ_used[pos].saturating_add(1);
-                    }
-                    mask |= 1 << pos;
-                }
-            }
-
-            match step_in_place(&ctx.params, ctx.bound, &mut succ_cells, &succ_used) {
-                StepOutcome::Miss { .. } => {
-                    out.miss = Some((id, mask));
-                    return out;
-                }
-                StepOutcome::Ok => {
-                    scratch.clear();
-                    for i in 0..n {
-                        scratch.push(W::pack(ctx.enc[i].encode(succ_cells[i], succ_used[i])));
-                    }
-                    canonicalize(&ctx.runs, &mut scratch);
-                    let mut hash = cur_hash;
-                    let mut diffs = 0u32;
-                    for (i, (w, old)) in scratch.iter().zip(&arena[base..base + n]).enumerate() {
-                        if w != old {
-                            hash ^= ctx.keys.key(i, old.unpack()) ^ ctx.keys.key(i, w.unpack());
-                            diffs += 1;
-                        }
-                    }
-                    debug_assert_eq!(
-                        hash,
-                        ctx.keys.fingerprint(scratch.iter().map(|w| w.unpack())),
-                        "incremental fingerprint must equal the from-scratch hash"
-                    );
-                    out.words.extend_from_slice(&scratch);
-                    out.records.push(SuccRecord {
-                        parent: id,
-                        mask,
-                        hash,
-                        diffs,
-                    });
-                }
-            }
-        }
-        c = stop;
-        parent_idx += 1;
-    }
-    out
 }
 
 /// Reconstructs a concrete counterexample from the canonical parent chain.
@@ -1140,9 +1007,9 @@ fn generate_shard<W: StateWord>(
 /// The recorded masks are expressed in canonical coordinates, so the chain is
 /// replayed from the initial state while tracking the permutation between
 /// concrete application indices and canonical positions: each step's mask is
-/// routed through the permutation, the concrete state is stepped with the
-/// reference semantics, and the permutation is refreshed by stably sorting
-/// each symmetry run's concrete codes.
+/// routed through the permutation, the concrete codes are stepped through the
+/// same entries as the exploration, and the permutation is refreshed by
+/// stably sorting each symmetry run's concrete codes.
 fn build_witness<W: StateWord>(
     ctx: &ModelCtx,
     arena: &[W],
@@ -1169,8 +1036,9 @@ fn build_witness<W: StateWord>(
         .chain(std::iter::once(final_mask))
         .collect();
 
-    let mut cells = vec![Cell::Steady; n];
-    let mut used = vec![0u32; n];
+    // codes[app] is the concrete packed code of application `app`.
+    let mut codes = vec![0u32; n];
+    let mut frame = Frame::<u32>::default();
     // perm[canonical position] = concrete application index.
     let mut perm: Vec<usize> = (0..n).collect();
     let mut order: Vec<(u32, usize)> = Vec::with_capacity(n);
@@ -1178,38 +1046,34 @@ fn build_witness<W: StateWord>(
 
     for (sample, &mask) in masks.iter().enumerate() {
         let last = sample + 1 == masks.len();
+        let mut concrete = 0u32;
         for (bit, &app) in perm.iter().enumerate() {
             if mask & (1 << bit) != 0 {
-                debug_assert!(matches!(cells[app], Cell::Steady));
-                cells[app] = Cell::Waiting { waited: 0 };
-                if ctx.bound.is_some() {
-                    used[app] = used[app].saturating_add(1);
-                }
+                concrete |= 1 << app;
                 events.push(TraceEvent::Disturbance { app, sample });
             }
         }
-        match step_in_place(&ctx.params, ctx.bound, &mut cells, &used) {
-            StepOutcome::Miss { app } => {
-                assert!(
-                    last,
-                    "engine witness: premature deadline miss while replaying the parent chain"
-                );
-                events.push(TraceEvent::DeadlineMissed { app, sample });
-                return Witness::new(events, app, sample);
-            }
-            StepOutcome::Ok => {
-                assert!(
-                    !last,
-                    "engine witness: the failing step replayed without a deadline miss"
-                );
-            }
+        frame.load(ctx, &codes);
+        if let Some(app) = frame.expired {
+            assert!(
+                last,
+                "engine witness: premature deadline miss while replaying the parent chain"
+            );
+            events.push(TraceEvent::DeadlineMissed { app, sample });
+            return Witness::new(events, app, sample);
         }
+        assert!(
+            !last,
+            "engine witness: the failing step replayed without a deadline miss"
+        );
+        codes.copy_from_slice(&frame.base);
+        frame.apply_choice(ctx, concrete, &mut codes);
         for &(start, end) in &ctx.runs {
             if end - start < 2 {
                 continue;
             }
             order.clear();
-            order.extend((start..end).map(|app| (ctx.enc[app].encode(cells[app], used[app]), app)));
+            order.extend((start..end).map(|app| (codes[app], app)));
             order.sort_unstable();
             for (offset, &(_, app)) in order.iter().enumerate() {
                 perm[start + offset] = app;
@@ -1220,9 +1084,7 @@ fn build_witness<W: StateWord>(
         debug_assert!({
             let node = path[sample + 1] as usize;
             let words = &arena[node * n..(node + 1) * n];
-            (0..n).all(|j| {
-                words[j].unpack() == ctx.enc[perm[j]].encode(cells[perm[j]], used[perm[j]])
-            })
+            (0..n).all(|j| words[j].unpack() == codes[perm[j]])
         });
     }
     unreachable!("the final mask always replays to the recorded deadline miss")
@@ -1510,6 +1372,36 @@ mod tests {
         // space is a long cooldown chain, identical for engine and oracle.
         let model = SlotSharingModel::new(vec![profile("A", 3, 2, 3, 70_000)]).unwrap();
         assert_equivalent(&model, &VerificationConfig::unbounded());
+    }
+
+    #[test]
+    fn contended_codes_above_the_entry_cap_match_the_oracle() {
+        // A's cell space (1,075 codes) exceeds the entry cache, so its late
+        // cooldowns — and, under the bound, every code after its first
+        // disturbance — are compiled on each lookup. B contends for the
+        // slot: with a two-sample wait it is schedulable, with a one-sample
+        // wait A's minimum dwell makes it miss.
+        let a = profile("A", 20, 3, 30, 400);
+        for b in [profile("B", 2, 2, 3, 30), profile("B", 1, 2, 3, 30)] {
+            let model = SlotSharingModel::new(vec![a.clone(), b]).unwrap();
+            for config in [
+                VerificationConfig::unbounded(),
+                VerificationConfig::bounded(2),
+            ] {
+                let ctx = ModelCtx::new(&model, &config).unwrap();
+                assert_eq!(ctx.entries[0].len(), ENTRY_CAP);
+                assert!(ctx.max_code_space > ENTRY_CAP as u64);
+                assert_equivalent(&model, &config);
+
+                let mut serial = SlotVerifyEngine::with_pool(cps_par::Pool::serial());
+                let reference = serial.verify(&model, &config).unwrap();
+                for threads in [2, 4] {
+                    let mut par = SlotVerifyEngine::with_pool(cps_par::Pool::with_threads(threads));
+                    assert_eq!(par.verify(&model, &config).unwrap(), reference);
+                    assert_eq!(par.stats(), serial.stats(), "t={threads}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,123 @@
+//! Integration tests: the exact verifier's work on the published case-study
+//! rows, pinned to the last state and probe.
+//!
+//! The counts below are `SlotVerifyEngine`'s outcome and every `VerifyStats`
+//! field for three published-row models. Any change to the exploration order,
+//! the symmetry canonicalisation, the incremental hashing or the intern index
+//! moves at least one of them, so an optimisation of the verifier that claims
+//! to cut only the cost per state must leave this file untouched. Every model
+//! runs on the serial pool and on a two-thread pool, which must agree bit for
+//! bit.
+
+use cps_apps::case_study;
+use cps_core::AppTimingProfile;
+use cps_verify::{
+    validate_witness, SlotSharingModel, SlotVerifyEngine, VerificationConfig, VerifyStats,
+};
+
+fn published(names: &[&str]) -> SlotSharingModel {
+    let apps = case_study::all_applications().unwrap();
+    let profiles: Vec<AppTimingProfile> = names
+        .iter()
+        .map(|name| {
+            let app = apps
+                .iter()
+                .find(|a| a.application().name() == *name)
+                .unwrap();
+            app.paper_row().to_profile(name).unwrap()
+        })
+        .collect();
+    SlotSharingModel::new(profiles).unwrap()
+}
+
+/// Verifies `names` on a fresh engine at widths 1 and 2 and checks the
+/// verdict, the explored count, the witness and every work counter.
+fn assert_work(
+    names: &[&str],
+    config: VerificationConfig,
+    schedulable: bool,
+    explored: usize,
+    expected: VerifyStats,
+) {
+    let model = published(names);
+    for pool in [cps_par::Pool::serial(), cps_par::Pool::with_threads(2)] {
+        let mut engine = SlotVerifyEngine::with_pool(pool);
+        let outcome = engine.verify(&model, &config).unwrap();
+        let width = pool.threads();
+        assert_eq!(
+            outcome.schedulable(),
+            schedulable,
+            "{names:?} width {width}"
+        );
+        assert_eq!(
+            outcome.states_explored(),
+            explored,
+            "{names:?} width {width}"
+        );
+        assert_eq!(outcome.witness().is_some(), !schedulable);
+        if let Some(witness) = outcome.witness() {
+            validate_witness(&model, witness).unwrap();
+        }
+        assert_eq!(engine.stats(), expected, "{names:?} width {width}");
+    }
+}
+
+#[test]
+fn hardest_published_slot_explores_the_recorded_states() {
+    assert_work(
+        &["C1", "C5", "C4", "C3"],
+        VerificationConfig::unbounded(),
+        true,
+        1_250_000,
+        VerifyStats {
+            intern_probes: 1_413_517,
+            hash_hits: 163_517,
+            hash_skips: 3_033_126,
+            deep_compares: 163_517,
+            rehashes: 11,
+            rehashed_entries: 1_572_096,
+            hash_slot_updates: 5_483_144,
+            full_hash_words: 11_942_452,
+        },
+    );
+}
+
+#[test]
+fn rejected_published_slot_misses_at_the_recorded_state() {
+    assert_work(
+        &["C1", "C5", "C4", "C6"],
+        VerificationConfig::unbounded(),
+        false,
+        49_993,
+        VerifyStats {
+            intern_probes: 64_814,
+            hash_hits: 1,
+            hash_skips: 153_494,
+            deep_compares: 1,
+            rehashes: 7,
+            rehashed_entries: 97_536,
+            hash_slot_updates: 242_965,
+            full_hash_words: 649_400,
+        },
+    );
+}
+
+#[test]
+fn bounded_second_slot_explores_the_recorded_states() {
+    assert_work(
+        &["C6", "C2"],
+        VerificationConfig::bounded(2),
+        true,
+        40_401,
+        VerifyStats {
+            intern_probes: 41_210,
+            hash_hits: 809,
+            hash_skips: 91_294,
+            deep_compares: 809,
+            rehashes: 6,
+            rehashed_entries: 48_384,
+            hash_slot_updates: 81_202,
+            full_hash_words: 179_188,
+        },
+    );
+}
