@@ -30,10 +30,20 @@
 //! dense indices but preserves their relative order, so every sort
 //! tie-break agrees with a rebuild), and the suffix is re-placed.
 //!
+//! # What a repair costs
+//!
+//! The state keeps the fleet's first-fit order, and each resident's
+//! first-fit key, across requests instead of recomputing them: an arrival
+//! is inserted by binary search on its key, a departure is deleted and the
+//! survivors above it are renumbered, and a refused, deferred or failed
+//! request restores the order it found. No request sorts the fleet. Pruning
+//! reuses a rank buffer the state owns and the slot vectors of the
+//! partition the last repair replaced.
+//!
 //! Most re-placed probes hit the cascade's memo (the suffix was placed
-//! before, and verdicts are keyed canonically), so repair cost is dominated
-//! by the genuinely new queries — the incremental win the `bench_admit` soak
-//! measures.
+//! before, and verdicts are keyed canonically), so a memo-answered repair
+//! costs its probes — one memo lookup each — and little else; repair cost
+//! beyond that is the genuinely new queries the exact verifier answers.
 //!
 //! # Warm starts
 //!
@@ -53,7 +63,7 @@ use cps_intern::SnapshotError;
 use cps_verify::{VerificationConfig, VerifyError};
 
 use crate::cascade::{CascadeCore, TierVerdict};
-use crate::first_fit::{place_suffix, sort_for_first_fit};
+use crate::first_fit::{first_fit_key, is_first_fit_order, place_suffix};
 use crate::report::{MappingReport, TierStats};
 
 /// Name under which the service's reports identify their oracle.
@@ -161,6 +171,16 @@ pub struct AdmissionState {
     fleet: Vec<AppTimingProfile>,
     /// Interned fingerprint id per fleet index, parallel to `fleet`.
     fleet_ids: Vec<u32>,
+    /// First-fit key per fleet index, parallel to `fleet`.
+    fleet_keys: Vec<(usize, usize)>,
+    /// The fleet's first-fit order (fleet indices ascending by first-fit
+    /// key, ties by index), kept across requests.
+    order: Vec<usize>,
+    /// Rank in `order` per fleet index; refilled before each pruning.
+    ranks: Vec<usize>,
+    /// The slot vectors of the partition the last repair replaced, reused by
+    /// the next pruning.
+    spare_slots: Vec<Vec<usize>>,
     report: MappingReport,
 }
 
@@ -176,6 +196,10 @@ impl AdmissionState {
             core,
             fleet: Vec::new(),
             fleet_ids: Vec::new(),
+            fleet_keys: Vec::new(),
+            order: Vec::new(),
+            ranks: Vec::new(),
+            spare_slots: Vec::new(),
             report: MappingReport::with_tier_stats(
                 ORACLE_NAME.to_string(),
                 Vec::new(),
@@ -243,28 +267,17 @@ impl AdmissionState {
     ///
     /// # Errors
     ///
-    /// Propagates exact-verifier failures; the fleet and partition are left
-    /// unchanged on error.
+    /// Propagates exact-verifier failures; the fleet, its first-fit order and
+    /// the partition are left unchanged on error.
     pub fn add_app(&mut self, profile: AppTimingProfile) -> Result<usize, VerifyError> {
         let app = self.fleet.len();
-        let id = self.core.intern_profile(&profile);
-        self.fleet.push(profile);
-        self.fleet_ids.push(id);
-        // The arrival's rank in the updated order: ties sort before it, since
-        // its dense index is the largest.
-        let order = sort_for_first_fit(&self.fleet);
-        let cut = Self::rank_of(&order, app);
-        // Placements below `cut` are invariant (see the module docs); prune
-        // the current partition to them and re-place the suffix.
-        let pruned = Self::prune_to_prefix(self.report.slots(), &order, cut, |m| m);
-        match self.repair(pruned, &order[cut..]) {
-            Ok(()) => Ok(app),
-            Err(e) => {
-                self.fleet.pop();
-                self.fleet_ids.pop();
-                Err(e)
-            }
+        let (slots, cut) = self.arrive(profile);
+        let repaired = self.repair(slots, cut);
+        if repaired.is_err() {
+            self.undo_arrival(cut);
         }
+        self.debug_assert_order();
+        repaired.map(|()| app)
     }
 
     /// Admits an arriving application like [`AdmissionState::add_app`], but
@@ -289,37 +302,47 @@ impl AdmissionState {
         state_budget: usize,
     ) -> Result<DeadlineAdmit, AdmissionError> {
         let app = self.fleet.len();
-        let id = self.core.intern_profile(&profile);
-        self.fleet.push(profile);
-        self.fleet_ids.push(id);
-        let order = sort_for_first_fit(&self.fleet);
-        let cut = Self::rank_of(&order, app);
-        let pruned = Self::prune_to_prefix(self.report.slots(), &order, cut, |m| m);
-        match self.repair_within(pruned, &order[cut..], state_budget) {
+        let (slots, cut) = self.arrive(profile);
+        let repaired = self.repair_within(slots, cut, state_budget);
+        if !matches!(repaired, Ok(Some(_))) {
+            self.undo_arrival(cut);
+        }
+        self.debug_assert_order();
+        match repaired {
             Ok(Some(quality)) => Ok(DeadlineAdmit::Placed {
                 index: app,
                 quality,
             }),
-            Ok(None) => {
-                self.fleet.pop();
-                self.fleet_ids.pop();
-                Ok(DeadlineAdmit::Deferred)
-            }
-            Err(e) => {
-                self.fleet.pop();
-                self.fleet_ids.pop();
-                Err(AdmissionError::Verify(e))
-            }
+            Ok(None) => Ok(DeadlineAdmit::Deferred),
+            Err(e) => Err(AdmissionError::Verify(e)),
         }
     }
 
-    /// The rank of fleet index `app` in the first-fit `order`.
-    /// `sort_for_first_fit` returns a permutation of the fleet indices, so
-    /// the rank always exists; if that invariant were ever violated, fall
-    /// back to rank 0 — a full re-placement, slower but still exact — rather
-    /// than panicking inside the service.
-    fn rank_of(order: &[usize], app: usize) -> usize {
-        order.iter().position(|&i| i == app).unwrap_or(0)
+    /// Appends an arriving application to the fleet and inserts it into the
+    /// kept first-fit order after every equal key (its index is the
+    /// largest). Returns the partition pruned to the placements below the
+    /// arrival's rank, and that rank `cut`: placements below it are
+    /// invariant (see the module docs), `order[cut..]` is re-placed.
+    fn arrive(&mut self, profile: AppTimingProfile) -> (Vec<Vec<usize>>, usize) {
+        let id = self.core.intern_profile(&profile);
+        let key = first_fit_key(&profile);
+        let keys = &self.fleet_keys;
+        let cut = self.order.partition_point(|&i| keys[i] <= key);
+        self.order.insert(cut, self.fleet.len());
+        self.fleet.push(profile);
+        self.fleet_ids.push(id);
+        self.fleet_keys.push(key);
+        self.fill_ranks();
+        (self.prune_to_prefix(cut, |m| m), cut)
+    }
+
+    /// Reverts [`AdmissionState::arrive`]: the arrival at rank `cut` leaves
+    /// the order and the fleet.
+    fn undo_arrival(&mut self, cut: usize) {
+        self.order.remove(cut);
+        self.fleet.pop();
+        self.fleet_ids.pop();
+        self.fleet_keys.pop();
     }
 
     /// Evicts the application at `index` from the resident fleet, repairing
@@ -340,29 +363,38 @@ impl AdmissionState {
                 fleet_len: self.fleet.len(),
             });
         }
-        // The departing application's rank in the *current* order: lower
-        // ranks keep their placements, everything after it is re-placed.
-        let order_before = sort_for_first_fit(&self.fleet);
-        let cut = Self::rank_of(&order_before, index);
-        // Prune to the invariant prefix, renumbering surviving indices past
-        // the departure down by one.
-        let pruned = Self::prune_to_prefix(self.report.slots(), &order_before, cut, |m| {
-            m - usize::from(m > index)
-        });
+        // The departing application's rank in the current order: lower ranks
+        // keep their placements, everything after it is re-placed. Prune to
+        // the invariant prefix, renumbering surviving indices past the
+        // departure down by one.
+        self.fill_ranks();
+        let cut = self.ranks[index];
+        let slots = self.prune_to_prefix(cut, |m| m - usize::from(m > index));
         let profile = self.fleet.remove(index);
         let id = self.fleet_ids.remove(index);
+        let key = self.fleet_keys.remove(index);
         // The remaining applications keep their relative order, so the new
         // order is the old one minus the departure, renumbered — its first
         // `cut` entries are exactly the pruned prefix.
-        let order = sort_for_first_fit(&self.fleet);
-        match self.repair(pruned, &order[cut..]) {
+        self.order.remove(cut);
+        for i in &mut self.order {
+            *i -= usize::from(*i > index);
+        }
+        let result = match self.repair(slots, cut) {
             Ok(()) => Ok(profile),
             Err(e) => {
+                for i in &mut self.order {
+                    *i += usize::from(*i >= index);
+                }
+                self.order.insert(cut, index);
                 self.fleet.insert(index, profile);
                 self.fleet_ids.insert(index, id);
+                self.fleet_keys.insert(index, key);
                 Err(AdmissionError::Verify(e))
             }
-        }
+        };
+        self.debug_assert_order();
+        result
     }
 
     /// Ad-hoc admission query against the resident fleet: may the
@@ -400,56 +432,66 @@ impl AdmissionState {
         Ok(Self::with_core(CascadeCore::from_snapshot_bytes(bytes)?))
     }
 
-    /// Prunes `slots` to the members whose rank in `order` is below `cut`,
-    /// applying `remap` to every surviving index. Slots opened by suffix
-    /// members become empty and are dropped; they always form a tail of the
-    /// slot list (slots are opened in rank order of their first member), so
-    /// dropping them reconstructs the exact mid-algorithm slot list.
-    fn prune_to_prefix(
-        slots: &[Vec<usize>],
-        order: &[usize],
-        cut: usize,
-        remap: impl Fn(usize) -> usize,
-    ) -> Vec<Vec<usize>> {
-        let mut rank = vec![usize::MAX; order.len()];
-        for (r, &i) in order.iter().enumerate() {
-            rank[i] = r;
+    /// Refills `ranks` from the kept order: `ranks[order[r]] = r`.
+    fn fill_ranks(&mut self) {
+        self.ranks.resize(self.order.len(), 0);
+        for (r, &i) in self.order.iter().enumerate() {
+            self.ranks[i] = r;
         }
-        let pruned: Vec<Vec<usize>> = slots
-            .iter()
-            .map(|slot| {
+    }
+
+    /// Prunes the current partition to the members whose rank (per the
+    /// freshly filled `ranks`) is below `cut`, applying `remap` to every
+    /// surviving index. Slots opened by suffix members become empty and are
+    /// dropped; they always form a tail of the slot list (slots are opened in
+    /// rank order of their first member), so dropping them reconstructs the
+    /// exact mid-algorithm slot list. The pruned slots are written into the
+    /// vectors the last repair replaced, so a repair allocates only for the
+    /// slots it opens beyond those.
+    fn prune_to_prefix(&mut self, cut: usize, remap: impl Fn(usize) -> usize) -> Vec<Vec<usize>> {
+        let slots = self.report.slots();
+        let mut pruned = std::mem::take(&mut self.spare_slots);
+        pruned.resize_with(slots.len(), Vec::new);
+        for (kept, slot) in pruned.iter_mut().zip(slots) {
+            kept.clear();
+            kept.extend(
                 slot.iter()
-                    .filter(|&&m| rank[m] < cut)
-                    .map(|&m| remap(m))
-                    .collect()
-            })
-            .filter(|slot: &Vec<usize>| !slot.is_empty())
-            .collect();
+                    .filter(|&&m| self.ranks[m] < cut)
+                    .map(|&m| remap(m)),
+            );
+        }
+        let len = pruned.iter().take_while(|slot| !slot.is_empty()).count();
         debug_assert!(
-            slots
-                .iter()
-                .map(|slot| slot.iter().filter(|&&m| rank[m] < cut).count())
-                .skip_while(|&kept| kept > 0)
-                .all(|kept| kept == 0),
+            pruned[len..].iter().all(Vec::is_empty),
             "emptied slots must form a tail of the slot list"
         );
+        pruned.truncate(len);
         pruned
     }
 
-    /// Re-places `suffix` (first-fit order indices into the current fleet)
-    /// onto the pruned mid-algorithm `slots`, committing the repaired
-    /// partition and its work delta into the report on success. On error the
-    /// report is untouched (the caller reverts the fleet).
-    fn repair(&mut self, mut slots: Vec<Vec<usize>>, suffix: &[usize]) -> Result<(), VerifyError> {
+    /// Checks, in debug builds, that the kept order is the batch first-fit
+    /// order of the resident fleet.
+    fn debug_assert_order(&self) {
+        debug_assert!(
+            is_first_fit_order(&self.fleet, &self.order),
+            "the kept first-fit order diverged from the fleet's"
+        );
+    }
+
+    /// Re-places the suffix `order[cut..]` of the kept first-fit order onto
+    /// the pruned mid-algorithm `slots`, committing the repaired partition
+    /// and its work delta into the report on success. On error the report is
+    /// untouched (the caller reverts the fleet and the order).
+    fn repair(&mut self, mut slots: Vec<Vec<usize>>, cut: usize) -> Result<(), VerifyError> {
         let before = *self.core.stats();
         let core = &mut self.core;
         let fleet = &self.fleet;
         let fleet_ids = &self.fleet_ids;
-        place_suffix(&mut slots, suffix, |members| {
+        place_suffix(&mut slots, &self.order[cut..], |members| {
             core.admit_query(fleet, fleet_ids, members)
         })?;
         let delta = self.core.stats().since(&before);
-        self.report.apply_repair(slots, &delta);
+        self.spare_slots = self.report.apply_repair(slots, &delta);
         Ok(())
     }
 
@@ -458,11 +500,11 @@ impl AdmissionState {
     /// `Ok(Some(quality))` commits the repaired partition; `Ok(None)` means
     /// some probe was undecided — the placement is abandoned, the deferral
     /// is counted, and the report stays untouched (the caller reverts the
-    /// fleet).
+    /// fleet and the order).
     fn repair_within(
         &mut self,
         mut slots: Vec<Vec<usize>>,
-        suffix: &[usize],
+        cut: usize,
         state_budget: usize,
     ) -> Result<Option<AdmitQuality>, VerifyError> {
         let before = *self.core.stats();
@@ -471,7 +513,7 @@ impl AdmissionState {
         let fleet_ids = &self.fleet_ids;
         let mut degraded = false;
         let mut undecided = false;
-        let placed = place_suffix(&mut slots, suffix, |members| {
+        let placed = place_suffix(&mut slots, &self.order[cut..], |members| {
             match core.admit_query_bounded(fleet, fleet_ids, members, Some(state_budget))? {
                 TierVerdict::Exact(verdict) => Ok(verdict),
                 TierVerdict::DegradedAccept => {
@@ -491,7 +533,7 @@ impl AdmissionState {
         match placed {
             Ok(()) => {
                 let delta = self.core.stats().since(&before);
-                self.report.apply_repair(slots, &delta);
+                self.spare_slots = self.report.apply_repair(slots, &delta);
                 Ok(Some(if degraded {
                     AdmitQuality::Degraded
                 } else {

@@ -20,6 +20,7 @@
 //! tier — the saved core would have.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 use cps_baseline::{slot_schedulable_profiles, Strategy};
@@ -79,10 +80,69 @@ pub(crate) enum TierVerdict {
 /// Both variants store the full canonical key and only answer on an exact
 /// key match, so the choice changes memory footprint, never a verdict —
 /// pinned by the TT-on/TT-off equivalence tests.
+///
+/// The two hash their keys differently on purpose. The bounded table keeps
+/// `seq_fingerprint`: it picks each entry's bucket, so the table's snapshot
+/// layout and its eviction counts depend on it. The unbounded map hashes
+/// with [`MemoKeyHasher`].
 #[derive(Debug)]
 enum Memo {
-    Unbounded(HashMap<Vec<u32>, bool>),
+    Unbounded(MemoMap),
     Bounded(TwoWayTranspositionTable<Vec<u32>, bool>),
+}
+
+/// The unbounded verdict memo: canonical key to verdict.
+type MemoMap = HashMap<Vec<u32>, bool, BuildHasherDefault<MemoKeyHasher>>;
+
+/// A small deterministic multiply-rotate hasher for the unbounded memo's
+/// keys. A memo-answered repair is mostly memo lookups: with std's randomly
+/// keyed SipHash-1-3 instead, a memo-only replay of the churn benchmark's
+/// rounds takes about a third longer. Memo keys are fingerprint ids the core
+/// mints, never client bytes, so SipHash's hardening against crafted
+/// collisions protects nothing here. Being unkeyed, this hasher also makes
+/// the map's iteration order — and so the `MEMO` snapshot section's bytes —
+/// a function of the keys and the insertion history alone.
+#[derive(Debug, Default)]
+struct MemoKeyHasher(u64);
+
+impl MemoKeyHasher {
+    /// An odd multiplier with well-spread bits.
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn add(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for MemoKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Keys are `u32` sequences: whole words, then at most one half-word.
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(
+                word.try_into().expect("chunks_exact yields 8 bytes"),
+            ));
+        }
+        let mut halves = words.remainder().chunks_exact(4);
+        for half in &mut halves {
+            self.add(
+                u32::from_le_bytes(half.try_into().expect("chunks_exact yields 4 bytes")).into(),
+            );
+        }
+        for &byte in halves.remainder() {
+            self.add(byte.into());
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are its best mixed; the map indexes
+        // buckets by the low bits.
+        self.0.rotate_left(26)
+    }
 }
 
 impl Default for Memo {
@@ -167,7 +227,7 @@ impl CascadeCore {
     /// Switches the verdict memo to the unbounded hash map (nothing is ever
     /// evicted). Verdicts are identical to the bounded default.
     pub(crate) fn set_unbounded_memo(&mut self) {
-        self.memo = Memo::Unbounded(HashMap::new());
+        self.memo = Memo::Unbounded(MemoMap::default());
     }
 
     /// Bounds the verdict memo to `buckets` two-way buckets (capacity
@@ -600,7 +660,8 @@ impl CascadeCore {
         let memo = match r.take_u8()? {
             0 => {
                 let len = r.take_usize()?;
-                let mut map = HashMap::with_capacity(len.min(1 << 20));
+                let mut map =
+                    MemoMap::with_capacity_and_hasher(len.min(1 << 20), Default::default());
                 for _ in 0..len {
                     let key: Vec<u32> = Vec::restore(r)?;
                     let verdict = r.take_bool()?;

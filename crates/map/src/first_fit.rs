@@ -6,13 +6,36 @@ use cps_verify::VerifyError;
 use crate::oracle::SlotOracle;
 use crate::report::MappingReport;
 
+/// The paper's first-fit sort key of one application: ascending maximum wait
+/// `T_w^*`, ties broken by the smaller largest minimum dwell `T_dw^{-*}`.
+/// Applications with equal keys keep their index order. The batch sort and
+/// the order `AdmissionState` keeps across requests both rank by this key.
+pub(crate) fn first_fit_key(profile: &AppTimingProfile) -> (usize, usize) {
+    (profile.max_wait(), profile.max_t_dw_min())
+}
+
 /// Sorts application indices the way the paper's first-fit heuristic expects:
 /// ascending maximum wait `T_w^*`, ties broken by the smaller largest minimum
-/// dwell `T_dw^{-*}`, further ties by the original order.
+/// dwell `T_dw^{-*}`, further ties by the original order. Each profile's key
+/// is evaluated once (finding `T_dw^{-*}` scans its dwell array), not once
+/// per comparison.
 pub fn sort_for_first_fit(profiles: &[AppTimingProfile]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..profiles.len()).collect();
-    order.sort_by_key(|&i| (profiles[i].max_wait(), profiles[i].max_t_dw_min(), i));
+    // A stable sort: equal keys keep their index order.
+    order.sort_by_cached_key(|&i| first_fit_key(&profiles[i]));
     order
+}
+
+/// `true` when `order` is exactly [`sort_for_first_fit`] of `profiles`:
+/// strictly ascending in (key, index), which makes it a permutation of the
+/// indices once its length and range match. A linear check for the order
+/// `AdmissionState` keeps incrementally.
+pub(crate) fn is_first_fit_order(profiles: &[AppTimingProfile], order: &[usize]) -> bool {
+    order.len() == profiles.len()
+        && order.iter().all(|&i| i < profiles.len())
+        && order.windows(2).all(|w| {
+            (first_fit_key(&profiles[w[0]]), w[0]) < (first_fit_key(&profiles[w[1]]), w[1])
+        })
 }
 
 /// The first-fit placement loop over an arbitrary admission test, shared by

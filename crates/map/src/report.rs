@@ -202,13 +202,19 @@ impl MappingReport {
     /// online admission service keeps *one* report current across
     /// `add_app`/`remove_app` operations instead of minting a new one per
     /// batch run.
-    pub(crate) fn apply_repair(&mut self, slots: Vec<Vec<usize>>, delta: &TierStats) {
-        self.slots = slots;
+    ///
+    /// Returns the replaced slot list, so the caller can reuse its vectors.
+    pub(crate) fn apply_repair(
+        &mut self,
+        slots: Vec<Vec<usize>>,
+        delta: &TierStats,
+    ) -> Vec<Vec<usize>> {
         self.oracle_calls += delta.queries;
         match &mut self.tier_stats {
             Some(stats) => stats.accumulate(delta),
             None => self.tier_stats = Some(*delta),
         }
+        std::mem::replace(&mut self.slots, slots)
     }
 
     /// The slot index an application was mapped to, if any.

@@ -1,0 +1,297 @@
+//! Integration tests: the online admission service's incremental repair,
+//! pinned against batch first-fit over a long seeded churn stream.
+//!
+//! `AdmissionState` keeps the fleet's first-fit order across requests and
+//! re-places only the suffix a request can affect. After every arrival and
+//! departure its partition must equal `MapExplorerEngine::first_fit` over
+//! the resident fleet, on the default bounded memo and on the unbounded
+//! one. The catalog holds two different contents with equal first-fit keys,
+//! so ties resolve by fleet index, and the stream draws duplicates. Refused,
+//! deferred and failed requests must leave the fleet and the partition as
+//! they found them, and later requests must still match the batch rebuild.
+
+use cps_core::{AppTimingProfile, DwellTimeTable};
+use cps_map::{
+    sort_for_first_fit, AdmissionError, AdmissionState, DeadlineAdmit, MapExplorerEngine,
+};
+use cps_verify::{VerificationConfig, VerifyError};
+
+/// Requests in one churn stream.
+const REQUESTS: usize = 320;
+/// Resident-fleet cap: at the cap the next request is a departure.
+const RESIDENT_CAP: usize = 12;
+/// A deadline-bounded arrival is tried every this many requests.
+const DEFERRAL_EVERY: usize = 40;
+
+/// A profile with constant dwell arrays: `max_wait` is `T_w^*`, the first
+/// dwell array `T_dw^-` and the second `T_dw^+`. `full_hold` sets `J_T` to
+/// the largest dwell, which opens the cascade's baseline gate; otherwise
+/// `J_T` is one sample.
+fn profile(
+    name: &str,
+    max_wait: usize,
+    dwell_min: usize,
+    dwell_plus: usize,
+    r: usize,
+    full_hold: bool,
+) -> AppTimingProfile {
+    let len = max_wait + 1;
+    let jstar = max_wait + dwell_plus + 1;
+    let table =
+        DwellTimeTable::from_arrays(jstar, vec![dwell_min; len], vec![dwell_plus; len]).unwrap();
+    let jt = if full_hold { dwell_plus } else { 1 };
+    AppTimingProfile::new(name, jt, jstar + 10, jstar, r.max(jstar + 1), table).unwrap()
+}
+
+/// The contents every arrival is drawn from. `tie_a` and `tie_b` differ but
+/// share the first-fit key `(3, 2)`.
+fn catalog() -> Vec<AppTimingProfile> {
+    let catalog = vec![
+        profile("urgent", 1, 1, 1, 8, true),
+        profile("tie_a", 3, 2, 2, 12, true),
+        profile("tie_b", 3, 2, 3, 16, false),
+        profile("relaxed", 4, 1, 2, 10, false),
+        profile("long", 2, 2, 2, 9, false),
+    ];
+    // Equal keys: first-fit orders the pair by index, whichever comes first.
+    let (a, b) = (catalog[1].clone(), catalog[2].clone());
+    assert_ne!(a, b);
+    assert_eq!(sort_for_first_fit(&[a.clone(), b.clone()]), [0, 1]);
+    assert_eq!(sort_for_first_fit(&[b, a]), [0, 1]);
+    catalog
+}
+
+/// A profile whose every shared-slot probe is new to the memo and which
+/// the conservative screen can never accept: a zero-wait deadline.
+fn deferring() -> AppTimingProfile {
+    profile("zero_wait", 0, 1, 1, 30, false)
+}
+
+/// One request of a stream.
+#[derive(Debug, Clone, Copy)]
+enum Request {
+    /// Admit a copy of this catalog entry.
+    Arrive(usize),
+    /// Evict the application at this fleet index.
+    Depart(usize),
+}
+
+/// xorshift64*: a seeded, dependency-free generator.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, bound: usize) -> usize {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound as u64) as usize
+    }
+}
+
+/// A seeded arrival/departure stream: arrivals take three draws in four
+/// until the cap, every departure picks a uniformly random resident.
+fn stream(seed: u64, catalog_len: usize) -> Vec<Request> {
+    let mut rng = Rng(seed | 1);
+    let mut resident = 0;
+    (0..REQUESTS)
+        .map(|_| {
+            if resident == 0 || (resident < RESIDENT_CAP && rng.below(4) != 0) {
+                resident += 1;
+                Request::Arrive(rng.below(catalog_len))
+            } else {
+                resident -= 1;
+                Request::Depart(rng.below(resident + 1))
+            }
+        })
+        .collect()
+}
+
+/// Applies one request, which must succeed.
+fn apply(state: &mut AdmissionState, catalog: &[AppTimingProfile], request: Request, k: usize) {
+    match request {
+        Request::Arrive(c) => {
+            // A renamed copy: fingerprints ignore names.
+            let p = &catalog[c];
+            let copy = AppTimingProfile::new(
+                format!("{}#{k}", p.name()),
+                p.jt(),
+                p.je(),
+                p.jstar(),
+                p.min_inter_arrival(),
+                p.dwell_table().clone(),
+            )
+            .unwrap();
+            state.add_app(copy).unwrap();
+        }
+        Request::Depart(index) => {
+            state.remove_app(index).unwrap();
+        }
+    }
+}
+
+/// The partition must equal a batch first-fit rebuild of the resident
+/// fleet. `batch` keeps its caches across calls; its verdicts are exact, so
+/// they never depend on what it answered before.
+fn assert_matches_batch(state: &AdmissionState, batch: &mut MapExplorerEngine, context: &str) {
+    let expected = batch.first_fit(state.fleet()).unwrap();
+    assert_eq!(
+        state.report().slots(),
+        expected.slots(),
+        "{context}: incremental partition diverged from the batch rebuild"
+    );
+}
+
+/// What a refused request must leave untouched.
+fn observe(state: &AdmissionState) -> (Vec<AppTimingProfile>, Vec<Vec<usize>>) {
+    (state.fleet().to_vec(), state.report().slots().to_vec())
+}
+
+/// The two memo kinds every contract runs on.
+fn fresh_states(config: VerificationConfig) -> [(&'static str, AdmissionState); 2] {
+    [
+        ("bounded memo", AdmissionState::with_config(config)),
+        (
+            "unbounded memo",
+            AdmissionState::with_config(config).with_unbounded_memo(),
+        ),
+    ]
+}
+
+#[test]
+fn churn_stream_matches_batch_first_fit_after_every_request() {
+    let catalog = catalog();
+    for seed in [1, 7] {
+        let requests = stream(seed, catalog.len());
+        let departures = requests
+            .iter()
+            .filter(|r| matches!(r, Request::Depart(_)))
+            .count();
+        assert!(departures >= REQUESTS / 5, "seed {seed}: {departures}");
+        for (label, mut state) in fresh_states(VerificationConfig::default()) {
+            let mut batch = MapExplorerEngine::new();
+            let mut deferrals = 0;
+            // What the stream must have exercised: several slots, shared
+            // slots, and both tie-keyed contents resident at once.
+            let (mut most_slots, mut most_sharing, mut ties_resident) = (0, 0, false);
+            for (k, &request) in requests.iter().enumerate() {
+                let context = format!("seed {seed}, {label}, request {k} ({request:?})");
+                apply(&mut state, &catalog, request, k);
+                assert_matches_batch(&state, &mut batch, &context);
+                let slots = state.report().slots();
+                most_slots = most_slots.max(slots.len());
+                most_sharing = most_sharing.max(slots.iter().map(Vec::len).max().unwrap_or(0));
+                let resident = |name: &str| {
+                    state
+                        .fleet()
+                        .iter()
+                        .any(|p| p.name().starts_with(&format!("{name}#")))
+                };
+                ties_resident |= resident("tie_a") && resident("tie_b");
+                // A starved deadline arrival mid-stream: deferred, and rolled
+                // back without a trace.
+                if k % DEFERRAL_EVERY == DEFERRAL_EVERY - 1 && !state.fleet().is_empty() {
+                    let before = observe(&state);
+                    let verdict = state.add_app_within(deferring(), 1).unwrap();
+                    assert_eq!(verdict, DeadlineAdmit::Deferred, "{context}");
+                    assert_eq!(observe(&state), before, "{context}: deferral rolled back");
+                    deferrals += 1;
+                }
+            }
+            assert!(deferrals >= REQUESTS / DEFERRAL_EVERY - 1, "{label}");
+            assert_eq!(state.stats().deferred, deferrals, "{label}");
+            assert!(most_slots >= 3 && most_sharing >= 3, "{label}");
+            assert!(ties_resident, "seed {seed}, {label}");
+            assert!(state.stats().exact_verifies > 0, "{label}");
+            assert!(state.stats().memo_hits > 0, "{label}");
+        }
+    }
+}
+
+#[test]
+fn budget_failures_roll_back_arrivals_and_departures() {
+    // Under a one-state budget every exact verification fails, so only the
+    // cheap tiers may decide: `early` and `mid` share a slot through the
+    // baseline gate, and the triple with `late` fails the quick screen. The
+    // pair `mid`+`late` needs the exact verifier.
+    let early = profile("early", 1, 1, 1, 8, true);
+    let mid = profile("mid", 1, 2, 2, 8, true);
+    let late = profile("late", 2, 1, 2, 8, false);
+    let tight = VerificationConfig {
+        state_budget: 1,
+        ..VerificationConfig::default()
+    };
+    let is_budget = |e: &VerifyError| matches!(e, VerifyError::StateBudgetExhausted { .. });
+    for (label, mut state) in fresh_states(tight) {
+        let mut batch = MapExplorerEngine::new();
+        state.add_app(mid.clone()).unwrap();
+
+        // An arrival whose first probe needs the exact verifier is refused.
+        let before = observe(&state);
+        let err = state.add_app(late.clone()).unwrap_err();
+        assert!(is_budget(&err), "{label}: {err}");
+        assert_eq!(observe(&state), before, "{label}: refused arrival");
+
+        // `early` sorts first and joins `mid`; `late` then only probes the
+        // triple, which the screen rejects, and opens its own slot.
+        state.add_app(early.clone()).unwrap();
+        state.add_app(late.clone()).unwrap();
+        assert_eq!(state.report().slots(), [vec![1, 0], vec![2]], "{label}");
+        assert_matches_batch(&state, &mut batch, label);
+
+        // Evicting `early` would re-place `late` against `mid` alone: a new
+        // pair, beyond the budget. The departure fails and changes nothing.
+        let before = observe(&state);
+        match state.remove_app(1).unwrap_err() {
+            AdmissionError::Verify(e) => assert!(is_budget(&e), "{label}: {e}"),
+            other => panic!("{label}: {other}"),
+        }
+        assert_eq!(observe(&state), before, "{label}: failed departure");
+
+        // Later requests still repair exactly.
+        state.remove_app(2).unwrap();
+        assert_matches_batch(&state, &mut batch, label);
+        state.remove_app(0).unwrap();
+        assert_matches_batch(&state, &mut batch, label);
+        state.add_app(mid.clone()).unwrap();
+        assert_matches_batch(&state, &mut batch, label);
+        state.add_app(early.clone()).unwrap();
+        assert_matches_batch(&state, &mut batch, label);
+        assert_eq!(state.fleet().len(), 3, "{label}");
+    }
+}
+
+#[test]
+fn states_fed_the_same_requests_snapshot_identical_bytes() {
+    // The snapshot of the unbounded memo lists the map in iteration order,
+    // so equal bytes need a hasher that is a function of the keys alone.
+    let catalog = catalog();
+    let requests = stream(3, catalog.len());
+    for (label, memo) in [
+        (
+            "bounded memo",
+            AdmissionState::new as fn() -> AdmissionState,
+        ),
+        ("unbounded memo", || {
+            AdmissionState::new().with_unbounded_memo()
+        }),
+    ] {
+        let (mut first, mut second) = (memo(), memo());
+        for (k, &request) in requests.iter().enumerate() {
+            apply(&mut first, &catalog, request, k);
+            apply(&mut second, &catalog, request, k);
+            if k % DEFERRAL_EVERY == 0 {
+                assert_eq!(first.snapshot(), second.snapshot(), "{label}, request {k}");
+            }
+        }
+        let bytes = first.snapshot();
+        assert_eq!(bytes, second.snapshot(), "{label}");
+        // Restoring keeps the warm caches: replaying the stream on the
+        // restored state needs no exact verification.
+        let mut warm = AdmissionState::from_snapshot(&bytes).unwrap();
+        for (k, &request) in requests.iter().enumerate() {
+            apply(&mut warm, &catalog, request, k);
+        }
+        assert_eq!(warm.report().slots(), first.report().slots(), "{label}");
+        assert_eq!(warm.stats().exact_verifies, 0, "{label}");
+    }
+}
