@@ -286,7 +286,7 @@ fn main() {
         if (step + 1) % 8 == 0 {
             let bytes = client.snapshot().expect("snapshot answered");
             store
-                .save_faulty(&bytes, &mut store_plan)
+                .save(&store_plan.damage(bytes))
                 .expect("generation save publishes");
             metrics.store_saves += 1;
         }

@@ -555,13 +555,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_dispatch_picks_the_static_menu_when_enabled() {
+    fn auto_dispatch_picks_the_static_menu() {
         let app = demo_app();
-        let engine = DwellEngine::new(&app);
-        #[cfg(feature = "static-backend")]
-        assert_eq!(engine.backend_name(), "static<2>");
-        #[cfg(not(feature = "static-backend"))]
-        assert_eq!(engine.backend_name(), "dyn");
+        assert_eq!(DwellEngine::new(&app).backend_name(), "static<2>");
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //!   (the default) picks the stack-allocated
 //!   [`StaticBackend`](cps_linalg::StaticBackend) when the application's
 //!   augmented dimension fits the compile-time menu (2–5, covering every
-//!   case-study plant) and the `static-backend` feature is enabled, falling
-//!   back to the heap-backed [`DynBackend`] otherwise. The forced variants
-//!   exist so benches and tests can pit the two implementations against each
-//!   other on identical workloads.
+//!   case-study plant), falling back to the heap-backed [`DynBackend`]
+//!   otherwise. The forced variants exist so benches and tests can pit the
+//!   two implementations against each other on identical workloads.
 //! - [`ModeKernel`] owns the per-application matrices and cursor buffers for
 //!   one backend: a monomorphized simulate/advance core with no per-sample
 //!   heap allocation and, on the static path, no runtime bounds dispatch.
@@ -36,10 +35,9 @@ pub const STATIC_MENU_MAX: usize = 5;
 /// Which linalg backend an engine should run its hot loops on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendChoice {
-    /// Use the static fast path when the augmented dimension is in
-    /// `2..=5` and the `static-backend` feature is enabled; otherwise the
-    /// heap-backed dynamic backend. This is the right choice everywhere
-    /// except backend-comparison benches.
+    /// Use the static fast path when the augmented dimension is in `2..=5`;
+    /// otherwise the heap-backed dynamic backend. This is the right choice
+    /// everywhere except backend-comparison benches.
     #[default]
     Auto,
     /// Always use the heap-backed [`DynBackend`].
@@ -57,34 +55,24 @@ pub(crate) enum ResolvedBackend {
     Static(usize),
 }
 
-/// Applies the dispatch rule: static iff forced, or auto with the feature on
-/// and `dim` inside the menu.
+/// Applies the dispatch rule: static iff forced, or auto with `dim` inside
+/// the menu.
 pub(crate) fn resolve_backend(
     choice: BackendChoice,
     dim: usize,
 ) -> Result<ResolvedBackend, CoreError> {
     let in_menu = (STATIC_MENU_MIN..=STATIC_MENU_MAX).contains(&dim);
     match choice {
-        BackendChoice::ForceDyn => Ok(ResolvedBackend::Dyn),
-        BackendChoice::ForceStatic => {
-            if in_menu {
-                Ok(ResolvedBackend::Static(dim))
-            } else {
-                Err(CoreError::InvalidParameter {
-                    reason: format!(
-                        "no static kernel for augmented dimension {dim} \
-                         (menu is {STATIC_MENU_MIN}..={STATIC_MENU_MAX})"
-                    ),
-                })
-            }
+        BackendChoice::Auto | BackendChoice::ForceStatic if in_menu => {
+            Ok(ResolvedBackend::Static(dim))
         }
-        BackendChoice::Auto => {
-            if cfg!(feature = "static-backend") && in_menu {
-                Ok(ResolvedBackend::Static(dim))
-            } else {
-                Ok(ResolvedBackend::Dyn)
-            }
-        }
+        BackendChoice::Auto | BackendChoice::ForceDyn => Ok(ResolvedBackend::Dyn),
+        BackendChoice::ForceStatic => Err(CoreError::InvalidParameter {
+            reason: format!(
+                "no static kernel for augmented dimension {dim} \
+                 (menu is {STATIC_MENU_MIN}..={STATIC_MENU_MAX})"
+            ),
+        }),
     }
 }
 
@@ -321,15 +309,9 @@ mod tests {
         // Auto never fails, for any dimension.
         assert!(resolve_backend(BackendChoice::Auto, 1).is_ok());
         assert!(resolve_backend(BackendChoice::Auto, 99).is_ok());
-        #[cfg(feature = "static-backend")]
         assert_eq!(
             resolve_backend(BackendChoice::Auto, 4).unwrap(),
             ResolvedBackend::Static(4)
-        );
-        #[cfg(not(feature = "static-backend"))]
-        assert_eq!(
-            resolve_backend(BackendChoice::Auto, 4).unwrap(),
-            ResolvedBackend::Dyn
         );
     }
 

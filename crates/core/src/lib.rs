@@ -28,10 +28,10 @@
 //!   the scheduler, the verifier and the mapping heuristic ([`profile`]).
 //! * [`sequence`] — mode-schedule construction helpers.
 //! * [`kernel`] — linalg backend dispatch ([`BackendChoice`]) and the
-//!   monomorphized augmented-state stepping kernel the engines run on; with
-//!   the `static-backend` feature (default), applications whose augmented
-//!   dimension fits the 2–5 menu run on stack-allocated const-generic
-//!   matrices instead of the heap-backed fallback.
+//!   monomorphized augmented-state stepping kernel the engines run on;
+//!   applications whose augmented dimension fits the 2–5 menu run on
+//!   stack-allocated const-generic matrices instead of the heap-backed
+//!   fallback.
 //!
 //! # Example
 //!

@@ -16,9 +16,10 @@
 //! * the plan counts what it injected ([`FaultStats`]) so soaks can report
 //!   fault rates and assert the storm actually happened.
 //!
-//! The consumers thread a plan through their failure points: the
-//! `cps-intern` snapshot store (torn writes, bit flips), the `cps-admit`
-//! worker loop (panics before and after a mutation), the verifier budgets of
+//! The consumers thread a plan through their failure points: the bytes a
+//! test or soak hands to the `cps-intern` snapshot store
+//! ([`FaultPlan::damage`]: torn writes, bit flips), the `cps-admit` worker
+//! loop (panics before and after a mutation), the verifier budgets of
 //! deadline-bounded admissions (budget squeezes) and the retrying client
 //! (injected queue-full). [`FaultPlan::none`] is the production
 //! configuration: every site disabled, zero overhead beyond a counter
@@ -36,10 +37,10 @@ pub enum FaultSite {
     /// Panic the admission worker *after* the mutation succeeded but before
     /// the reply is sent (recovery must roll the mutation back).
     WorkerPanicPost,
-    /// Truncate a snapshot file mid-write (a torn write: the temp file is
-    /// cut short before the rename).
+    /// Truncate a snapshot mid-payload before it is saved (a torn write
+    /// that still gets published).
     SnapshotTornWrite,
-    /// Flip one bit of a snapshot file's payload before the rename.
+    /// Flip one bit of a snapshot's payload before it is saved.
     SnapshotBitFlip,
     /// Squeeze the exact verifier's state budget for one admission request.
     BudgetSqueeze,
@@ -249,6 +250,23 @@ impl FaultPlan {
         splitmix64(self.seed ^ site.salt() ^ n.wrapping_mul(0x9E6C_63D0_876A_46BB)) % bound
     }
 
+    /// Consults the snapshot sites in write order and damages `bytes` as
+    /// they fire: [`FaultSite::SnapshotTornWrite`] truncates them at a drawn
+    /// length, then [`FaultSite::SnapshotBitFlip`] flips one drawn bit.
+    /// Saving the result publishes a complete but corrupt generation, which
+    /// is exactly what the store's recovery ladder must reject.
+    pub fn damage(&mut self, mut bytes: Vec<u8>) -> Vec<u8> {
+        if self.trip(FaultSite::SnapshotTornWrite) && !bytes.is_empty() {
+            let keep = self.draw(FaultSite::SnapshotTornWrite, bytes.len() as u64) as usize;
+            bytes.truncate(keep);
+        }
+        if self.trip(FaultSite::SnapshotBitFlip) && !bytes.is_empty() {
+            let bit = self.draw(FaultSite::SnapshotBitFlip, bytes.len() as u64 * 8) as usize;
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        bytes
+    }
+
     /// Consults [`FaultSite::BudgetSqueeze`]: `Some(squeezed)` when this
     /// request's verifier budget should be cut, `None` to use the caller's.
     pub fn squeeze_budget(&mut self) -> Option<usize> {
@@ -341,6 +359,38 @@ mod tests {
             }
         }
         assert_eq!(a.draw(FaultSite::SnapshotBitFlip, 0), 0);
+    }
+
+    #[test]
+    fn damage_tears_then_flips_and_reproduces() {
+        let bytes: Vec<u8> = (0..64).collect();
+        let mut inert = FaultPlan::none();
+        assert_eq!(inert.damage(bytes.clone()), bytes);
+        assert_eq!(inert.stats().consulted(FaultSite::SnapshotTornWrite), 1);
+        assert_eq!(inert.stats().consulted(FaultSite::SnapshotBitFlip), 1);
+
+        let build = || {
+            FaultPlan::seeded(5)
+                .with_rate(FaultSite::SnapshotTornWrite, 1000)
+                .with_rate(FaultSite::SnapshotBitFlip, 1000)
+        };
+        let (mut a, mut b) = (build(), build());
+        let damaged: Vec<Vec<u8>> = (0..8).map(|_| a.damage(bytes.clone())).collect();
+        assert_eq!(
+            damaged,
+            (0..8).map(|_| b.damage(bytes.clone())).collect::<Vec<_>>()
+        );
+
+        // The torn write is consulted first; the flip is then drawn over the
+        // torn length, so it always lands inside the kept prefix.
+        let mut streams = FaultPlan::seeded(5);
+        streams.trip(FaultSite::SnapshotTornWrite);
+        let keep = streams.draw(FaultSite::SnapshotTornWrite, bytes.len() as u64) as usize;
+        streams.trip(FaultSite::SnapshotBitFlip);
+        let bit = streams.draw(FaultSite::SnapshotBitFlip, keep as u64 * 8) as usize;
+        let mut expected = bytes[..keep].to_vec();
+        expected[bit / 8] ^= 1 << (bit % 8);
+        assert_eq!(damaged[0], expected);
     }
 
     #[test]

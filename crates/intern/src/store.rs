@@ -17,19 +17,16 @@
 //!   [`Recovery::ColdRebuild`] when none does, reporting what was skipped
 //!   and why. Corruption is data, not a panic.
 //!
-//! For tests and soaks, [`SnapshotStore::save_faulty`] threads a
-//! [`cps_fault::FaultPlan`] through the write path: a
-//! [`cps_fault::FaultSite::SnapshotTornWrite`] truncates the bytes
-//! mid-payload and a [`cps_fault::FaultSite::SnapshotBitFlip`] flips one
-//! payload bit — both *published* (renamed into place) so the recovery
-//! ladder, not luck, has to cope with them.
+//! The store writes exactly the bytes it is given. Tests and soaks inject
+//! damage before the save — a torn write truncates the bytes mid-payload, a
+//! bit flip corrupts one payload bit — and the damaged generation is
+//! *published* (renamed into place) like any other, so the recovery ladder,
+//! not luck, has to cope with it.
 
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-use cps_fault::{FaultPlan, FaultSite};
 
 use crate::snapshot::SnapshotError;
 
@@ -184,29 +181,10 @@ impl SnapshotStore {
     /// Saves `bytes` as the next generation: atomic temp+rename, then prunes
     /// generations beyond the retention bound. Returns the generation number.
     pub fn save(&mut self, bytes: &[u8]) -> Result<u64, StoreError> {
-        self.save_faulty(bytes, &mut FaultPlan::none())
-    }
-
-    /// [`SnapshotStore::save`] with fault injection: the plan may tear the
-    /// write (truncate) or flip one bit before the file is published. The
-    /// rename itself stays atomic — injected damage lands in a *complete*
-    /// published generation, which is exactly what the recovery ladder must
-    /// reject.
-    pub fn save_faulty(&mut self, bytes: &[u8], plan: &mut FaultPlan) -> Result<u64, StoreError> {
-        let mut bytes = bytes.to_vec();
-        if plan.trip(FaultSite::SnapshotTornWrite) && !bytes.is_empty() {
-            let keep = plan.draw(FaultSite::SnapshotTornWrite, bytes.len() as u64) as usize;
-            bytes.truncate(keep);
-        }
-        if plan.trip(FaultSite::SnapshotBitFlip) && !bytes.is_empty() {
-            let bit = plan.draw(FaultSite::SnapshotBitFlip, bytes.len() as u64 * 8) as usize;
-            bytes[bit / 8] ^= 1 << (bit % 8);
-        }
-
         let gen = self.next_gen;
         let tmp = self.dir.join(format!("gen-{gen:010}.tmp"));
         let path = self.path_of(gen);
-        fs::write(&tmp, &bytes).map_err(|e| StoreError::new("write", &tmp, e))?;
+        fs::write(&tmp, bytes).map_err(|e| StoreError::new("write", &tmp, e))?;
         fs::rename(&tmp, &path).map_err(|e| StoreError::new("rename", &path, e))?;
         self.next_gen += 1;
 

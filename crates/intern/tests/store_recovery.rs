@@ -203,7 +203,7 @@ fn injected_torn_writes_and_bit_flips_are_survived() {
     let mut last_clean: Option<(u64, u64)> = None;
     for v in 1..=16u64 {
         let before = plan.stats().total_injected();
-        let gen = store.save_faulty(&encode(v), &mut plan).unwrap();
+        let gen = store.save(&plan.damage(encode(v))).unwrap();
         if plan.stats().total_injected() == before {
             last_clean = Some((gen, v));
         }

@@ -310,13 +310,16 @@ impl CascadeCore {
                 map.insert(self.key_scratch.clone(), verdict);
             }
             Memo::Bounded(tt) => {
+                // A memo switch replaces the table and restarts its count;
+                // the lifetime stats add each insert's evictions instead.
+                let evicted = tt.stats().evictions;
                 tt.insert(
                     seq_fingerprint(&self.key_scratch),
                     self.key_scratch.len() as u32,
                     self.key_scratch.clone(),
                     verdict,
                 );
-                self.stats.tt_evictions = tt.stats().evictions;
+                self.stats.tt_evictions += tt.stats().evictions - evicted;
             }
         }
     }

@@ -41,9 +41,10 @@ pub struct TierStats {
     pub deferred: usize,
     /// Wall-clock time spent inside the exact verifier.
     pub exact_verify_time: Duration,
-    /// Verdicts evicted from the bounded memo transposition table (always 0
-    /// with an unbounded memo). An eviction bounds memory, never changes a
-    /// verdict — the evicted query is simply recomputed on its next miss.
+    /// Verdicts evicted from the bounded memo transposition table, summed
+    /// over every bounded memo the engine has used (an unbounded memo never
+    /// adds to it). An eviction bounds memory, never changes a verdict — the
+    /// evicted query is simply recomputed on its next miss.
     pub tt_evictions: usize,
     /// Hash/probe work counters of the exact verifier behind tier 6.
     pub verify: VerifyStats,

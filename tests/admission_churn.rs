@@ -9,6 +9,7 @@
 //! so ties resolve by fleet index, and the stream draws duplicates. Refused,
 //! deferred and failed requests must leave the fleet and the partition as
 //! they found them, and later requests must still match the batch rebuild.
+//! Switching an engine between memo kinds keeps its eviction count.
 
 use cps_core::{AppTimingProfile, DwellTimeTable};
 use cps_map::{
@@ -294,4 +295,28 @@ fn states_fed_the_same_requests_snapshot_identical_bytes() {
         assert_eq!(warm.report().slots(), first.report().slots(), "{label}");
         assert_eq!(warm.stats().exact_verifies, 0, "{label}");
     }
+}
+
+#[test]
+fn memo_switches_keep_the_eviction_count() {
+    // A switch replaces the memo table, not the lifetime statistics: the
+    // count only grows while a bounded memo evicts, so a later run's
+    // per-call difference never underflows.
+    let mut fleet = catalog();
+    fleet.push(deferring());
+    let mut engine = MapExplorerEngine::new().with_memo_capacity(1);
+    let tiny = engine.first_fit(&fleet).unwrap();
+    let evicted = engine.stats().tt_evictions;
+    assert!(evicted > 0, "a one-bucket memo must evict");
+    assert_eq!(tiny.tier_stats().unwrap().tt_evictions, evicted);
+
+    let mut engine = engine.with_unbounded_memo();
+    let unbounded = engine.first_fit(&fleet).unwrap();
+    let mut engine = engine.with_memo_capacity(1024);
+    let roomy = engine.first_fit(&fleet).unwrap();
+    for report in [&unbounded, &roomy] {
+        assert_eq!(report.tier_stats().unwrap().tt_evictions, 0);
+        assert_eq!(report.slots(), tiny.slots());
+    }
+    assert_eq!(engine.stats().tt_evictions, evicted);
 }

@@ -5,7 +5,8 @@
 use cps_apps::case_study;
 use cps_control::{StateFeedback, StateSpace};
 use cps_core::dwell::{self, reference, DwellSearchOptions};
-use cps_core::SwitchedApplication;
+use cps_core::engine::DwellEngine;
+use cps_core::{Mode, SwitchedApplication};
 use cps_linalg::{eigen, Matrix, Vector};
 
 #[test]
@@ -23,6 +24,22 @@ fn case_study_dwell_tables_match_reference_exactly() {
             fast,
             naive,
             "{}: dwell table diverges from oracle",
+            a.name()
+        );
+    }
+}
+
+#[test]
+fn case_study_engines_auto_dispatch_to_static_kernels() {
+    // Every case-study plant's augmented dimension is inside the static
+    // menu, so the default dispatch must never fall back to the heap kernels.
+    for app in case_study::all_applications().unwrap() {
+        let a = app.application();
+        let dim = a.mode_matrix(Mode::EventTriggered).rows();
+        assert_eq!(
+            DwellEngine::new(a).backend_name(),
+            format!("static<{dim}>"),
+            "{}: automatic dispatch missed the static kernel",
             a.name()
         );
     }

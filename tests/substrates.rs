@@ -1,8 +1,7 @@
-//! Integration tests across the substrates: control design, FlexRay timing
-//! abstraction, and the two verification engines.
+//! Integration tests across the substrates: control design and the two
+//! verification engines.
 
 use cps_control::place;
-use cps_flexray::{wcrt, BusConfig, DynamicSegment, Frame, FrameKind};
 use cps_linalg::{eigen, Matrix};
 use cps_ta::model::{blocking_bound_is_safe, BlockingModelParams};
 
@@ -25,27 +24,6 @@ fn pole_placement_designs_a_gain_for_the_paper_plant() {
             .iter()
             .any(|z| (z.re - target).abs() < 1e-6 && z.im.abs() < 1e-6));
     }
-}
-
-#[test]
-fn flexray_configuration_supports_the_one_sample_delay_abstraction() {
-    // The paper's ET mode provisions one sample of delay; the bus
-    // configuration used throughout the workspace indeed bounds every dynamic
-    // frame's worst-case response below the 20 ms sampling period.
-    let config = BusConfig::paper_default();
-    let mut segment = DynamicSegment::new(&config);
-    for (id, priority) in [(10, 1), (20, 2), (30, 3), (40, 4), (50, 5), (60, 6)] {
-        segment
-            .register(Frame::new(
-                id,
-                FrameKind::Dynamic {
-                    priority,
-                    minislots: 4,
-                },
-            ))
-            .unwrap();
-    }
-    assert!(wcrt::one_sample_delay_is_sound(&config, &segment, 0.02).unwrap());
 }
 
 #[test]
