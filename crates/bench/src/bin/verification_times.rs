@@ -1,6 +1,5 @@
 //! Reproduces the verification-time discussion of Sec. 5: the cost of
-//! verifying each slot mapping, exact versus instance-bounded, and the effect
-//! of the conservative timed-automata abstraction.
+//! verifying each slot mapping, exact versus instance-bounded.
 //!
 //! Every mapping is verified twice — on the interned-state
 //! [`SlotVerifyEngine`] (the production path) and on the retained naive
@@ -11,7 +10,6 @@
 use std::time::Instant;
 
 use cps_bench::published_profiles;
-use cps_ta::model::{blocking_bound_is_safe, BlockingModelParams};
 use cps_verify::{reference, SlotSharingModel, SlotVerifyEngine, VerificationConfig};
 
 fn time_verification(engine: &mut SlotVerifyEngine, names: &[&str], config: &VerificationConfig) {
@@ -80,15 +78,4 @@ fn main() {
     time_verification(&mut engine, &["C6", "C2"], &exact);
     println!("  paper: the hardest mapping took ~5 h unbounded and ~15 min with bounded disturbance instances in UPPAAL;");
     println!("  the exact discrete-time formulation used here verifies it in milliseconds on the interned-state engine.");
-
-    // The conservative TA abstraction (prior-work style) cross-checked by
-    // zone-graph reachability: worst-case blocking vs deadline.
-    let safe = blocking_bound_is_safe(BlockingModelParams {
-        deadline: 11,
-        dwell: 5,
-        min_inter_arrival: 25,
-        blocking: 10,
-    })
-    .expect("reachability runs");
-    println!("  conservative TA check (blocking 10 vs deadline 11): safe = {safe}");
 }

@@ -1,11 +1,10 @@
 //! Incremental-hash interning shared by the workspace's state engines.
 //!
 //! The exact engines built around interned packed states — the slot-sharing
-//! verifier (`cps-verify::SlotVerifyEngine`), the zone-graph explorer
-//! (`cps-ta::ZoneGraphExplorer`) and the mapping cascade's memo tables
-//! (`cps-map::MapExplorerEngine`) — all used to re-hash an *entire* state
-//! vector on every intern probe and re-hash the *entire* arena on every
-//! growth of their open-addressing tables. This crate factors the fix out
+//! verifier (`cps-verify::SlotVerifyEngine`) and the mapping cascade's memo
+//! tables (`cps-map::MapExplorerEngine`) — both used to re-hash an *entire*
+//! state vector on every intern probe and re-hash the *entire* arena on
+//! every growth of their open-addressing tables. This crate factors the fix out
 //! into three pieces they share:
 //!
 //! * [`zobrist_key`] / [`ZobristKeys`] — Zobrist-style key material keyed by

@@ -1,8 +1,8 @@
 //! The pluggable linear-algebra backend abstraction.
 //!
-//! Every engine in the workspace — dwell search, co-simulation, reachability,
-//! slot verification — bottoms out in gemv/axpy calls on small dense matrices
-//! whose dimensions are fixed per application at build time. This module
+//! The numeric engines of the workspace — dwell search and co-simulation —
+//! bottom out in gemv/axpy calls on small dense matrices whose dimensions
+//! are fixed per application at build time. This module
 //! abstracts the numeric kernel behind a trait family so those engines can
 //! monomorphize over the storage strategy:
 //!

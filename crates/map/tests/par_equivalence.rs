@@ -52,7 +52,7 @@ proptest! {
         let fleet = random_fleet(seed, 3, 6);
         let mut serial = MapExplorerEngine::new().with_pool(cps_par::Pool::serial());
         let reference = serial.minimize_slots(&fleet).unwrap();
-        for threads in [2, 4] {
+        for threads in [2, 4, 8] {
             let pool = cps_par::Pool::with_threads(threads);
             if !pool.is_parallel_for(2) {
                 continue; // feature "parallel" disabled

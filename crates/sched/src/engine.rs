@@ -10,7 +10,7 @@
 //! bitwise-identical state prefixes.
 //!
 //! [`BatchCosimEngine`] exploits that, mirroring the dwell engine
-//! (`cps_core::engine`) and the zone-graph explorer (`cps_ta::explorer`):
+//! (`cps_core::engine`):
 //!
 //! 1. **Allocation-free kernels.** Each application's closed loop is
 //!    advanced by a [`cps_core::AugmentedKernel`] — one in-place gemv between

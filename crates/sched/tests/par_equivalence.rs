@@ -98,7 +98,7 @@ proptest! {
             BatchCosimEngine::new(apps.clone(), horizon).unwrap().with_pool(cps_par::Pool::serial());
         let serial_staggered = serial.run_staggered(&t0s).unwrap();
         let serial_storm = serial.run(&storm).unwrap();
-        for threads in [2, 4] {
+        for threads in [2, 4, 8] {
             let pool = cps_par::Pool::with_threads(threads);
             if !pool.is_parallel_for(2) {
                 continue; // feature "parallel" disabled

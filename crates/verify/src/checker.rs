@@ -376,8 +376,7 @@ pub fn verify(
     queue.push_back(0);
 
     // The budget gates (and `states_explored` reports) states that are
-    // actually popped and expanded, not merely discovered and queued —
-    // mirroring the accounting of `cps-ta::reachability::reference`.
+    // actually popped and expanded, not merely discovered and queued.
     let mut explored = 0usize;
     while let Some(index) = queue.pop_front() {
         explored += 1;

@@ -1,16 +1,14 @@
-//! The conservative (prior-work style) cross-check, run on the zone-graph
-//! engine.
+//! The conservative (prior-work style) worst-case-blocking screen.
 //!
 //! The exact checker in [`crate::checker`] explores the discrete-time
 //! semantics of the paper's model. The analyses the paper compares against
 //! reason much more coarsely: each application sharing the slot must survive
 //! the **worst-case blocking** `B_i = Σ_{j≠i} T_dw^{-*}(j)` — every other
 //! occupant holding the slot for its longest minimum dwell, back to back —
-//! before its deadline `D_i = T_w^*`. This module phrases that check as one
-//! timed-automata reachability query per application
-//! ([`cps_ta::model::blocking_network`]) and answers it with the reusable
-//! [`ZoneGraphExplorer`], so the whole slot mapping is cross-validated by the
-//! same engine `bench_reach` measures.
+//! before its deadline `D_i = T_w^*`. This module answers that check in
+//! closed form, `B_i ≤ D_i` per application, in one pass over the slot's
+//! occupants — cheap enough to serve as the admission cascade's degraded
+//! screen.
 //!
 //! The verdict is *conservative*: a mapping it accepts is schedulable under
 //! any work-conserving arbiter, but it may reject mappings the exact,
@@ -18,8 +16,6 @@
 //! point, and [`crate::checker::verify`] is the exact reference.
 
 use cps_core::AppTimingProfile;
-use cps_ta::model::{blocking_network, BlockingModelParams};
-use cps_ta::ZoneGraphExplorer;
 
 use crate::{SlotSharingModel, VerifyError};
 
@@ -30,7 +26,6 @@ pub struct ConservativeAppVerdict {
     deadline: i64,
     blocking: i64,
     safe: bool,
-    states_explored: usize,
 }
 
 impl ConservativeAppVerdict {
@@ -50,14 +45,9 @@ impl ConservativeAppVerdict {
     }
 
     /// `true` when the application provably meets its deadline under the
-    /// worst-case blocking.
+    /// worst-case blocking (`B ≤ D`).
     pub fn safe(&self) -> bool {
         self.safe
-    }
-
-    /// Symbolic states the zone-graph engine explored for this application.
-    pub fn states_explored(&self) -> usize {
-        self.states_explored
     }
 }
 
@@ -77,21 +67,10 @@ impl ConservativeOutcome {
     pub fn verdicts(&self) -> &[ConservativeAppVerdict] {
         &self.verdicts
     }
-
-    /// Total symbolic states explored across all applications.
-    pub fn states_explored(&self) -> usize {
-        self.verdicts.iter().map(|v| v.states_explored).sum()
-    }
 }
 
-/// Runs the conservative worst-case-blocking analysis of the slot mapping on
-/// the zone-graph engine, one reachability query per application. The
-/// explorer (and all its buffers) is reused across the queries.
-///
-/// # Errors
-///
-/// Propagates model-construction and exploration errors from `cps-ta`.
-pub fn verify_conservative(model: &SlotSharingModel) -> Result<ConservativeOutcome, VerifyError> {
+/// Runs the conservative worst-case-blocking analysis of the slot mapping.
+pub fn verify_conservative(model: &SlotSharingModel) -> ConservativeOutcome {
     let selected: Vec<&AppTimingProfile> = model.profiles().iter().collect();
     conservative_over(&selected)
 }
@@ -104,9 +83,8 @@ pub fn verify_conservative(model: &SlotSharingModel) -> Result<ConservativeOutco
 ///
 /// # Errors
 ///
-/// [`VerifyError::EmptyModel`] when `members` is empty,
-/// [`VerifyError::InvalidConfig`] when a member index is out of bounds, and
-/// any model-construction or exploration error from `cps-ta`.
+/// [`VerifyError::EmptyModel`] when `members` is empty and
+/// [`VerifyError::InvalidConfig`] when a member index is out of bounds.
 pub fn verify_conservative_selected(
     profiles: &[AppTimingProfile],
     members: &[usize],
@@ -124,38 +102,28 @@ pub fn verify_conservative_selected(
         })?;
         selected.push(profile);
     }
-    conservative_over(&selected)
+    Ok(conservative_over(&selected))
 }
 
-/// The shared core: one blocking-network reachability query per selected
-/// profile, explorer buffers reused across the queries.
-fn conservative_over(profiles: &[&AppTimingProfile]) -> Result<ConservativeOutcome, VerifyError> {
-    let mut explorer = ZoneGraphExplorer::new();
-    let mut verdicts = Vec::with_capacity(profiles.len());
-    for (index, profile) in profiles.iter().enumerate() {
-        let blocking: i64 = profiles
-            .iter()
-            .enumerate()
-            .filter(|(other, _)| *other != index)
-            .map(|(_, p)| p.dwell_table().max_t_dw_min() as i64)
-            .sum();
-        let deadline = profile.max_wait() as i64;
-        let network = blocking_network(BlockingModelParams {
-            deadline,
-            dwell: profile.dwell_table().max_t_dw_min() as i64,
-            min_inter_arrival: profile.min_inter_arrival() as i64,
-            blocking,
-        })?;
-        let result = explorer.check(&network, 1_000_000)?;
-        verdicts.push(ConservativeAppVerdict {
-            name: profile.name().to_string(),
-            deadline,
-            blocking,
-            safe: !result.error_reachable(),
-            states_explored: result.states_explored(),
-        });
-    }
-    Ok(ConservativeOutcome { verdicts })
+/// The shared core: each occupant is blocked by every other occupant's
+/// longest minimum dwell, checked against its own deadline.
+fn conservative_over(profiles: &[&AppTimingProfile]) -> ConservativeOutcome {
+    let dwell = |p: &AppTimingProfile| p.dwell_table().max_t_dw_min() as i64;
+    let total: i64 = profiles.iter().map(|p| dwell(p)).sum();
+    let verdicts = profiles
+        .iter()
+        .map(|profile| {
+            let blocking = total - dwell(profile);
+            let deadline = profile.max_wait() as i64;
+            ConservativeAppVerdict {
+                name: profile.name().to_string(),
+                deadline,
+                blocking,
+                safe: blocking <= deadline,
+            }
+        })
+        .collect();
+    ConservativeOutcome { verdicts }
 }
 
 #[cfg(test)]
@@ -178,11 +146,10 @@ mod tests {
     fn single_application_is_always_conservatively_safe() {
         // No competitor → zero blocking.
         let model = SlotSharingModel::new(vec![profile("A", 5, 3, 30)]).unwrap();
-        let outcome = verify_conservative(&model).unwrap();
+        let outcome = verify_conservative(&model);
         assert!(outcome.schedulable());
         assert_eq!(outcome.verdicts().len(), 1);
         assert_eq!(outcome.verdicts()[0].blocking(), 0);
-        assert!(outcome.states_explored() > 0);
     }
 
     #[test]
@@ -191,7 +158,7 @@ mod tests {
         // must reject the mapping.
         let model =
             SlotSharingModel::new(vec![profile("A", 5, 3, 40), profile("B", 20, 9, 40)]).unwrap();
-        let outcome = verify_conservative(&model).unwrap();
+        let outcome = verify_conservative(&model);
         assert!(!outcome.schedulable());
         let a = &outcome.verdicts()[0];
         assert_eq!(a.name(), "A");
@@ -212,7 +179,7 @@ mod tests {
                 profile("B", wait_b, dwell, 60),
             ])
             .unwrap();
-            let outcome = verify_conservative(&model).unwrap();
+            let outcome = verify_conservative(&model);
             let expected = dwell as i64 <= wait_a as i64 && dwell as i64 <= wait_b as i64;
             assert_eq!(outcome.schedulable(), expected);
         }
@@ -230,9 +197,7 @@ mod tests {
             let selected = verify_conservative_selected(&fleet, members).unwrap();
             let cloned: Vec<AppTimingProfile> = members.iter().map(|&i| fleet[i].clone()).collect();
             let model = SlotSharingModel::new(cloned).unwrap();
-            let direct = verify_conservative(&model).unwrap();
-            assert_eq!(selected.schedulable(), direct.schedulable());
-            assert_eq!(selected.verdicts(), direct.verdicts());
+            assert_eq!(selected, verify_conservative(&model));
         }
     }
 
@@ -260,7 +225,7 @@ mod tests {
                 profile("B", wait_b, 3, 30),
             ])
             .unwrap();
-            let conservative = verify_conservative(&model).unwrap();
+            let conservative = verify_conservative(&model);
             let exact = verify(&model, &VerificationConfig::default()).unwrap();
             if conservative.schedulable() {
                 assert!(exact.schedulable());

@@ -3,8 +3,7 @@
 //! [`SlotVerifyEngine`] answers the same question as [`crate::checker::verify`]
 //! (retained as the semantic oracle, re-exported as [`crate::reference`]) but
 //! is built for throughput, following the engine/oracle pattern of
-//! `cps-core::engine`, `cps-ta::ZoneGraphExplorer` and
-//! `cps-sched::BatchCosimEngine`:
+//! `cps-core::engine` and `cps-sched::BatchCosimEngine`:
 //!
 //! * **Packed state encoding** — each application's location (`Steady`,
 //!   `Waiting`, `Using`, `Cooldown`, `Exhausted`, plus the bounded-mode
@@ -88,7 +87,7 @@
 //! Because ids, hashes, stats counters and the first-miss choice are all
 //! decided by the in-order merge, verdicts, witnesses, interned ids and
 //! [`VerifyStats`] are **bit-identical under any thread count** (asserted by
-//! the cross-thread-count property tests and on every `bench_par` run).
+//! the cross-thread-count property tests at pool widths 2, 4 and 8).
 //! Staging memory is bounded by the chunk, not by the BFS frontier.
 
 use std::ops::Range;

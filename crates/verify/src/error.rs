@@ -2,7 +2,6 @@ use std::error::Error;
 use std::fmt;
 
 use cps_core::CoreError;
-use cps_ta::TaError;
 
 /// Errors produced by the slot-sharing verifier.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,8 +29,6 @@ pub enum VerifyError {
     },
     /// An underlying profile/dwell-table operation failed.
     Core(CoreError),
-    /// An underlying timed-automata analysis failed.
-    Ta(TaError),
 }
 
 impl fmt::Display for VerifyError {
@@ -49,7 +46,6 @@ impl fmt::Display for VerifyError {
                 write!(f, "witness failed replay validation: {reason}")
             }
             VerifyError::Core(e) => write!(f, "profile error: {e}"),
-            VerifyError::Ta(e) => write!(f, "timed-automata error: {e}"),
         }
     }
 }
@@ -58,7 +54,6 @@ impl Error for VerifyError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             VerifyError::Core(e) => Some(e),
-            VerifyError::Ta(e) => Some(e),
             _ => None,
         }
     }
@@ -67,12 +62,6 @@ impl Error for VerifyError {
 impl From<CoreError> for VerifyError {
     fn from(e: CoreError) -> Self {
         VerifyError::Core(e)
-    }
-}
-
-impl From<TaError> for VerifyError {
-    fn from(e: TaError) -> Self {
-        VerifyError::Ta(e)
     }
 }
 

@@ -32,9 +32,9 @@
 //!   the post-rejection bookkeeping and speeds verification up by an order of
 //!   magnitude without changing the verdict for the case study.
 //! * [`conservative`] — the prior-work-style worst-case-blocking analysis,
-//!   phrased as one zone-graph reachability query per application and run on
-//!   the allocation-lean `cps-ta` engine; a coarser verdict than [`checker`],
-//!   used for cross-validation.
+//!   `B_i ≤ D_i` per application in closed form; a coarser verdict than
+//!   [`checker`] whose accepts imply exact accepts, used as the admission
+//!   cascade's degraded screen.
 //! * [`witness`] — counterexample traces when a deadline can be missed, and
 //!   the replay validator ([`witness::validate_witness`]) that re-runs the
 //!   scheduler under a witness's disturbance schedule.

@@ -71,7 +71,7 @@ proptest! {
         for config in configs {
             let mut serial = SlotVerifyEngine::with_pool(cps_par::Pool::serial());
             let reference = serial.verify(&model, &config);
-            for threads in [2, 4] {
+            for threads in [2, 4, 8] {
                 let pool = cps_par::Pool::with_threads(threads);
                 if !pool.is_parallel_for(2) {
                     // Feature "parallel" disabled: every pool is serial.

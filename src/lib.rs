@@ -5,5 +5,4 @@ pub use cps_core as core;
 pub use cps_linalg as linalg;
 pub use cps_map as map;
 pub use cps_sched as sched;
-pub use cps_ta as ta;
 pub use cps_verify as verify;

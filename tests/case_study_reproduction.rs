@@ -3,6 +3,7 @@
 
 use cps_apps::case_study::{self, CaseStudyApp};
 use cps_baseline::Strategy;
+use cps_core::dwell::DwellSearchOptions;
 use cps_core::Mode;
 use cps_map::{first_fit, BaselineOracle, MapExplorerEngine};
 
@@ -78,6 +79,17 @@ fn parallel_minimize_reproduces_the_published_partition() {
         assert_eq!(report.slots(), published, "threads={threads}");
         assert_eq!(report.slot_count(), 2);
     }
+}
+
+#[test]
+fn computed_profiles_reproduce_the_published_partition() {
+    // Not only the printed Table 1 rows: the profiles the dwell engine
+    // computes from the plant models at the default search options must
+    // minimize to the paper's partition {C1,C5,C4,C3} {C6,C2} too.
+    let profiles = case_study::all_profiles(DwellSearchOptions::default()).unwrap();
+    let report = MapExplorerEngine::new().minimize_slots(&profiles).unwrap();
+    let published: &[Vec<usize>] = &[vec![0, 4, 3, 2], vec![5, 1]];
+    assert_eq!(report.slots(), published);
 }
 
 #[test]

@@ -1,9 +1,8 @@
-//! Integration tests across the substrates: control design and the two
-//! verification engines.
+//! Integration tests across the substrates: control design on the paper's
+//! plant.
 
 use cps_control::place;
 use cps_linalg::{eigen, Matrix};
-use cps_ta::model::{blocking_bound_is_safe, BlockingModelParams};
 
 #[test]
 fn pole_placement_designs_a_gain_for_the_paper_plant() {
@@ -23,24 +22,5 @@ fn pole_placement_designs_a_gain_for_the_paper_plant() {
             .values()
             .iter()
             .any(|z| (z.re - target).abs() < 1e-6 && z.im.abs() < 1e-6));
-    }
-}
-
-#[test]
-fn zone_based_and_arithmetic_blocking_checks_agree() {
-    // The conservative TA model (cps-ta) must agree with plain arithmetic on
-    // the blocking-vs-deadline question for the case-study deadlines.
-    for (deadline, blocking) in [(11, 9), (12, 10), (12, 19), (15, 10), (13, 30)] {
-        let params = BlockingModelParams {
-            deadline,
-            dwell: 5,
-            min_inter_arrival: 25,
-            blocking,
-        };
-        assert_eq!(
-            blocking_bound_is_safe(params).unwrap(),
-            blocking <= deadline,
-            "deadline {deadline}, blocking {blocking}"
-        );
     }
 }

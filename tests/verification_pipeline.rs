@@ -4,7 +4,9 @@
 use cps_apps::case_study;
 use cps_core::AppTimingProfile;
 use cps_sched::SlotScheduler;
-use cps_verify::{SlotSharingModel, VerificationConfig};
+use cps_verify::{
+    verify_conservative_selected, SlotSharingModel, SlotVerifyEngine, VerificationConfig,
+};
 
 fn published(names: &[&str]) -> Vec<AppTimingProfile> {
     case_study::all_applications()
@@ -61,4 +63,57 @@ fn three_applications_on_one_slot_verify_quickly() {
     let outcome = model.verify(&VerificationConfig::default()).unwrap();
     assert!(outcome.schedulable());
     assert!(outcome.states_explored() < 100_000);
+}
+
+#[test]
+fn degraded_screen_pins_the_published_slots_and_only_accepts_exact_accepts() {
+    // The admission cascade's degraded screen decides `B_i ≤ D_i` per
+    // occupant: `B_i` sums the other occupants' longest minimum dwells and
+    // `D_i = T_w^*`. On the published partition it rejects the first slot,
+    // which the exact checker accepts (the paper's coarseness gap), and
+    // accepts the second.
+    let profiles = published(&["C1", "C2", "C3", "C4", "C5", "C6"]);
+    // (name, blocking B, deadline D, safe) per occupant, in slot order.
+    type Verdict = (&'static str, i64, i64, bool);
+    let published_slots: [(&[usize], &[Verdict]); 2] = [
+        (
+            &[0, 4, 3, 2],
+            &[
+                ("C1", 13, 11, false),
+                ("C5", 14, 12, false),
+                ("C4", 13, 12, false),
+                ("C3", 14, 15, true),
+            ],
+        ),
+        (&[5, 1], &[("C6", 8, 12, true), ("C2", 8, 13, true)]),
+    ];
+    for (members, expected) in published_slots {
+        let outcome = verify_conservative_selected(&profiles, members).unwrap();
+        let verdicts: Vec<_> = outcome
+            .verdicts()
+            .iter()
+            .map(|v| (v.name(), v.blocking(), v.deadline(), v.safe()))
+            .collect();
+        assert_eq!(verdicts, expected, "{members:?}");
+    }
+
+    // Soundness: every subset of C1–C6 the screen accepts, the exact checker
+    // accepts too — a degraded accept never admits an unschedulable slot.
+    let mut engine = SlotVerifyEngine::new();
+    let mut accepted = 0;
+    for mask in 1u32..64 {
+        let members: Vec<usize> = (0..6).filter(|i| mask & (1 << i) != 0).collect();
+        if verify_conservative_selected(&profiles, &members)
+            .unwrap()
+            .schedulable()
+        {
+            accepted += 1;
+            let exact = engine
+                .verify_selected(&profiles, &members, &VerificationConfig::default())
+                .unwrap();
+            assert!(exact.schedulable(), "{members:?}");
+        }
+    }
+    // 29 of the 63 subsets pass; a strict `B < D` would pass only 25.
+    assert_eq!(accepted, 29);
 }
