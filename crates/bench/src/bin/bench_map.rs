@@ -191,7 +191,6 @@ fn bench_minimize_family(name: &str, cases: &[FleetCase]) -> MinimizeReportRow {
     let engine_ms = first_engine_ms.min(second_engine_ms);
 
     let oracle = ModelCheckingOracle::new();
-    let mut scratch = Vec::new();
     for (case, ((first_fit_slots, engine_partition), reference_partition)) in cases
         .iter()
         .zip(engine_results.iter().zip(reference_partitions.iter()))
@@ -206,7 +205,7 @@ fn bench_minimize_family(name: &str, cases: &[FleetCase]) -> MinimizeReportRow {
             if slot.len() > 1 {
                 assert!(
                     oracle
-                        .admits_indices(&case.fleet, slot, &mut scratch)
+                        .admits_indices(&case.fleet, slot)
                         .expect("validation verifies"),
                     "{name}/{}: engine emitted an inadmissible slot {slot:?}",
                     case.label

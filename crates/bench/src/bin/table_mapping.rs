@@ -2,8 +2,8 @@
 //! exact model-checking oracle (the paper's strategy) versus the conservative
 //! baseline analysis, including the headline slot saving.
 
-use cps_baseline::Strategy;
 use cps_bench::published_profiles;
+use cps_map::baseline::Strategy;
 use cps_map::{first_fit, BaselineOracle, MapExplorerEngine, ModelCheckingOracle};
 
 fn main() {

@@ -1,7 +1,7 @@
 //! Controllability analysis and Ackermann pole placement.
 //!
 //! The paper designs its controllers with optimization-driven pole placement
-//! (its reference [2]); the gains are printed in the paper and re-used here
+//! (its reference \[2\]); the gains are printed in the paper and re-used here
 //! verbatim for the reproduction. This module provides the standard
 //! single-input pole-placement machinery so that *new* applications can be
 //! added to a slot-dimensioning study without external tooling.

@@ -31,7 +31,7 @@
 //! Together with the allocation-free `gemv` kernels this drops the search
 //! from `O(W·D·H)` heap-allocating samples to roughly `O(W·(D+H))`
 //! allocation-free ones, while producing **bitwise-identical** tables: the
-//! naive search is kept in [`reference`] as the oracle, and equivalence is
+//! naive search is kept in [`mod@reference`] as the oracle, and equivalence is
 //! asserted cell-for-cell by the engine tests and `tests/engine_oracle.rs`.
 //! With the `parallel` feature (default), wait rows are additionally fanned
 //! out across `std::thread` workers.

@@ -292,7 +292,7 @@ impl<B: LinalgBackend> DwellEngineCore<B> {
 /// Construction converts the application's augmented matrices onto the
 /// backend picked by the dispatch rule (static fast path for augmented
 /// dimensions 2–5, heap-backed otherwise; see
-/// [`BackendChoice`](crate::kernel::BackendChoice)) and precomputes the
+/// [`BackendChoice`]) and precomputes the
 /// Lyapunov early-exit certificate; all search entry points then run without
 /// per-sample heap allocation. The backend is matched once per call — the
 /// per-sample loops are fully monomorphized.

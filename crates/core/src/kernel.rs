@@ -6,7 +6,7 @@
 //!
 //! - [`BackendChoice`] is the public selection knob. [`BackendChoice::Auto`]
 //!   (the default) picks the stack-allocated
-//!   [`StaticBackend`](cps_linalg::StaticBackend) when the application's
+//!   [`StaticBackend`] when the application's
 //!   augmented dimension fits the compile-time menu (2–5, covering every
 //!   case-study plant), falling back to the heap-backed [`DynBackend`]
 //!   otherwise. The forced variants exist so benches and tests can pit the

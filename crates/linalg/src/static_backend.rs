@@ -1,5 +1,5 @@
 //! Stack-allocated, const-generic matrices and vectors: the fast path behind
-//! [`LinalgBackend`](crate::LinalgBackend).
+//! [`LinalgBackend`].
 //!
 //! Case-study plants have 2–3 states, so their augmented closed loops are
 //! 3–4-dimensional: small enough that a `[[f64; C]; R]` on the stack beats the

@@ -254,7 +254,7 @@ impl AdmissionState {
     }
 
     /// Cumulative cascade statistics over the state's whole lifetime
-    /// (including ad-hoc [`AdmissionState::admits`] queries, which the
+    /// (including the work of deferred and failed requests, which the
     /// report's per-repair accounting excludes).
     pub fn stats(&self) -> &TierStats {
         self.core.stats()
@@ -395,21 +395,6 @@ impl AdmissionState {
         };
         self.debug_assert_order();
         result
-    }
-
-    /// Ad-hoc admission query against the resident fleet: may the
-    /// applications selected by `members` (fleet indices, in that order)
-    /// share one TT slot? Runs the cascade without touching the partition.
-    ///
-    /// # Errors
-    ///
-    /// Propagates exact-verifier failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a member index is out of bounds for the resident fleet.
-    pub fn admits(&mut self, members: &[usize]) -> Result<bool, VerifyError> {
-        self.core.admit_query(&self.fleet, &self.fleet_ids, members)
     }
 
     /// Serializes the cascade caches (configuration, interned fingerprints,
@@ -651,23 +636,6 @@ mod tests {
             "churn over known profiles must be answered from the caches"
         );
         assert!(state.stats().memo_hits > 0);
-    }
-
-    #[test]
-    fn ad_hoc_queries_agree_with_the_batch_engine() {
-        let mut state = AdmissionState::new();
-        for (name, w) in [("A", 10), ("B", 10), ("C", 0)] {
-            state.add_app(profile(name, w, 3, 5, 30)).unwrap();
-        }
-        let mut batch = MapExplorerEngine::new();
-        let fleet = state.fleet().to_vec();
-        for members in [&[0usize, 1][..], &[0, 2], &[1, 2], &[0, 1, 2]] {
-            assert_eq!(
-                state.admits(members).unwrap(),
-                batch.admits(&fleet, members).unwrap(),
-                "members {members:?}"
-            );
-        }
     }
 
     #[test]

@@ -23,7 +23,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
-use cps_baseline::{slot_schedulable_profiles, Strategy};
 use cps_core::AppTimingProfile;
 use cps_intern::snapshot::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
 use cps_intern::{seq_fingerprint, TwoWayTranspositionTable};
@@ -32,6 +31,7 @@ use cps_verify::{
     VerifyError,
 };
 
+use crate::baseline::{slot_schedulable_profiles, Strategy};
 use crate::report::TierStats;
 
 /// Default bucket count of the bounded verdict memo (capacity = 2× buckets).
@@ -200,8 +200,6 @@ pub(crate) struct CascadeCore {
     /// All-disturbed-at-once schedule for the screen: `[0]` per position,
     /// grown on demand, never shrunk.
     screen_schedule: Vec<Vec<usize>>,
-    /// Fleet-sized fingerprint map reused by [`CascadeCore::admits`].
-    fleet_ids_scratch: Vec<u32>,
 }
 
 impl CascadeCore {
@@ -222,6 +220,13 @@ impl CascadeCore {
     /// Cumulative per-tier statistics over the core's whole lifetime.
     pub(crate) fn stats(&self) -> &TierStats {
         &self.stats
+    }
+
+    /// Moves the exact verifier onto `pool`, keeping its buffers and
+    /// statistics (a rebuilt verifier would restart the counters that
+    /// [`TierStats::since`] subtracts).
+    pub(crate) fn set_pool(&mut self, pool: cps_par::Pool) {
+        self.verifier.set_pool(pool);
     }
 
     /// Switches the verdict memo to the unbounded hash map (nothing is ever
@@ -267,25 +272,6 @@ impl CascadeCore {
         });
         bucket.push(id);
         id
-    }
-
-    /// One admission query for `members` of `profiles`, interning only the
-    /// selected profiles (the fleet-sized fingerprint map is a reused
-    /// scratch).
-    pub(crate) fn admits(
-        &mut self,
-        profiles: &[AppTimingProfile],
-        members: &[usize],
-    ) -> Result<bool, VerifyError> {
-        let mut fleet_ids = std::mem::take(&mut self.fleet_ids_scratch);
-        fleet_ids.clear();
-        fleet_ids.resize(profiles.len(), 0);
-        for &m in members {
-            fleet_ids[m] = self.intern_profile(&profiles[m]);
-        }
-        let verdict = self.admit_query(profiles, &fleet_ids, members);
-        self.fleet_ids_scratch = fleet_ids;
-        verdict
     }
 
     /// Looks the current canonical key up in the verdict memo. The bounded

@@ -39,7 +39,7 @@ pub(crate) fn is_first_fit_order(profiles: &[AppTimingProfile], order: &[usize])
 }
 
 /// The first-fit placement loop over an arbitrary admission test, shared by
-/// every front end: the plain oracle driver ([`first_fit`]), the cascade
+/// every front end: the plain oracle driver ([`first_fit()`]), the cascade
 /// engine's batch runs (`MapExplorerEngine`), and the incremental repair of
 /// the online admission service (`AdmissionState`). Each application of
 /// `order` goes into the first slot of `slots` that `admit` accepts (the
@@ -94,11 +94,9 @@ pub fn first_fit(
     let order = sort_for_first_fit(profiles);
     let mut slots: Vec<Vec<usize>> = Vec::new();
     let mut oracle_calls = 0usize;
-    // Profile scratch for oracle implementations that clone the selection.
-    let mut scratch: Vec<AppTimingProfile> = Vec::new();
     place_suffix(&mut slots, &order, |probe| {
         oracle_calls += 1;
-        oracle.admits_indices(profiles, probe, &mut scratch)
+        oracle.admits_indices(profiles, probe)
     })?;
 
     Ok(MappingReport::new(
@@ -136,7 +134,6 @@ mod tests {
             &self,
             _profiles: &[AppTimingProfile],
             members: &[usize],
-            _scratch: &mut Vec<AppTimingProfile>,
         ) -> Result<bool, VerifyError> {
             Ok(members.len() <= self.capacity)
         }

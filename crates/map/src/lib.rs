@@ -9,23 +9,23 @@
 //!
 //! * [`oracle::ModelCheckingOracle`] — the paper's approach: exact
 //!   verification with `cps-verify`;
-//! * [`oracle::BaselineOracle`] — the conservative blocking analysis of
-//!   `cps-baseline`;
+//! * [`baseline::BaselineOracle`] — the conservative blocking analysis of
+//!   the prior work the paper compares against, in the [`baseline`] module;
 //! * any user-supplied [`SlotOracle`] implementation.
 //!
 //! On the paper's case study the model-checking oracle yields the published
 //! two-slot partition `{C1,C5,C4,C3}` + `{C6,C2}`, while the conservative
-//! oracle needs three to four slots — the tighter dimensioning the paper's
-//! title refers to.
+//! oracle needs three slots, `{C1,C5}{C4,C6}{C2,C3}` — the tighter
+//! dimensioning the paper's title refers to.
 //!
 //! For design-space exploration — sweeps, large fleets, optimal (not just
 //! first-fit) dimensioning — the [`engine`] module provides
 //! [`MapExplorerEngine`]: a tiered admission cascade (necessary-condition
 //! screen, canonical memo table, anti-monotone pruning, gated baseline
-//! accept) in front of one persistent exact verifier, plus a
+//! accept) in front of one persistent exact verifier, plus a serial
 //! branch-and-bound [`MapExplorerEngine::minimize_slots`] whose minimal slot
 //! counts are pinned to the naive exhaustive partition search retained in
-//! [`reference`].
+//! [`mod@reference`].
 //!
 //! For *online* operation — applications arriving and departing one at a
 //! time against a long-lived service — the [`admission`] module provides
@@ -35,6 +35,7 @@
 //! persisting its caches as versioned binary snapshots for warm restarts.
 
 pub mod admission;
+pub mod baseline;
 pub mod engine;
 pub mod first_fit;
 pub mod oracle;
@@ -44,9 +45,10 @@ pub mod report;
 mod cascade;
 
 pub use admission::{AdmissionError, AdmissionState, AdmitQuality, DeadlineAdmit};
+pub use baseline::BaselineOracle;
 pub use engine::MapExplorerEngine;
 pub use first_fit::{first_fit, sort_for_first_fit};
-pub use oracle::{BaselineOracle, ModelCheckingOracle, SlotOracle};
+pub use oracle::{ModelCheckingOracle, SlotOracle};
 pub use report::{MappingReport, MinimizeReport, TierStats};
 
 #[cfg(test)]
@@ -58,6 +60,7 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ModelCheckingOracle>();
         assert_send_sync::<BaselineOracle>();
+        assert_send_sync::<baseline::Strategy>();
         assert_send_sync::<MappingReport>();
         assert_send_sync::<MapExplorerEngine>();
         assert_send_sync::<MinimizeReport>();

@@ -2,7 +2,6 @@
 
 use std::sync::Mutex;
 
-use cps_baseline::{slot_schedulable_profiles, Strategy};
 use cps_core::AppTimingProfile;
 use cps_verify::{SlotVerifyEngine, VerificationConfig, VerifyError};
 
@@ -17,10 +16,6 @@ pub trait SlotOracle {
     /// so candidate sets are described by indices instead of a freshly
     /// cloned `Vec<AppTimingProfile>` per oracle call.
     ///
-    /// `scratch` is a caller-provided profile buffer reused across probes;
-    /// implementations that need an owned selection may clone into it,
-    /// clone-free implementations ignore it.
-    ///
     /// # Errors
     ///
     /// Implementations may fail (e.g. a model checker running out of budget);
@@ -33,7 +28,6 @@ pub trait SlotOracle {
         &self,
         profiles: &[AppTimingProfile],
         members: &[usize],
-        scratch: &mut Vec<AppTimingProfile>,
     ) -> Result<bool, VerifyError>;
 
     /// A short human-readable name for reports.
@@ -82,7 +76,6 @@ impl SlotOracle for ModelCheckingOracle {
         &self,
         profiles: &[AppTimingProfile],
         members: &[usize],
-        _scratch: &mut Vec<AppTimingProfile>,
     ) -> Result<bool, VerifyError> {
         // Borrow the selected profiles straight through the engine's
         // index-based hook — no clone, no model construction.
@@ -97,43 +90,10 @@ impl SlotOracle for ModelCheckingOracle {
     }
 }
 
-/// The conservative oracle: worst-case blocking analysis in the style of the
-/// prior work the paper compares against (`cps-baseline`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BaselineOracle {
-    strategy: Strategy,
-}
-
-impl BaselineOracle {
-    /// Creates the oracle with the non-preemptive deadline-monotonic strategy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates the oracle with an explicit baseline strategy.
-    pub fn with_strategy(strategy: Strategy) -> Self {
-        BaselineOracle { strategy }
-    }
-}
-
-impl SlotOracle for BaselineOracle {
-    fn admits_indices(
-        &self,
-        profiles: &[AppTimingProfile],
-        members: &[usize],
-        _scratch: &mut Vec<AppTimingProfile>,
-    ) -> Result<bool, VerifyError> {
-        Ok(slot_schedulable_profiles(profiles, members, self.strategy))
-    }
-
-    fn name(&self) -> &str {
-        "baseline-blocking-analysis"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::BaselineOracle;
     use cps_core::DwellTimeTable;
 
     fn profile(name: &str, max_wait: usize, dwell: usize) -> AppTimingProfile {
@@ -150,9 +110,7 @@ mod tests {
     /// Whole-set admission through the index path.
     fn admits_all(oracle: &dyn SlotOracle, profiles: &[AppTimingProfile]) -> bool {
         let members: Vec<usize> = (0..profiles.len()).collect();
-        oracle
-            .admits_indices(profiles, &members, &mut Vec::new())
-            .unwrap()
+        oracle.admits_indices(profiles, &members).unwrap()
     }
 
     #[test]
@@ -185,15 +143,12 @@ mod tests {
         let selections: &[&[usize]] = &[&[0], &[0, 2], &[1, 2], &[2, 1, 0]];
         let mc = ModelCheckingOracle::new();
         let bl = BaselineOracle::new();
-        let mut scratch = Vec::new();
         for oracle in [&mc as &dyn SlotOracle, &bl as &dyn SlotOracle] {
             for members in selections {
                 let cloned: Vec<AppTimingProfile> =
                     members.iter().map(|&i| fleet[i].clone()).collect();
                 assert_eq!(
-                    oracle
-                        .admits_indices(&fleet, members, &mut scratch)
-                        .unwrap(),
+                    oracle.admits_indices(&fleet, members).unwrap(),
                     admits_all(oracle, &cloned),
                     "{} on {members:?}",
                     oracle.name()
@@ -215,13 +170,5 @@ mod tests {
             assert!(admits_all(oracle, &fleet));
             assert!(!admits_all(oracle, &impossible));
         }
-    }
-
-    #[test]
-    fn baseline_oracle_strategies() {
-        let oracle = BaselineOracle::with_strategy(Strategy::DelayedRequests);
-        assert_eq!(oracle.name(), "baseline-blocking-analysis");
-        let apps = [profile("A", 10, 3), profile("B", 10, 3)];
-        assert!(admits_all(&oracle, &apps));
     }
 }

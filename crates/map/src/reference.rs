@@ -11,7 +11,7 @@
 //!
 //! Applications are considered in the canonical first-fit order
 //! ([`crate::sort_for_first_fit`]), so block member arrangements match the
-//! probes of [`crate::first_fit`] and of the engine — the admission verdict
+//! probes of [`crate::first_fit()`] and of the engine — the admission verdict
 //! of a block is arrangement-sensitive only across distinct profiles (the
 //! scheduler's index tie-break), and keeping one canonical arrangement makes
 //! engine and reference verdicts directly comparable. Singleton blocks are
@@ -64,9 +64,8 @@ fn place(
     if pos == order.len() {
         // Naively re-check every multi-member block of the completed
         // partition (single members are admissible by construction).
-        let mut scratch = Vec::new();
         for block in blocks.iter() {
-            if block.len() > 1 && !oracle.admits_indices(profiles, block, &mut scratch)? {
+            if block.len() > 1 && !oracle.admits_indices(profiles, block)? {
                 return Ok(None);
             }
         }
@@ -120,7 +119,6 @@ mod tests {
             &self,
             _profiles: &[AppTimingProfile],
             members: &[usize],
-            _scratch: &mut Vec<AppTimingProfile>,
         ) -> Result<bool, VerifyError> {
             Ok(members.len() <= self.capacity)
         }

@@ -51,11 +51,6 @@ pub struct TierStats {
 }
 
 impl TierStats {
-    /// Queries decided without running the exact verifier.
-    pub fn decided_cheaply(&self) -> usize {
-        self.queries - self.exact_verifies
-    }
-
     /// Component-wise accumulation of a per-operation delta into a running
     /// total — how the online admission service folds each incremental
     /// repair's work into its lifetime report.
@@ -387,7 +382,6 @@ mod tests {
                 ..VerifyStats::default()
             },
         };
-        assert_eq!(stats.decided_cheaply(), 8);
         let earlier = TierStats {
             queries: 4,
             singleton_accepts: 1,

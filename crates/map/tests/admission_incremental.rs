@@ -11,35 +11,13 @@
 //! partition, without the restored state ever touching the exact verifier
 //! for a query the saved state had already answered.
 
-use cps_core::{AppTimingProfile, DwellTimeTable};
+mod common;
+
+use common::random_pool;
+use cps_core::AppTimingProfile;
 use cps_map::{AdmissionState, MapExplorerEngine};
 use proptest::prelude::*;
 use proptest::TestRng;
-
-/// Same shape as the engine-oracle property profiles: small state
-/// footprints, duplicated contents, gate-opening and gate-closing `J_T`.
-fn random_profile(rng: &mut TestRng, tag: usize) -> AppTimingProfile {
-    let max_wait = rng.next_below(5) as usize;
-    let len = max_wait + 1;
-    let base = 1 + rng.next_below(3) as usize;
-    let t_dw_min: Vec<usize> = (0..len)
-        .map(|_| base + rng.next_below(2) as usize)
-        .collect();
-    let t_dw_plus: Vec<usize> = t_dw_min
-        .iter()
-        .map(|&m| m + rng.next_below(2) as usize)
-        .collect();
-    let max_plus = t_dw_plus.iter().copied().max().unwrap();
-    let jstar = max_wait + max_plus + 1;
-    let jt = if rng.next_below(2) == 0 {
-        max_plus.min(jstar)
-    } else {
-        1
-    };
-    let r = jstar + 1 + rng.next_below(12) as usize;
-    let table = DwellTimeTable::from_arrays(jstar, t_dw_min, t_dw_plus).unwrap();
-    AppTimingProfile::new(format!("P{tag}"), jt, jstar + 10, jstar, r, table).unwrap()
-}
 
 /// Asserts the incremental partition equals a from-scratch batch rebuild of
 /// the resident fleet.
@@ -57,11 +35,8 @@ proptest! {
     #[test]
     fn arbitrary_add_remove_sequences_match_batch_rebuilds(seed in 0u64..1_000_000) {
         let mut rng = TestRng::new(seed.wrapping_add(101));
-        // A pool of 1–3 distinct profile contents so duplicates (and the
-        // memo and symmetry machinery behind them) are always exercised.
-        let distinct = 1 + rng.next_below(3) as usize;
-        let pool: Vec<AppTimingProfile> =
-            (0..distinct).map(|i| random_profile(&mut rng, i)).collect();
+        let pool = random_pool(&mut rng);
+        let distinct = pool.len();
 
         let mut state = AdmissionState::new();
         let ops = 6 + rng.next_below(5) as usize;
@@ -86,9 +61,8 @@ proptest! {
     #[test]
     fn snapshot_mid_sequence_warm_starts_bit_identically(seed in 0u64..1_000_000) {
         let mut rng = TestRng::new(seed.wrapping_add(211));
-        let distinct = 1 + rng.next_below(3) as usize;
-        let pool: Vec<AppTimingProfile> =
-            (0..distinct).map(|i| random_profile(&mut rng, i)).collect();
+        let pool = random_pool(&mut rng);
+        let distinct = pool.len();
 
         // Phase 1: build up a fleet.
         let mut state = AdmissionState::new();

@@ -14,35 +14,12 @@
 //!    partition exactly as they were, and the same arrival retried without a
 //!    deadline lands in the batch-identical position.
 
-use cps_core::{AppTimingProfile, DwellTimeTable};
+mod common;
+
+use common::random_pool;
 use cps_map::{AdmissionState, DeadlineAdmit, MapExplorerEngine};
 use proptest::prelude::*;
 use proptest::TestRng;
-
-/// Same profile shape as the incremental equivalence property: small state
-/// footprints, duplicated contents, varied deadlines.
-fn random_profile(rng: &mut TestRng, tag: usize) -> AppTimingProfile {
-    let max_wait = rng.next_below(5) as usize;
-    let len = max_wait + 1;
-    let base = 1 + rng.next_below(3) as usize;
-    let t_dw_min: Vec<usize> = (0..len)
-        .map(|_| base + rng.next_below(2) as usize)
-        .collect();
-    let t_dw_plus: Vec<usize> = t_dw_min
-        .iter()
-        .map(|&m| m + rng.next_below(2) as usize)
-        .collect();
-    let max_plus = t_dw_plus.iter().copied().max().unwrap();
-    let jstar = max_wait + max_plus + 1;
-    let jt = if rng.next_below(2) == 0 {
-        max_plus.min(jstar)
-    } else {
-        1
-    };
-    let r = jstar + 1 + rng.next_below(12) as usize;
-    let table = DwellTimeTable::from_arrays(jstar, t_dw_min, t_dw_plus).unwrap();
-    AppTimingProfile::new(format!("P{tag}"), jt, jstar + 10, jstar, r, table).unwrap()
-}
 
 /// Asserts the incremental partition equals a from-scratch batch rebuild of
 /// the resident fleet.
@@ -60,9 +37,8 @@ proptest! {
     #[test]
     fn bounded_placements_are_batch_identical_or_cleanly_deferred(seed in 0u64..1_000_000) {
         let mut rng = TestRng::new(seed.wrapping_add(307));
-        let distinct = 1 + rng.next_below(3) as usize;
-        let pool: Vec<AppTimingProfile> =
-            (0..distinct).map(|i| random_profile(&mut rng, i)).collect();
+        let pool = random_pool(&mut rng);
+        let distinct = pool.len();
 
         let mut state = AdmissionState::new();
         let ops = 6 + rng.next_below(5) as usize;

@@ -12,54 +12,20 @@
 //! stub's deterministic RNG) with duplicated profiles, so memoization and
 //! symmetry breaking are exercised on every run.
 
-use cps_core::{AppTimingProfile, DwellTimeTable};
+mod common;
+
+use common::{random_fleet, random_profile};
 use cps_map::{first_fit, reference, MapExplorerEngine, ModelCheckingOracle, SlotOracle};
 use proptest::prelude::*;
 use proptest::TestRng;
 
-/// A random-but-deterministic profile with a small state footprint: waits up
-/// to 4 samples, per-wait varying dwells up to 5, inter-arrival up to ~25.
-/// `J_T` is drawn to sometimes dominate the dwell arrays (opening the
-/// baseline gate) and sometimes not (exercising the gate's rejection).
-fn random_profile(rng: &mut TestRng, tag: usize) -> AppTimingProfile {
-    let max_wait = rng.next_below(5) as usize;
-    let len = max_wait + 1;
-    let base = 1 + rng.next_below(3) as usize;
-    let t_dw_min: Vec<usize> = (0..len)
-        .map(|_| base + rng.next_below(2) as usize)
-        .collect();
-    let t_dw_plus: Vec<usize> = t_dw_min
-        .iter()
-        .map(|&m| m + rng.next_below(2) as usize)
-        .collect();
-    let max_plus = t_dw_plus.iter().copied().max().unwrap();
-    let jstar = max_wait + max_plus + 1;
-    let jt = if rng.next_below(2) == 0 {
-        max_plus.min(jstar)
-    } else {
-        1
-    };
-    let r = jstar + 1 + rng.next_below(12) as usize;
-    let table = DwellTimeTable::from_arrays(jstar, t_dw_min, t_dw_plus).unwrap();
-    AppTimingProfile::new(format!("P{tag}"), jt, jstar + 10, jstar, r, table).unwrap()
-}
-
-/// Draws a fleet of `min_len..=max_len` applications from a pool of 1–3
-/// distinct profiles, covering duplicates in every adjacency pattern.
-fn random_fleet(seed: u64, min_len: usize, max_len: usize) -> Vec<AppTimingProfile> {
-    let mut rng = TestRng::new(seed.wrapping_add(17));
-    let distinct = 1 + rng.next_below(3) as usize;
-    let pool: Vec<AppTimingProfile> = (0..distinct).map(|i| random_profile(&mut rng, i)).collect();
-    let n = min_len + rng.next_below((max_len - min_len + 1) as u64) as usize;
-    (0..n)
-        .map(|_| pool[rng.next_below(distinct as u64) as usize].clone())
-        .collect()
-}
+/// This file's seed offset into the shared fleet generator.
+const SEED_OFFSET: u64 = 17;
 
 proptest! {
     #[test]
     fn cascade_first_fit_matches_plain_first_fit(seed in 0u64..1_000_000) {
-        let fleet = random_fleet(seed, 1, 6);
+        let fleet = random_fleet(seed, SEED_OFFSET, 1, 6);
         let plain = first_fit(&fleet, &ModelCheckingOracle::new()).unwrap();
         let mut engine = MapExplorerEngine::new();
         let cascade = engine.first_fit(&fleet).unwrap();
@@ -78,7 +44,7 @@ proptest! {
         // Random member selections (including permuted arrangements): the
         // cascade's verdict must equal the exact oracle's on the identical
         // arrangement, and a baseline-tier accept must be sound.
-        let fleet = random_fleet(seed.wrapping_mul(5), 2, 5);
+        let fleet = random_fleet(seed.wrapping_mul(5), SEED_OFFSET, 2, 5);
         let mut rng = TestRng::new(seed.wrapping_add(41));
         let mut members: Vec<usize> = (0..fleet.len()).collect();
         // Fisher-Yates with the deterministic stub RNG.
@@ -94,9 +60,7 @@ proptest! {
         let cascade_verdict = engine.admits(&fleet, members).unwrap();
         let delta = engine.stats().since(&before);
 
-        let oracle = ModelCheckingOracle::new();
-        let mut scratch = Vec::new();
-        let exact_verdict = oracle.admits_indices(&fleet, members, &mut scratch).unwrap();
+        let exact_verdict = ModelCheckingOracle::new().admits_indices(&fleet, members).unwrap();
         prop_assert_eq!(cascade_verdict, exact_verdict);
         if delta.baseline_accepts == 1 {
             // Baseline-accept soundness: the gated conservative accept never
@@ -116,7 +80,7 @@ proptest! {
         // larger one (order preserved) keeps it inadmissible — equivalently,
         // every order-preserving sub-selection of an admissible selection is
         // admissible.
-        let fleet = random_fleet(seed.wrapping_mul(7), 2, 4);
+        let fleet = random_fleet(seed.wrapping_mul(7), SEED_OFFSET, 2, 4);
         let mut rng = TestRng::new(seed.wrapping_add(59));
         let full: Vec<usize> = (0..fleet.len()).collect();
         // A random order-preserving sub-selection.
@@ -127,9 +91,8 @@ proptest! {
             .collect();
         if !sub.is_empty() && sub.len() < full.len() {
             let oracle = ModelCheckingOracle::new();
-            let mut scratch = Vec::new();
-            let sub_admitted = oracle.admits_indices(&fleet, &sub, &mut scratch).unwrap();
-            let full_admitted = oracle.admits_indices(&fleet, &full, &mut scratch).unwrap();
+            let sub_admitted = oracle.admits_indices(&fleet, &sub).unwrap();
+            let full_admitted = oracle.admits_indices(&fleet, &full).unwrap();
             prop_assert!(
                 sub_admitted || !full_admitted,
                 "sub-selection {:?} inadmissible but superset {:?} admissible",
@@ -141,7 +104,7 @@ proptest! {
 
     #[test]
     fn minimize_slots_equals_reference_on_small_fleets(seed in 0u64..1_000_000) {
-        let fleet = random_fleet(seed.wrapping_mul(11), 1, 5);
+        let fleet = random_fleet(seed.wrapping_mul(11), SEED_OFFSET, 1, 5);
         let mut engine = MapExplorerEngine::new();
         let optimal = engine.minimize_slots(&fleet).unwrap();
         let oracle = ModelCheckingOracle::new();
@@ -150,11 +113,10 @@ proptest! {
         prop_assert!(optimal.slot_count() <= optimal.first_fit_slots());
         // Every multi-member slot of the engine's partition is feasible per
         // the exact oracle, and the partition covers the fleet exactly once.
-        let mut scratch = Vec::new();
         let mut seen: Vec<usize> = Vec::new();
         for slot in optimal.slots() {
             if slot.len() > 1 {
-                prop_assert!(oracle.admits_indices(&fleet, slot, &mut scratch).unwrap());
+                prop_assert!(oracle.admits_indices(&fleet, slot).unwrap());
             }
             seen.extend_from_slice(slot);
         }
@@ -170,7 +132,7 @@ proptest! {
         // pathologically tiny table (one bucket, two entries — evicting on
         // nearly every insert) must still produce the exact partition the
         // unbounded hash-map memo produces, on the same fleet.
-        let fleet = random_fleet(seed.wrapping_mul(13), 1, 5);
+        let fleet = random_fleet(seed.wrapping_mul(13), SEED_OFFSET, 1, 5);
         let mut tiny = MapExplorerEngine::new().with_memo_capacity(1);
         let mut unbounded = MapExplorerEngine::new().with_unbounded_memo();
         let from_tiny = tiny.minimize_slots(&fleet).unwrap();
@@ -193,7 +155,7 @@ proptest! {
         let profile = random_profile(&mut rng, 0);
         let oracle = ModelCheckingOracle::new();
         prop_assert!(oracle
-            .admits_indices(std::slice::from_ref(&profile), &[0], &mut Vec::new())
+            .admits_indices(std::slice::from_ref(&profile), &[0])
             .unwrap());
     }
 }

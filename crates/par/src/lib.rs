@@ -9,9 +9,16 @@
 //! 2. **Compute into per-worker buffers.** Workers never share mutable
 //!    state; each produces a plain value (or fills its own slice chunk).
 //! 3. **Reduce in index order.** Results are stitched back in the original
-//!    item order before any id is assigned, any float is accumulated, or any
-//!    incumbent is certified — which is what makes verdicts, witnesses,
-//!    interned ids and statistics **bit-identical under any thread count**.
+//!    item order before any id is assigned or any float is accumulated —
+//!    which is what makes verdicts, witnesses, interned ids and statistics
+//!    **bit-identical under any thread count**.
+//!
+//! The pool's users are the data-parallel kernels: the per-application
+//! profile fan-out of the case study, the dwell-time and settling-surface
+//! searches, the co-simulation chains, and the exact slot verifier's
+//! successor generation. The searches above them (first-fit, the slot
+//! minimizer, the admission cascade) run serially and reach the pool only
+//! through the verifier.
 //!
 //! The pool itself is a lightweight policy object: it owns no threads.
 //! Parallel sections run on [`std::thread::scope`], so borrows of the
@@ -27,8 +34,6 @@
 //! 1. explicit builder: [`Pool::with_threads`];
 //! 2. the `CPS_THREADS` environment variable ([`Pool::from_env`]);
 //! 3. [`std::thread::available_parallelism`].
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Name of the environment variable consulted by [`Pool::from_env`].
 pub const THREADS_ENV: &str = "CPS_THREADS";
@@ -222,52 +227,6 @@ fn concat_in_order<R>(parts: Vec<Vec<R>>, len: usize) -> Vec<R> {
     out
 }
 
-/// A monotonically improving incumbent for parallel branch-and-bound:
-/// a packed `u64` where **smaller is better**, published with
-/// compare-and-swap so concurrent improvements never regress.
-///
-/// Callers pack `(primary_cost, tie_break)` so that the numeric order of the
-/// packed word equals the search's preference order; the final winner is
-/// then independent of publication timing as long as the reduction re-ranks
-/// candidates deterministically (which [`Pool`]'s in-order reduction does).
-#[derive(Debug)]
-pub struct AtomicIncumbent {
-    packed: AtomicU64,
-}
-
-impl AtomicIncumbent {
-    /// Starts at `initial` (commonly `u64::MAX` for "no incumbent yet").
-    pub fn new(initial: u64) -> Self {
-        AtomicIncumbent {
-            packed: AtomicU64::new(initial),
-        }
-    }
-
-    /// Current bound; `Relaxed` is enough because the value is monotone and
-    /// only used for pruning (a stale read merely prunes less).
-    pub fn load(&self) -> u64 {
-        self.packed.load(Ordering::Relaxed)
-    }
-
-    /// Publishes `candidate` if it improves (is strictly smaller than) the
-    /// current incumbent. Returns whether the candidate was installed.
-    pub fn offer(&self, candidate: u64) -> bool {
-        let mut current = self.packed.load(Ordering::Relaxed);
-        while candidate < current {
-            match self.packed.compare_exchange_weak(
-                current,
-                candidate,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => current = observed,
-            }
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,16 +311,6 @@ mod tests {
         assert!(Pool::from_env().threads() >= 1);
         std::env::remove_var(THREADS_ENV);
         assert!(Pool::from_env().threads() >= 1);
-    }
-
-    #[test]
-    fn incumbent_only_improves() {
-        let inc = AtomicIncumbent::new(u64::MAX);
-        assert!(inc.offer(50));
-        assert!(!inc.offer(50));
-        assert!(!inc.offer(80));
-        assert!(inc.offer(7));
-        assert_eq!(inc.load(), 7);
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl<S: Strategy> Strategy for &S {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: a fixed size or a size range.
+    /// Length specification for [`vec()`]: a fixed size or a size range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,
@@ -168,7 +168,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -208,11 +208,6 @@ impl BatchCosimEngine {
         self
     }
 
-    /// The worker pool this engine simulates on.
-    pub fn pool(&self) -> cps_par::Pool {
-        self.pool
-    }
-
     /// The linalg backend the application kernels run on: the common kernel
     /// name when every application agrees (e.g. `"dyn"` or `"static<2>"`),
     /// `"mixed"` otherwise.

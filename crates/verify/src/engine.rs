@@ -66,9 +66,10 @@
 //! # Exploration loop
 //!
 //! One loop serves every [`cps_par::Pool`] width (see
-//! [`SlotVerifyEngine::with_pool`] and the `CPS_THREADS` environment
-//! variable). The arena is the BFS queue; the loop takes the queued states in
-//! chunks of at most `CHUNK_STATES` per worker and runs two phases on each:
+//! [`SlotVerifyEngine::with_pool`], [`SlotVerifyEngine::set_pool`] and the
+//! `CPS_THREADS` environment variable). The arena is the BFS queue; the loop
+//! takes the queued states in chunks of at most `CHUNK_STATES` per worker
+//! and runs two phases on each:
 //!
 //! 1. **Stage.** Every state of the chunk is loaded once — its entries and
 //!    the half of the step no disturbance choice changes — and each choice's
@@ -1140,9 +1141,11 @@ impl SlotVerifyEngine {
         }
     }
 
-    /// The worker pool this engine explores on.
-    pub fn pool(&self) -> cps_par::Pool {
-        self.pool
+    /// Moves the engine onto another worker pool in place: buffers and
+    /// [`SlotVerifyEngine::stats`] carry over, so deltas taken across the
+    /// switch stay valid.
+    pub fn set_pool(&mut self, pool: cps_par::Pool) {
+        self.pool = pool;
     }
 
     /// Installs (or with `None` removes) the cancellation token every

@@ -24,7 +24,7 @@
 //!   disturbance patterns (the only source of nondeterminism), with the
 //!   scheduler and the dwell-time strategy applied deterministically in
 //!   every state. Retained as the semantic oracle (re-exported as
-//!   [`reference`]); engine and oracle verdicts, budget semantics and
+//!   [`mod@reference`]); engine and oracle verdicts, budget semantics and
 //!   witness validity are asserted equivalent in tests and on every
 //!   `bench_verify` run.
 //! * [`bounded`] — the paper's acceleration: restricting each application to

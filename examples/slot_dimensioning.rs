@@ -7,7 +7,7 @@
 //! one slot explores about a million states).
 
 use cps_apps::case_study;
-use cps_baseline::Strategy;
+use cps_map::baseline::Strategy;
 use cps_map::{first_fit, BaselineOracle, MapExplorerEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

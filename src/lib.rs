@@ -1,5 +1,4 @@
 pub use cps_apps as apps;
-pub use cps_baseline as baseline;
 pub use cps_control as control;
 pub use cps_core as core;
 pub use cps_linalg as linalg;
