@@ -101,9 +101,11 @@ pub struct ServiceStats {
     pub fleet_len: usize,
     /// Current partition (slots list fleet indices).
     pub slots: Vec<Vec<usize>>,
-    /// Admission checks performed by every repair so far.
+    /// Admission checks performed by every repair so far, across worker
+    /// restarts.
     pub oracle_calls: usize,
-    /// Lifetime cascade statistics (memo hits, exact verifies, ...).
+    /// Lifetime cascade statistics (memo hits, exact verifies, ...), across
+    /// worker restarts.
     pub tier: TierStats,
     /// Worker restarts the supervisor performed after panics.
     pub restarts: usize,

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use cps_core::AppTimingProfile;
 use cps_fault::{FaultPlan, FaultSite};
 use cps_intern::SnapshotError;
-use cps_map::{AdmissionState, AdmitQuality, DeadlineAdmit};
+use cps_map::{AdmissionState, AdmitQuality, DeadlineAdmit, TierStats};
 use cps_verify::VerificationConfig;
 
 use crate::protocol::{
@@ -465,11 +465,15 @@ fn worker_loop(
 }
 
 /// Supervisor-owned counters surfaced through [`ServiceStats`].
-#[derive(Clone, Copy)]
+#[derive(Default)]
 struct ServiceMeta {
     restarts: usize,
     recovery_losses: usize,
     faults_injected: usize,
+    /// Cascade work of the states that restarts replaced, so the lifetime
+    /// counters of [`ServiceStats`] never go backwards.
+    retired_tier: TierStats,
+    retired_oracle_calls: usize,
 }
 
 /// The worker's crash containment: the live state, the last good snapshot
@@ -486,8 +490,7 @@ struct Supervisor {
     /// succeeded, so a panic anywhere in a handler leaves it describing the
     /// pre-request fleet.
     mirror: Vec<AppTimingProfile>,
-    restarts: usize,
-    recovery_losses: usize,
+    meta: ServiceMeta,
     /// Cold-rebuild fallback configuration, should even the last good
     /// snapshot fail to parse.
     config: VerificationConfig,
@@ -503,8 +506,7 @@ impl Supervisor {
             plan: options.faults,
             snapshot_interval: options.snapshot_interval.max(1),
             ops_since_snapshot: 0,
-            restarts: 0,
-            recovery_losses: 0,
+            meta: ServiceMeta::default(),
         }
     }
 
@@ -538,11 +540,8 @@ impl Supervisor {
             Request::Evict(i) => Some(*i),
             _ => None,
         };
-        let meta = ServiceMeta {
-            restarts: self.restarts,
-            recovery_losses: self.recovery_losses,
-            faults_injected: self.plan.stats().total_injected(),
-        };
+        self.meta.faults_injected = self.plan.stats().total_injected();
+        let meta = &self.meta;
         let state = &mut self.state;
         let plan = &mut self.plan;
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -614,7 +613,9 @@ impl Supervisor {
     /// recovery losses and dropped from the mirror so fleet indices stay
     /// consistent; a correct run never loses any.
     fn restart(&mut self) {
-        self.restarts += 1;
+        self.meta.restarts += 1;
+        self.meta.retired_tier.accumulate(self.state.stats());
+        self.meta.retired_oracle_calls += self.state.report().oracle_calls();
         let mut fresh = AdmissionState::from_snapshot(&self.last_snapshot)
             .unwrap_or_else(|_| AdmissionState::with_config(self.config));
         let mut survivors = Vec::with_capacity(self.mirror.len());
@@ -622,7 +623,7 @@ impl Supervisor {
             if fresh.add_app(p.clone()).is_ok() {
                 survivors.push(p);
             } else {
-                self.recovery_losses += 1;
+                self.meta.recovery_losses += 1;
             }
         }
         self.mirror = survivors;
@@ -650,7 +651,7 @@ fn placed_outcome(state: &AdmissionState, index: usize) -> Result<AdmitOutcome, 
 fn handle(
     state: &mut AdmissionState,
     request: Request,
-    meta: ServiceMeta,
+    meta: &ServiceMeta,
 ) -> Result<Response, ServiceError> {
     match request {
         Request::Admit(profile) => {
@@ -678,15 +679,19 @@ fn handle(
             }))
         }
         Request::Snapshot => Ok(Response::Snapshot(state.snapshot())),
-        Request::Stats => Ok(Response::Stats(ServiceStats {
-            fleet_len: state.fleet().len(),
-            slots: state.report().slots().to_vec(),
-            oracle_calls: state.report().oracle_calls(),
-            tier: *state.stats(),
-            restarts: meta.restarts,
-            recovery_losses: meta.recovery_losses,
-            faults_injected: meta.faults_injected,
-        })),
+        Request::Stats => {
+            let mut tier = meta.retired_tier;
+            tier.accumulate(state.stats());
+            Ok(Response::Stats(ServiceStats {
+                fleet_len: state.fleet().len(),
+                slots: state.report().slots().to_vec(),
+                oracle_calls: meta.retired_oracle_calls + state.report().oracle_calls(),
+                tier,
+                restarts: meta.restarts,
+                recovery_losses: meta.recovery_losses,
+                faults_injected: meta.faults_injected,
+            }))
+        }
     }
 }
 

@@ -12,10 +12,13 @@
 //!   rebuild of the same fleet;
 //! * recovery replays the supervisor's mirror without losing anything
 //!   (`recovery_losses == 0`), and the storm genuinely fired
-//!   (`restarts > 0`, `faults_injected > 0`).
+//!   (`restarts > 0`, `faults_injected > 0`);
+//! * the lifetime counters of the `Stats` reply never go backwards, even
+//!   when a restart replaces the worker's state.
 
 use cps_admit::{
     AdmissionService, AdmitVerdict, RetryPolicy, RetryingClient, ServiceError, ServiceOptions,
+    ServiceStats,
 };
 use cps_core::{AppTimingProfile, DwellTimeTable};
 use cps_fault::{FaultPlan, FaultSite};
@@ -141,6 +144,74 @@ fn fault_storm_loses_nothing_and_matches_the_batch_rebuild() {
         expected.slots(),
         "faulted partition diverged from the fault-free batch rebuild"
     );
+}
+
+/// Every lifetime counter of a `Stats` reply, by name.
+fn lifetime_counters(stats: &ServiceStats) -> [(&'static str, usize); 20] {
+    let t = &stats.tier;
+    let v = &t.verify;
+    [
+        ("oracle_calls", stats.oracle_calls),
+        ("queries", t.queries),
+        ("singleton_accepts", t.singleton_accepts),
+        ("memo_hits", t.memo_hits),
+        ("quick_rejects", t.quick_rejects),
+        ("anti_monotone_rejects", t.anti_monotone_rejects),
+        ("baseline_accepts", t.baseline_accepts),
+        ("exact_verifies", t.exact_verifies),
+        ("degraded_accepts", t.degraded_accepts),
+        ("deferred", t.deferred),
+        ("tt_evictions", t.tt_evictions),
+        ("intern_probes", v.intern_probes),
+        ("hash_hits", v.hash_hits),
+        ("hash_skips", v.hash_skips),
+        ("deep_compares", v.deep_compares),
+        ("rehashes", v.rehashes),
+        ("rehashed_entries", v.rehashed_entries),
+        ("hash_slot_updates", v.hash_slot_updates),
+        ("full_hash_words", v.full_hash_words),
+        ("restarts", stats.restarts),
+    ]
+}
+
+#[test]
+fn lifetime_counters_survive_worker_restarts() {
+    // Panics after a handler ran discard state that did real work; the
+    // restarted worker starts from a snapshot whose counters are zero.
+    let service = AdmissionService::spawn_with_options(
+        AdmissionState::new(),
+        ServiceOptions {
+            snapshot_interval: 2,
+            faults: FaultPlan::seeded(42).with_rate(FaultSite::WorkerPanicPost, 300),
+            ..ServiceOptions::default()
+        },
+    );
+    let mut client = RetryingClient::with_policy(service.client(), patient());
+    let mut previous = client.stats().unwrap();
+    for round in 0..3 {
+        for p in storm_fleet(round) {
+            client.admit(p).unwrap();
+            let stats = client.stats().unwrap();
+            for ((name, before), (_, after)) in lifetime_counters(&previous)
+                .into_iter()
+                .zip(lifetime_counters(&stats))
+            {
+                assert!(
+                    after >= before,
+                    "{name} went backwards: {before} -> {after} (restarts {})",
+                    stats.restarts
+                );
+            }
+            assert!(stats.tier.exact_verify_time >= previous.tier.exact_verify_time);
+            previous = stats;
+        }
+    }
+    assert!(
+        previous.restarts > 0,
+        "the seeded storm must trip the worker"
+    );
+    drop(client);
+    service.shutdown().unwrap();
 }
 
 #[test]

@@ -1,6 +1,9 @@
-//! Dwell-search performance report: naive reference vs. prefix-sharing
-//! engine (single- and multi-threaded), on the paper's six case-study
-//! applications with the default [`DwellSearchOptions`].
+//! Dwell-search performance report: naive reference vs. single-threaded
+//! prefix-sharing engine, on the paper's six case-study applications with
+//! the default [`DwellSearchOptions`].
+//!
+//! The engine's result at other thread counts is pinned by tests, not timed
+//! here.
 //!
 //! Every timed configuration is also checked for result equality against the
 //! naive oracle, so the report doubles as an end-to-end equivalence run.
@@ -25,10 +28,8 @@ struct AppReport {
     name: String,
     table_naive_ms: f64,
     table_engine_ms: f64,
-    table_engine_mt_ms: f64,
     surface_naive_ms: f64,
     surface_engine_ms: f64,
-    surface_engine_mt_ms: f64,
     backend_dyn_ms: f64,
     backend_static_ms: f64,
     backend_static_name: &'static str,
@@ -57,12 +58,6 @@ fn main() {
     } else {
         DwellSearchOptions::default()
     };
-    let threads = DwellEngine::default_threads();
-    if threads == 1 {
-        eprintln!(
-            "note: available parallelism is 1; multi-thread timings will duplicate 1-thread runs"
-        );
-    }
     let apps = case_study::all_applications().expect("published case-study data is valid");
 
     let mut reports = Vec::new();
@@ -75,19 +70,10 @@ fn main() {
         let (engine_table, table_engine_ms) = timed_best(|| {
             compute_dwell_table_with_threads(a, jstar, options, 1).expect("computes")
         });
-        let (engine_table_mt, table_engine_mt_ms) = timed_best(|| {
-            compute_dwell_table_with_threads(a, jstar, options, threads).expect("computes")
-        });
         assert_eq!(
             naive_table,
             engine_table,
             "{}: table oracle mismatch",
-            a.name()
-        );
-        assert_eq!(
-            naive_table,
-            engine_table_mt,
-            "{}: MT table oracle mismatch",
             a.name()
         );
 
@@ -105,26 +91,10 @@ fn main() {
             )
             .expect("computes")
         });
-        let (engine_surface_mt, surface_engine_mt_ms) = timed_best(|| {
-            settling_surface_with_threads(
-                a,
-                options.max_wait,
-                options.max_dwell,
-                options.horizon,
-                threads,
-            )
-            .expect("computes")
-        });
         assert_eq!(
             naive_surface,
             engine_surface,
             "{}: surface oracle mismatch",
-            a.name()
-        );
-        assert_eq!(
-            naive_surface,
-            engine_surface_mt,
-            "{}: MT surface oracle mismatch",
             a.name()
         );
 
@@ -161,29 +131,23 @@ fn main() {
             name: a.name().to_string(),
             table_naive_ms,
             table_engine_ms,
-            table_engine_mt_ms,
             surface_naive_ms,
             surface_engine_ms,
-            surface_engine_mt_ms,
             backend_dyn_ms,
             backend_static_ms,
             backend_static_name,
         };
         println!(
-            "{}: table {:8.2} ms -> {:6.2} ms ({:5.1}x, {:.2} ms @ {} threads) | \
-             surface {:8.2} ms -> {:6.2} ms ({:5.1}x, {:.2} ms @ {} threads) | \
+            "{}: table {:8.2} ms -> {:6.2} ms ({:5.1}x) | \
+             surface {:8.2} ms -> {:6.2} ms ({:5.1}x) | \
              backend dyn {:6.2} ms vs {} {:6.2} ms ({:4.2}x)",
             report.name,
             report.table_naive_ms,
             report.table_engine_ms,
             report.table_speedup(),
-            report.table_engine_mt_ms,
-            threads,
             report.surface_naive_ms,
             report.surface_engine_ms,
             report.surface_speedup(),
-            report.surface_engine_mt_ms,
-            threads,
             report.backend_dyn_ms,
             report.backend_static_name,
             report.backend_static_ms,
@@ -192,7 +156,7 @@ fn main() {
         reports.push(report);
     }
 
-    let json = render_json(quick, &options, threads, &reports);
+    let json = render_json(quick, &options, &reports);
     write_report("dwell", &json);
 
     let worst_table = reports
@@ -213,12 +177,7 @@ fn main() {
     );
 }
 
-fn render_json(
-    quick: bool,
-    options: &DwellSearchOptions,
-    threads: usize,
-    reports: &[AppReport],
-) -> String {
+fn render_json(quick: bool, options: &DwellSearchOptions, reports: &[AppReport]) -> String {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
@@ -227,15 +186,6 @@ fn render_json(
         "  \"options\": {{\"horizon\": {}, \"max_dwell\": {}, \"max_wait\": {}}},",
         options.horizon, options.max_dwell, options.max_wait
     );
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    if threads == 1 {
-        // Be explicit that the *_mt columns carry no multithreaded signal on
-        // this machine.
-        let _ = writeln!(
-            json,
-            "  \"note\": \"single-CPU host: *_engine_mt_ms columns are 1-thread re-runs\","
-        );
-    }
     let backend_dyn_total: f64 = reports.iter().map(|r| r.backend_dyn_ms).sum();
     let backend_static_total: f64 = reports.iter().map(|r| r.backend_static_ms).sum();
     let _ = writeln!(json, "  \"backend_dyn_total_ms\": {backend_dyn_total:.3},");
@@ -254,19 +204,17 @@ fn render_json(
             json,
             "    {{\"name\": \"{}\", \
              \"table_naive_ms\": {:.3}, \"table_engine_ms\": {:.3}, \
-             \"table_engine_mt_ms\": {:.3}, \"table_speedup\": {:.1}, \
+             \"table_speedup\": {:.1}, \
              \"surface_naive_ms\": {:.3}, \"surface_engine_ms\": {:.3}, \
-             \"surface_engine_mt_ms\": {:.3}, \"surface_speedup\": {:.1}, \
+             \"surface_speedup\": {:.1}, \
              \"backend_dyn_ms\": {:.3}, \"backend_static_ms\": {:.3}, \
              \"backend\": \"{}\", \"backend_speedup\": {:.2}}}{}",
             r.name,
             r.table_naive_ms,
             r.table_engine_ms,
-            r.table_engine_mt_ms,
             r.table_speedup(),
             r.surface_naive_ms,
             r.surface_engine_ms,
-            r.surface_engine_mt_ms,
             r.surface_speedup(),
             r.backend_dyn_ms,
             r.backend_static_ms,

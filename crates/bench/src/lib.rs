@@ -1,15 +1,21 @@
-//! Shared experiment harness for regenerating every table and figure of the
-//! paper.
+//! Shared experiment harness for regenerating the paper's tables and
+//! figures and for measuring the engines behind them.
 //!
-//! Each experiment has a binary (under `src/bin/`) that prints the
-//! reproduced rows/series next to the published values, and a Criterion
-//! bench (under `benches/`) that measures the cost of the underlying
-//! computation. The mapping from paper artifact to binary is listed in
-//! `DESIGN.md` and the measured-vs-published comparison is recorded in
-//! `EXPERIMENTS.md`.
+//! The crate holds two kinds of binaries under `src/bin/`:
+//!
+//! * the figure and table binaries (`fig*`, `table*`,
+//!   `verification_times`), which print the reproduced rows or series next
+//!   to the published values;
+//! * the `bench_*` binaries, which time an engine against its oracle, assert
+//!   that both give the same result, and write a `BENCH_<name>.json` report
+//!   at the repository root.
+//!
+//! This library holds what they share: the case-study inputs and text
+//! formatting below, the report protocol ([`report`]) and the synthetic
+//! fleet generators ([`fleet`]).
 
 use cps_apps::case_study::{self, CaseStudyApp};
-use cps_core::{AppTimingProfile, CoreError};
+use cps_core::AppTimingProfile;
 
 pub mod fleet;
 pub mod report;
@@ -41,16 +47,6 @@ pub fn published_profiles() -> Vec<AppTimingProfile> {
                 .expect("published rows are consistent")
         })
         .collect()
-}
-
-/// Timing profiles of the case study recomputed from scratch by simulating
-/// the switched closed loops (the reproduction of Table 1).
-///
-/// # Errors
-///
-/// Propagates dwell-table computation failures.
-pub fn recomputed_profiles() -> Result<Vec<AppTimingProfile>, CoreError> {
-    case_study::all_profiles(CaseStudyApp::fast_search_options())
 }
 
 /// Renders a settling-time series as a compact text row used by the figure

@@ -27,11 +27,10 @@
 //! * [`AppTimingProfile`] — the per-application timing abstraction handed to
 //!   the scheduler, the verifier and the mapping heuristic ([`profile`]).
 //! * [`sequence`] — mode-schedule construction helpers.
-//! * [`kernel`] — linalg backend dispatch ([`BackendChoice`]) and the
-//!   monomorphized augmented-state stepping kernel the engines run on;
-//!   applications whose augmented dimension fits the 2–5 menu run on
-//!   stack-allocated const-generic matrices instead of the heap-backed
-//!   fallback.
+//! * [`kernel`] — linalg backend dispatch ([`BackendChoice`]) for the
+//!   dwell engine's stepping loops; applications whose augmented dimension
+//!   fits the 2–5 menu run on stack-allocated const-generic matrices instead
+//!   of the heap-backed fallback.
 //!
 //! # Example
 //!
@@ -68,7 +67,7 @@ pub mod strategy;
 
 pub use dwell::{DwellTimeTable, SettlingSurface};
 pub use error::CoreError;
-pub use kernel::{AugmentedKernel, BackendChoice};
+pub use kernel::BackendChoice;
 pub use mode::Mode;
 pub use profile::AppTimingProfile;
 pub use sequence::ModeSchedule;
@@ -87,7 +86,6 @@ mod tests {
         assert_send_sync::<AppTimingProfile>();
         assert_send_sync::<SwitchedApplication>();
         assert_send_sync::<BackendChoice>();
-        assert_send_sync::<AugmentedKernel>();
         assert_send_sync::<engine::DwellEngine>();
     }
 }

@@ -191,7 +191,7 @@ impl SwitchedApplication {
 
     /// Restarts the switched closed-loop simulation from a checkpointed
     /// augmented state `z0 = [x; u_prev]` (e.g. a state taken from a previous
-    /// trajectory, or a checkpoint held by a batch engine).
+    /// trajectory).
     ///
     /// The samples produced are bitwise identical to the corresponding
     /// suffix of an uncheckpointed run: both paths advance the state with the

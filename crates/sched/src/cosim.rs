@@ -32,18 +32,18 @@ pub struct CosimScenario {
 /// The result of a co-simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CosimResult {
-    pub(crate) outputs: Vec<Vec<f64>>,
-    pub(crate) settling_samples: Vec<Option<usize>>,
-    pub(crate) schedule: ScheduleOutcome,
+    outputs: Vec<Vec<f64>>,
+    settling_samples: Vec<Option<usize>>,
+    schedule: ScheduleOutcome,
     /// Per-application sampling periods: heterogeneous-period scenarios must
     /// convert each application's settling time with its *own* period (a
     /// single scenario-wide period silently mis-reported every application
     /// after the first).
-    pub(crate) sampling_periods: Vec<f64>,
+    sampling_periods: Vec<f64>,
     /// Per-application settling requirements `J*` in samples, captured from
     /// the scenario's own profiles so requirement checks can never be fed a
     /// mismatched profile slice.
-    pub(crate) requirements: Vec<usize>,
+    requirements: Vec<usize>,
 }
 
 impl CosimResult {

@@ -13,16 +13,8 @@
 //! * [`cosim`] — closes the loop: the scheduler's slot ownership is turned
 //!   into per-application mode schedules and the switched closed loops are
 //!   simulated, producing the response curves of the paper's Figs. 8 and 9
-//!   and checking every settling requirement. [`CosimScenario::run`] is the
-//!   retained, naive oracle.
-//! * [`engine`] — the prefix-sharing batch engine for whole *families* of
-//!   disturbance scenarios: closed-loop trajectories are advanced with
-//!   allocation-free kernels from checkpointed states, and scenarios that
-//!   agree on a prefix of arbiter grants only re-simulate their diverging
-//!   suffix. Bitwise identical to the oracle (asserted in
-//!   `tests/engine_oracle.rs` and on every `bench_cosim` run).
-//! * [`scenarios`] — generators for such families (contention sweeps,
-//!   staggered fleets, recurrent-disturbance storms).
+//!   and checking every settling requirement. [`CosimScenario::run`] runs
+//!   one scenario in which each application is disturbed once.
 //!
 //! # Example
 //!
@@ -37,15 +29,12 @@
 
 pub mod arbiter;
 pub mod cosim;
-pub mod engine;
 mod error;
-pub mod scenarios;
 pub mod slot_scheduler;
 pub mod trace;
 
 pub use arbiter::select_by_laxity;
 pub use cosim::{CosimApp, CosimResult, CosimScenario};
-pub use engine::BatchCosimEngine;
 pub use error::SchedError;
 pub use slot_scheduler::{ScheduleOutcome, SlotScheduler};
 pub use trace::{AppScheduleTrace, GrantRecord};
@@ -62,6 +51,5 @@ mod tests {
         assert_send_sync::<ScheduleOutcome>();
         assert_send_sync::<CosimScenario>();
         assert_send_sync::<CosimResult>();
-        assert_send_sync::<BatchCosimEngine>();
     }
 }

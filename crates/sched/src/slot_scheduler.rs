@@ -128,8 +128,7 @@ impl SlotScheduler {
             .collect();
         let mut grants: Vec<GrantRecord> = Vec::new();
         // The slot has at most one occupant; tracking its index avoids an
-        // O(n) scan per step (this loop is the shared hot path of both the
-        // co-simulation oracle and the batch engine).
+        // O(n) scan per step.
         let mut occupant: Option<usize> = None;
         // Cursor into each application's (sorted, validated) disturbance
         // list: O(1) arrival sensing per sample.

@@ -3,7 +3,7 @@
 //! [`SlotVerifyEngine`] answers the same question as [`crate::checker::verify`]
 //! (retained as the semantic oracle, re-exported as [`crate::reference`]) but
 //! is built for throughput, following the engine/oracle pattern of
-//! `cps-core::engine` and `cps-sched::BatchCosimEngine`:
+//! `cps-core::engine`:
 //!
 //! * **Packed state encoding** — each application's location (`Steady`,
 //!   `Waiting`, `Using`, `Cooldown`, `Exhausted`, plus the bounded-mode

@@ -62,20 +62,6 @@ impl SlotSharingModel {
     ) -> Result<crate::VerificationOutcome, VerifyError> {
         crate::engine::SlotVerifyEngine::new().verify(self, config)
     }
-
-    /// Verifies the model with the retained naive reference checker
-    /// ([`crate::checker::verify`]) — the semantic oracle [`Self::verify`]
-    /// is pinned to.
-    ///
-    /// # Errors
-    ///
-    /// Propagates checker errors (invalid configuration or exhausted budget).
-    pub fn verify_reference(
-        &self,
-        config: &crate::VerificationConfig,
-    ) -> Result<crate::VerificationOutcome, VerifyError> {
-        crate::checker::verify(self, config)
-    }
 }
 
 #[cfg(test)]
