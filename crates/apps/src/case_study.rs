@@ -358,7 +358,7 @@ pub fn all_applications() -> Result<Vec<CaseStudyApp>, CoreError> {
 
 /// Recomputes the timing profile of every case-study application (the
 /// reproduction of the paper's Table 1), fanning the applications out across
-/// worker threads when the `parallel` feature is enabled.
+/// the worker threads of [`cps_par::Pool::from_env`].
 ///
 /// The profiles are returned in the paper's order `C1..C6` regardless of
 /// which worker finishes first.

@@ -71,10 +71,11 @@ impl Settling {
         if outputs.is_empty() {
             return SettlingOutcome::NotSettled;
         }
-        // Walk backwards: find the last sample that violates the band.
+        // Walk backwards: find the last sample that violates the band. A NaN
+        // output (a diverged loop) violates it.
         let mut settled_from = outputs.len();
         for (k, y) in outputs.iter().enumerate().rev() {
-            if y.abs() > self.threshold {
+            if y.is_nan() || y.abs() > self.threshold {
                 break;
             }
             settled_from = k;

@@ -1,6 +1,6 @@
 //! Closed-loop trajectory simulation.
 
-use cps_linalg::{Matrix, MatrixOps, Vector, VectorOps};
+use cps_linalg::{Matrix, Vector};
 
 use crate::{ControlError, StateFeedback, StateSpace};
 
@@ -115,75 +115,33 @@ pub fn simulate_autonomous(
     x0: &Vector,
     samples: usize,
 ) -> Result<Trajectory, ControlError> {
-    // Validate the output matrix once up front (the generic core takes a bare
-    // output row, so the single-output check lives here).
-    scalar_output(c, x0)?;
-    let c_row = c.row(0);
-    simulate_autonomous_in::<Matrix>(a, &c_row, x0, samples)
-}
-
-/// [`simulate_autonomous`] generically over a linalg backend: `a` is the
-/// transition matrix of any [`MatrixOps`] implementation and `c_row` the
-/// single output row as the backend's vector type.
-///
-/// `c_row` may be shorter than the state (the extra augmented entries are
-/// ignored, as in [`simulate_autonomous`]); output accumulation runs over
-/// ascending indices starting from `0.0`, so all backends produce
-/// bitwise-identical trajectories. The stepping kernels themselves are
-/// infallible — every dimension is validated here, before the loop.
-///
-/// # Errors
-///
-/// Returns [`ControlError::InvalidParameter`] for a zero-length horizon and
-/// [`ControlError::InconsistentDimensions`] when `a` is not square of the
-/// state dimension or `c_row` is longer than the state.
-pub fn simulate_autonomous_in<M: MatrixOps>(
-    a: &M,
-    c_row: &M::Vector,
-    x0: &M::Vector,
-    samples: usize,
-) -> Result<Trajectory, ControlError> {
+    let y0 = scalar_output(c, x0)?;
     if samples == 0 {
         return Err(ControlError::InvalidParameter {
             reason: "simulation horizon must be at least one sample".to_string(),
         });
     }
-    let dim = x0.dim();
-    if !a.is_square_shape() || a.ncols() != dim {
+    if !a.is_square() || a.cols() != x0.len() {
         return Err(ControlError::InconsistentDimensions {
             reason: format!(
                 "transition matrix is {}x{}, state has {} entries",
-                a.nrows(),
-                a.ncols(),
-                dim
+                a.rows(),
+                a.cols(),
+                x0.len()
             ),
         });
     }
-    if c_row.dim() > dim {
-        return Err(ControlError::InconsistentDimensions {
-            reason: format!("output row expects {} states, state has {dim}", c_row.dim()),
-        });
-    }
-    let row_output = |xs: &[f64]| {
-        let mut y = 0.0;
-        for (cj, xj) in c_row.elements().iter().zip(xs.iter()) {
-            y += cj * xj;
-        }
-        y
-    };
     let mut states = Vec::with_capacity(samples + 1);
     let mut outputs = Vec::with_capacity(samples + 1);
     let mut cursor = x0.clone();
     let mut scratch = x0.clone();
-    outputs.push(row_output(cursor.elements()));
-    states.push(cursor.to_dyn());
+    states.push(x0.clone());
+    outputs.push(y0);
     for _ in 0..samples {
-        // One infallible backend gemv per step; the only per-step heap
-        // allocation is the dyn state the trajectory has to own anyway.
-        a.gemv(&cursor, &mut scratch);
+        a.gemv_into(&cursor, &mut scratch)?;
         std::mem::swap(&mut cursor, &mut scratch);
-        outputs.push(row_output(cursor.elements()));
-        states.push(cursor.to_dyn());
+        outputs.push(scalar_output(c, &cursor)?);
+        states.push(cursor.clone());
     }
     Ok(Trajectory { states, outputs })
 }
@@ -271,35 +229,17 @@ mod tests {
     }
 
     #[test]
-    fn generic_simulation_matches_dyn_backend_bitwise() {
-        use cps_linalg::{StaticMatrix, StaticVector};
-        let a = Matrix::from_rows(&[&[0.9, 0.1], &[-0.2, 0.8]]).unwrap();
-        let c = Matrix::from_rows(&[&[1.0, 0.0]]).unwrap();
-        let x0 = Vector::from_slice(&[1.0, -0.5]);
-        let dyn_t = simulate_autonomous(&a, &c, &x0, 50).unwrap();
-        let sa = StaticMatrix::<2, 2>::from_dyn(&a).unwrap();
-        let sc = StaticVector::<2>::from_array([1.0, 0.0]);
-        let sx = StaticVector::<2>::from_dyn(&x0).unwrap();
-        let static_t = simulate_autonomous_in(&sa, &sc, &sx, 50).unwrap();
-        assert_eq!(dyn_t, static_t);
-    }
-
-    #[test]
-    fn generic_simulation_validates_dimensions() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0]]).unwrap();
-        let c = Vector::from_slice(&[1.0]);
-        let x0 = Vector::from_slice(&[1.0, 0.0]);
-        assert!(matches!(
-            simulate_autonomous_in(&a, &c, &x0, 5),
-            Err(ControlError::InconsistentDimensions { .. })
-        ));
-        let square = Matrix::identity(1);
-        let long_c = Vector::from_slice(&[1.0, 2.0]);
-        let x1 = Vector::from_slice(&[1.0]);
-        assert!(matches!(
-            simulate_autonomous_in(&square, &long_c, &x1, 5),
-            Err(ControlError::InconsistentDimensions { .. })
-        ));
+    fn autonomous_simulation_rejects_a_mismatched_transition_matrix() {
+        let c = Matrix::identity(1);
+        let x0 = Vector::from_slice(&[1.0]);
+        let wide = Matrix::from_rows(&[&[1.0, 0.0]]).unwrap();
+        let too_big = Matrix::identity(2);
+        for a in [wide, too_big] {
+            assert!(matches!(
+                simulate_autonomous(&a, &c, &x0, 5),
+                Err(ControlError::InconsistentDimensions { .. })
+            ));
+        }
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! allocation-free ones, while producing **bitwise-identical** tables: the
 //! naive search is kept in [`mod@reference`] as the oracle, and equivalence is
 //! asserted cell-for-cell by the engine tests and `tests/engine_oracle.rs`.
-//! With the `parallel` feature (default), wait rows are additionally fanned
-//! out across `std::thread` workers.
+//! With more than one worker thread, wait rows are additionally fanned out
+//! across `std::thread` workers.
 
 use crate::{engine::DwellEngine, kernel::BackendChoice, CoreError, Mode, SwitchedApplication};
 
@@ -148,8 +148,7 @@ pub fn settling_surface(
 }
 
 /// [`settling_surface`] with an explicit worker-thread count (`1` forces the
-/// single-threaded engine; counts above one require the `parallel` feature to
-/// take effect).
+/// single-threaded engine).
 ///
 /// # Errors
 ///

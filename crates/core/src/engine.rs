@@ -154,7 +154,7 @@ impl<B: LinalgBackend> DwellEngineCore<B> {
     }
 
     fn dim(&self) -> usize {
-        self.z0.dim()
+        self.z0.elements().len()
     }
 
     fn has_certificate(&self) -> bool {
@@ -202,8 +202,7 @@ impl<B: LinalgBackend> DwellEngineCore<B> {
         let early_exit = mode == Mode::EventTriggered;
         for k in 1..=horizon {
             step::<B>(a, &mut z, &mut z_next);
-            let y = self.c.dot(&z);
-            if y.abs() > self.threshold {
+            if out_of_band(self.c.dot(&z), self.threshold) {
                 viol = Some(k);
             } else if early_exit && self.inside_safe_set(&z) {
                 break;
@@ -237,8 +236,7 @@ impl<B: LinalgBackend> DwellEngineCore<B> {
             let mut tail_viol = None;
             for k in (wait + dwell + 1)..=horizon {
                 step::<B>(&self.a_et, &mut ws.z, &mut ws.z_next);
-                let y = self.c.dot(&ws.z);
-                if y.abs() > self.threshold {
+                if out_of_band(self.c.dot(&ws.z), self.threshold) {
                     tail_viol = Some(k);
                 } else if self.inside_safe_set(&ws.z) {
                     // Provably in-band until the horizon: later samples can
@@ -405,7 +403,7 @@ impl DwellEngine {
 
     /// Number of worker threads the search layer should use: the
     /// [`cps_par::Pool::from_env`] policy (`CPS_THREADS`, falling back to the
-    /// available parallelism with the `parallel` feature, `1` otherwise).
+    /// available parallelism).
     pub fn default_threads() -> usize {
         cps_par::Pool::from_env().threads()
     }
@@ -442,8 +440,8 @@ impl DwellEngine {
     }
 
     /// Computes the settling rows of all waits in `waits`, each with dwell
-    /// `0..=min(max_dwell, horizon − wait − 1)`, optionally fanning the rows
-    /// out over `threads` workers (`parallel` feature).
+    /// `0..=min(max_dwell, horizon − wait − 1)`, fanning the rows out over
+    /// `threads` workers.
     pub fn settling_rows(
         &self,
         prefix: &PrefixChain,
@@ -464,14 +462,18 @@ fn step<B: LinalgBackend>(a: &B::Matrix, cursor: &mut B::Vector, scratch: &mut B
     std::mem::swap(cursor, scratch);
 }
 
+/// Whether output `y` lies outside the settling band. A NaN output (a loop
+/// that diverged past overflow) is outside it, as in
+/// [`cps_control::Settling::evaluate`].
+#[inline]
+fn out_of_band(y: f64, threshold: f64) -> bool {
+    y.is_nan() || y.abs() > threshold
+}
+
 /// `Some(sample)` when the output violates the band at `sample`.
 #[inline]
 fn violation(y: f64, threshold: f64, sample: usize) -> Option<usize> {
-    if y.abs() > threshold {
-        Some(sample)
-    } else {
-        None
-    }
+    out_of_band(y, threshold).then_some(sample)
 }
 
 /// Converts a last-violation index over samples `0..=horizon` into the

@@ -224,39 +224,6 @@ pub fn determinant(a: &Matrix) -> Result<f64, LinalgError> {
     }
 }
 
-/// Backend-generic LU factorisation (cold path, via
-/// [`MatrixOps::to_dyn`](crate::MatrixOps::to_dyn)).
-///
-/// Decompositions run once per application at construction time, so they
-/// round-trip through the dynamic representation instead of being duplicated
-/// per backend.
-///
-/// # Errors
-///
-/// As for [`LuDecomposition::new`].
-pub fn lu_in<M: crate::MatrixOps>(a: &M) -> Result<LuDecomposition, LinalgError> {
-    LuDecomposition::new(&a.to_dyn())
-}
-
-/// Backend-generic form of [`inverse`] (cold path).
-///
-/// # Errors
-///
-/// As for [`inverse`], plus a shape error if the result cannot be converted
-/// back (unreachable: inversion preserves the shape).
-pub fn inverse_in<M: crate::MatrixOps>(a: &M) -> Result<M, LinalgError> {
-    M::from_dyn(&inverse(&a.to_dyn())?)
-}
-
-/// Backend-generic form of [`determinant`] (cold path).
-///
-/// # Errors
-///
-/// As for [`determinant`].
-pub fn determinant_in<M: crate::MatrixOps>(a: &M) -> Result<f64, LinalgError> {
-    determinant(&a.to_dyn())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -140,11 +140,6 @@ impl Eigenvalues {
     pub fn is_schur_stable(&self) -> bool {
         self.spectral_radius() < 1.0
     }
-
-    /// Real parts of all eigenvalues (useful for continuous-time checks).
-    pub fn real_parts(&self) -> Vec<f64> {
-        self.values.iter().map(|z| z.re).collect()
-    }
 }
 
 /// Computes the coefficients of the characteristic polynomial
@@ -291,29 +286,6 @@ pub fn eigenvalues(a: &Matrix) -> Result<Eigenvalues, LinalgError> {
 /// Same error conditions as [`eigenvalues`].
 pub fn spectral_radius(a: &Matrix) -> Result<f64, LinalgError> {
     Ok(eigenvalues(a)?.spectral_radius())
-}
-
-/// Backend-generic form of [`eigenvalues`] (cold path, via
-/// [`MatrixOps::to_dyn`](crate::MatrixOps::to_dyn)).
-///
-/// Eigenvalue computations run once per application at construction time, so
-/// they round-trip through the dynamic representation instead of being
-/// duplicated per backend.
-///
-/// # Errors
-///
-/// As for [`eigenvalues`].
-pub fn eigenvalues_in<M: crate::MatrixOps>(a: &M) -> Result<Eigenvalues, LinalgError> {
-    eigenvalues(&a.to_dyn())
-}
-
-/// Backend-generic form of [`spectral_radius`] (cold path).
-///
-/// # Errors
-///
-/// As for [`spectral_radius`].
-pub fn spectral_radius_in<M: crate::MatrixOps>(a: &M) -> Result<f64, LinalgError> {
-    Ok(eigenvalues_in(a)?.spectral_radius())
 }
 
 #[cfg(test)]

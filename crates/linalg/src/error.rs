@@ -37,13 +37,6 @@ pub enum LinalgError {
     NotSymmetric,
     /// The matrix is not positive definite (Cholesky factorization failed).
     NotPositiveDefinite,
-    /// An index was outside the bounds of the matrix or vector.
-    IndexOutOfBounds {
-        /// The offending index as `(row, col)`.
-        index: (usize, usize),
-        /// Dimensions of the container as `(rows, cols)`.
-        dims: (usize, usize),
-    },
 }
 
 impl fmt::Display for LinalgError {
@@ -72,11 +65,6 @@ impl fmt::Display for LinalgError {
             ),
             LinalgError::NotSymmetric => write!(f, "matrix is not symmetric"),
             LinalgError::NotPositiveDefinite => write!(f, "matrix is not positive definite"),
-            LinalgError::IndexOutOfBounds { index, dims } => write!(
-                f,
-                "index ({}, {}) out of bounds for {}x{} container",
-                index.0, index.1, dims.0, dims.1
-            ),
         }
     }
 }

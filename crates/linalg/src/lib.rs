@@ -5,21 +5,21 @@
 //!
 //! * [`Matrix`] — a dense, row-major, `f64` matrix with the usual arithmetic,
 //!   slicing and construction helpers.
-//! * [`Vector`] — a thin newtype over a column of numbers with dot products,
-//!   norms and element-wise arithmetic.
+//! * [`Vector`] — a thin newtype over a column of numbers with dot products
+//!   and element-wise arithmetic.
 //! * [`decomp`] — LU decomposition with partial pivoting, linear solves,
 //!   inverses and determinants.
-//! * [`eigen`] — eigenvalue computation via Hessenberg reduction followed by a
-//!   shifted, implicit QR iteration (supports complex conjugate pairs).
+//! * [`eigen`] — eigenvalues as the roots of the characteristic polynomial
+//!   (supports complex conjugate pairs).
 //! * [`lyapunov`] — discrete-time Lyapunov equation solver (Kronecker
 //!   vectorization) and positive-definiteness tests via Cholesky.
-//! * [`backend`] — the pluggable-backend traits ([`MatrixOps`], [`VectorOps`],
-//!   [`LinalgBackend`]) that let engines monomorphize over the storage
-//!   strategy, with the heap-backed types as the default [`DynBackend`].
-//! * [`static_backend`] — stack-allocated const-generic [`StaticMatrix`] /
-//!   [`StaticVector`] with compile-time shape checks: the allocation-free
-//!   fast path ([`StaticBackend`]) for the small fixed dimensions of the
-//!   case-study plants.
+//! * [`backend`] — the traits ([`MatrixOps`], [`VectorOps`],
+//!   [`LinalgBackend`]) carrying the kernels the dwell search engine runs,
+//!   with the heap-backed types as the default [`DynBackend`].
+//! * [`static_backend`] — stack-allocated const-generic square
+//!   [`StaticMatrix`] / [`StaticVector`]: the allocation-free fast path
+//!   ([`StaticBackend`]) for the small fixed dimensions of the case-study
+//!   plants.
 //!
 //! The plants in the reproduced paper are at most third order, so these
 //! routines favour clarity and numerical robustness over asymptotic
@@ -97,7 +97,7 @@ mod tests {
         assert_send_sync::<Vector>();
         assert_send_sync::<LinalgError>();
         assert_send_sync::<Eigenvalues>();
-        assert_send_sync::<StaticMatrix<3, 3>>();
+        assert_send_sync::<StaticMatrix<3>>();
         assert_send_sync::<StaticVector<3>>();
         assert_send_sync::<DynBackend>();
         assert_send_sync::<StaticBackend<3>>();

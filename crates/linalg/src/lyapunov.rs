@@ -9,7 +9,6 @@
 //! * [`cholesky`] / [`is_positive_definite`] / [`is_negative_definite`] —
 //!   definiteness tests used to validate candidate Lyapunov certificates.
 
-use crate::backend::MatrixOps;
 use crate::{decomp::LuDecomposition, LinalgError, Matrix, Vector};
 
 /// Stacks the columns of a matrix into a single vector (the `vec(·)`
@@ -179,31 +178,6 @@ pub fn quadratic_form(p: &Matrix, x: &Vector) -> Result<f64, LinalgError> {
         acc += xi * pxi;
     }
     Ok(acc)
-}
-
-/// Backend-generic form of [`solve_discrete_lyapunov`].
-///
-/// A cold-path entry point: the solve runs once per application at
-/// construction time, so it round-trips through the dynamic representation
-/// ([`MatrixOps::to_dyn`] / [`MatrixOps::from_dyn`]) rather than duplicating
-/// the Kronecker solver per backend.
-///
-/// # Errors
-///
-/// As for [`solve_discrete_lyapunov`].
-pub fn solve_discrete_lyapunov_in<M: MatrixOps>(a: &M, q: &M) -> Result<M, LinalgError> {
-    let p = solve_discrete_lyapunov(&a.to_dyn(), &q.to_dyn())?;
-    M::from_dyn(&p)
-}
-
-/// Backend-generic form of [`is_positive_definite`] (cold path, via
-/// [`MatrixOps::to_dyn`]).
-///
-/// # Errors
-///
-/// As for [`is_positive_definite`].
-pub fn is_positive_definite_in<M: MatrixOps>(m: &M) -> Result<bool, LinalgError> {
-    is_positive_definite(&m.to_dyn())
 }
 
 #[cfg(test)]

@@ -55,13 +55,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix filled with a single value.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        let mut m = Matrix::zeros(rows, cols);
-        m.data.iter_mut().for_each(|x| *x = value);
-        m
-    }
-
     /// Creates a square diagonal matrix from the supplied diagonal entries.
     ///
     /// # Panics
@@ -174,23 +167,6 @@ impl Matrix {
             Some(self.data[row * self.cols + col])
         } else {
             None
-        }
-    }
-
-    /// Sets the element at `(row, col)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::IndexOutOfBounds`] when the index is invalid.
-    pub fn set(&mut self, row: usize, col: usize, value: f64) -> Result<(), LinalgError> {
-        if row < self.rows && col < self.cols {
-            self.data[row * self.cols + col] = value;
-            Ok(())
-        } else {
-            Err(LinalgError::IndexOutOfBounds {
-                index: (row, col),
-                dims: (self.rows, self.cols),
-            })
         }
     }
 
@@ -363,30 +339,6 @@ impl Matrix {
         }
     }
 
-    /// Raises a square matrix to a non-negative integer power by repeated
-    /// squaring.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] for rectangular matrices.
-    pub fn pow(&self, mut exponent: u32) -> Result<Matrix, LinalgError> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare { dims: self.dims() });
-        }
-        let mut result = Matrix::identity(self.rows);
-        let mut base = self.clone();
-        while exponent > 0 {
-            if exponent & 1 == 1 {
-                result = result.mul(&base)?;
-            }
-            exponent >>= 1;
-            if exponent > 0 {
-                base = base.mul(&base)?;
-            }
-        }
-        Ok(result)
-    }
-
     /// Horizontal concatenation `[self | other]`.
     ///
     /// # Errors
@@ -433,42 +385,6 @@ impl Matrix {
             cols: self.cols,
             data,
         })
-    }
-
-    /// Extracts the sub-matrix with rows `r0..r1` and columns `c0..c1`
-    /// (half-open ranges).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidShape`] when the range is empty or out of
-    /// bounds.
-    pub fn submatrix(
-        &self,
-        r0: usize,
-        r1: usize,
-        c0: usize,
-        c1: usize,
-    ) -> Result<Matrix, LinalgError> {
-        if r0 >= r1 || c0 >= c1 || r1 > self.rows || c1 > self.cols {
-            return Err(LinalgError::InvalidShape {
-                reason: format!(
-                    "submatrix rows {r0}..{r1} cols {c0}..{c1} invalid for {}x{}",
-                    self.rows, self.cols
-                ),
-            });
-        }
-        let mut out = Matrix::zeros(r1 - r0, c1 - c0);
-        for i in r0..r1 {
-            for j in c0..c1 {
-                out[(i - r0, j - c0)] = self[(i, j)];
-            }
-        }
-        Ok(out)
-    }
-
-    /// Frobenius norm (square root of the sum of squared entries).
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute entry of the matrix.
@@ -651,7 +567,7 @@ mod tests {
     #[test]
     fn add_sub_roundtrip() {
         let a = sample();
-        let b = Matrix::filled(2, 2, 1.0);
+        let b = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap();
         let sum = a.add(&b).unwrap();
         assert_eq!(sum[(0, 0)], 2.0);
         let back = sum.sub(&b).unwrap();
@@ -713,15 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn pow_matches_repeated_multiplication() {
-        let a = sample();
-        let a3 = a.pow(3).unwrap();
-        let manual = a.mul(&a).unwrap().mul(&a).unwrap();
-        assert!(a3.approx_eq(&manual, 1e-9));
-        assert!(a.pow(0).unwrap().approx_eq(&Matrix::identity(2), 1e-12));
-    }
-
-    #[test]
     fn hstack_vstack_shapes() {
         let a = sample();
         let b = Matrix::identity(2);
@@ -729,16 +636,6 @@ mod tests {
         assert_eq!(a.vstack(&b).unwrap().dims(), (4, 2));
         let wide = Matrix::zeros(3, 2);
         assert!(a.hstack(&wide).is_err());
-    }
-
-    #[test]
-    fn submatrix_extracts_block() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]).unwrap();
-        let block = a.submatrix(1, 3, 0, 2).unwrap();
-        let expected = Matrix::from_rows(&[&[4.0, 5.0], &[7.0, 8.0]]).unwrap();
-        assert!(block.approx_eq(&expected, 1e-12));
-        assert!(a.submatrix(2, 2, 0, 1).is_err());
-        assert!(a.submatrix(0, 4, 0, 1).is_err());
     }
 
     #[test]
@@ -766,9 +663,8 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_trace() {
+    fn max_abs_and_trace() {
         let a = sample();
-        assert!((a.frobenius_norm() - 30.0_f64.sqrt()).abs() < 1e-12);
         assert_eq!(a.max_abs(), 4.0);
         assert_eq!(a.trace().unwrap(), 5.0);
         assert!(Matrix::zeros(2, 3).trace().is_err());
@@ -777,10 +673,9 @@ mod tests {
     #[test]
     fn set_and_get_bounds() {
         let mut a = Matrix::zeros(2, 2);
-        a.set(0, 1, 5.0).unwrap();
+        a[(0, 1)] = 5.0;
         assert_eq!(a.get(0, 1), Some(5.0));
         assert_eq!(a.get(2, 0), None);
-        assert!(a.set(2, 0, 1.0).is_err());
     }
 
     #[test]

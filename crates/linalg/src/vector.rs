@@ -5,7 +5,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 ///
 /// Plant states, control inputs and output trajectories are represented as
 /// [`Vector`]s. The type intentionally stays small: element access, the usual
-/// element-wise arithmetic, dot products and norms.
+/// element-wise arithmetic and dot products.
 ///
 /// # Example
 ///
@@ -14,7 +14,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 ///
 /// let x = Vector::from_slice(&[1.0, 0.0, 0.0]);
 /// assert_eq!(x.len(), 3);
-/// assert_eq!(x.norm_inf(), 1.0);
+/// assert_eq!(x.dot(&x), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Vector {
@@ -71,11 +71,6 @@ impl Vector {
         &mut self.data
     }
 
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns the element at `index` or `None` when out of bounds.
     pub fn get(&self, index: usize) -> Option<f64> {
         self.data.get(index).copied()
@@ -100,43 +95,10 @@ impl Vector {
             .sum()
     }
 
-    /// Euclidean (2-) norm.
-    pub fn norm(&self) -> f64 {
-        self.dot(self).sqrt()
-    }
-
-    /// Infinity norm (largest absolute element), `0.0` for the empty vector.
-    pub fn norm_inf(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()))
-    }
-
     /// Element-wise scaling by a constant.
     pub fn scale(&self, factor: f64) -> Vector {
         Vector {
             data: self.data.iter().map(|x| x * factor).collect(),
-        }
-    }
-
-    /// Copies the elements of `other` into `self` without reallocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn copy_from(&mut self, other: &Vector) {
-        assert_eq!(self.len(), other.len(), "copy_from length mismatch");
-        self.data.copy_from_slice(&other.data);
-    }
-
-    /// In-place scaled accumulation `self += alpha · x` (BLAS `axpy`), with
-    /// no heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn axpy(&mut self, alpha: f64, x: &Vector) {
-        assert_eq!(self.len(), x.len(), "axpy length mismatch");
-        for (a, b) in self.data.iter_mut().zip(x.data.iter()) {
-            *a += alpha * b;
         }
     }
 
@@ -279,13 +241,10 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_norms() {
+    fn dot_product() {
         let a = Vector::from_slice(&[3.0, 4.0]);
         let b = Vector::from_slice(&[1.0, 2.0]);
         assert_eq!(a.dot(&b), 11.0);
-        assert_eq!(a.norm(), 5.0);
-        assert_eq!(a.norm_inf(), 4.0);
-        assert_eq!(Vector::zeros(0).norm_inf(), 0.0);
     }
 
     #[test]
@@ -299,32 +258,12 @@ mod tests {
     }
 
     #[test]
-    fn in_place_kernels_match_allocating_ops() {
-        let mut a = Vector::from_slice(&[1.0, 2.0, 3.0]);
-        let b = Vector::from_slice(&[0.5, -1.0, 2.0]);
-        let reference = &a + &b.scale(2.0);
-        a.axpy(2.0, &b);
-        assert_eq!(a, reference);
-        let mut c = Vector::zeros(3);
-        c.copy_from(&a);
-        assert_eq!(c, a);
+    fn mutable_slice_writes_through() {
+        let a = Vector::from_slice(&[1.0, 2.0, 3.0]);
+        let mut c = a.clone();
         c.as_mut_slice()[1] = 0.0;
         assert_eq!(c.get(1), Some(0.0));
         assert_eq!(c.get(0), a.get(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "axpy length mismatch")]
-    fn axpy_rejects_length_mismatch() {
-        let mut a = Vector::zeros(2);
-        a.axpy(1.0, &Vector::zeros(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "copy_from length mismatch")]
-    fn copy_from_rejects_length_mismatch() {
-        let mut a = Vector::zeros(2);
-        a.copy_from(&Vector::zeros(3));
     }
 
     #[test]

@@ -1,34 +1,27 @@
 //! Backend conformance suite: one generic battery of checks instantiated
 //! against every [`LinalgBackend`] implementation in the crate.
 //!
-//! The contract under test is the one the engine crates rely on:
+//! The contract under test is the one the dwell engine relies on:
 //!
-//! 1. **Shape discipline** — constructors reject shapes the backend cannot
-//!    hold, `from_dyn`/`to_dyn` round-trip exactly.
-//! 2. **Bitwise kernel equivalence** — every kernel (`gemv`, `quad_form`,
-//!    `dot`, `axpy`, `matmul`, `powi`, ...) produces bit-for-bit the same
-//!    floats as the heap-backed [`DynBackend`] on the same inputs, because
-//!    all backends fix the same accumulation order. This is what lets
-//!    `cps-core` dispatch between backends without perturbing a single
-//!    settling time.
-//! 3. **Cold-path interop** — the `_in` entry points of `decomp`, `eigen`
-//!    and `lyapunov` accept any backend matrix and agree with the dyn
-//!    implementations they wrap.
+//! 1. **Shape discipline** — `from_dyn` is where a shape enters a backend:
+//!    it rejects shapes the backend cannot hold and copies the rest exactly.
+//! 2. **Bitwise kernel equivalence** — every kernel the engine runs (`gemv`,
+//!    `quad_form`, `dot`, `assign`) produces bit-for-bit the same floats as
+//!    the heap-backed [`DynBackend`] on the same inputs, because all backends
+//!    fix the same accumulation order. This is what lets `cps-core` dispatch
+//!    between backends without perturbing a single settling time.
 //!
 //! A deterministic pseudo-random property pass (`proptest`) pins the
 //! dyn-vs-static equivalence over many sampled matrices, not just the
 //! hand-written fixtures.
 
 use cps_linalg::{
-    decomp, eigen, lyapunov, DynBackend, LinalgBackend, Matrix, MatrixOps, StaticBackend,
-    StaticMatrix, StaticVector, Vector, VectorOps,
+    DynBackend, LinalgBackend, Matrix, MatrixOps, StaticBackend, StaticMatrix, StaticVector,
+    Vector, VectorOps,
 };
 use proptest::{collection, prop_assert_eq, proptest};
 
-/// Deterministic, well-scattered test matrix. The scatter term is scaled by
-/// `1/(2*dim)` and the diagonal sits at `0.6`, so by Gershgorin the matrix is
-/// strictly diagonally dominant (never singular) and Schur stable (Lyapunov
-/// solves succeed) at every menu dimension.
+/// Deterministic, well-scattered, diagonally dominant test matrix.
 fn dyn_matrix(dim: usize) -> Matrix {
     let rows: Vec<Vec<f64>> = (0..dim)
         .map(|i| {
@@ -52,151 +45,75 @@ fn dyn_vector(dim: usize) -> Vector {
     )
 }
 
-fn assert_bits_mat(label: &str, got: &Matrix, want: &Matrix) {
-    assert_eq!(got.dims(), want.dims(), "{label}: shape");
-    for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
-        assert_eq!(a.to_bits(), b.to_bits(), "{label}: entry bit-diverges");
-    }
-}
-
-fn assert_bits_vec(label: &str, got: &Vector, want: &Vector) {
+fn assert_bits(label: &str, got: &[f64], want: &[f64]) {
     assert_eq!(got.len(), want.len(), "{label}: length");
-    for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+    for (a, b) in got.iter().zip(want) {
         assert_eq!(a.to_bits(), b.to_bits(), "{label}: entry bit-diverges");
     }
 }
 
-/// The full conformance battery for a backend whose (square) dimension is
-/// `dim`. Every result is compared bitwise against the [`DynBackend`]
-/// reference on identical inputs.
+/// The conformance battery for a backend whose (square) dimension is `dim`.
+/// Every result is compared bitwise against the heap-backed reference on
+/// identical inputs.
 fn conforms<B: LinalgBackend>(dim: usize) {
     let name = B::name();
     let ad = dyn_matrix(dim);
-    let bd = dyn_matrix(dim).transpose();
     let xd = dyn_vector(dim);
 
     // Shape discipline.
-    if let Some(n) = B::STATIC_DIM {
-        assert_eq!(n, dim, "{name}: static dim advertised");
-        assert!(B::Matrix::zeros_shape(dim + 1, dim + 1).is_err());
-        assert!(B::Matrix::zeros_shape(dim, dim + 1).is_err());
-        assert!(B::Vector::zeros_len(dim + 1).is_err());
-        assert!(B::Matrix::from_dyn(&Matrix::zeros(dim + 1, dim + 1)).is_err());
-        assert!(B::Vector::from_dyn(&Vector::zeros(dim + 1)).is_err());
-    }
-    assert!(B::Matrix::zeros_shape(0, 0).is_err(), "{name}: empty shape");
-    assert!(B::Vector::zeros_len(0).is_err(), "{name}: empty vector");
-
+    assert!(B::Matrix::from_dyn(&Matrix::zeros(dim, dim + 1)).is_err());
+    assert!(B::Vector::from_dyn(&Vector::zeros(0)).is_err());
     let a = B::Matrix::from_dyn(&ad).unwrap();
-    let b = B::Matrix::from_dyn(&bd).unwrap();
     let x = B::Vector::from_dyn(&xd).unwrap();
-    assert_eq!(a.nrows(), dim, "{name}: nrows");
-    assert_eq!(a.ncols(), dim, "{name}: ncols");
-    assert!(a.is_square_shape(), "{name}: square");
-    assert_eq!(x.dim(), dim, "{name}: vector dim");
-    assert_bits_mat(name, &a.to_dyn(), &ad);
-    assert_bits_vec(name, &x.to_dyn(), &xd);
-    for i in 0..dim {
-        assert_eq!(
-            a.row_slice(i),
-            ad.as_slice().chunks_exact(dim).nth(i).unwrap()
-        );
-        for j in 0..dim {
-            assert_eq!(a.at(i, j).to_bits(), ad[(i, j)].to_bits(), "{name}: at");
-        }
+    assert_eq!(a.dim(), dim, "{name}: dim");
+    assert_bits(name, x.elements(), xd.as_slice());
+    for (i, want) in ad.as_slice().chunks_exact(dim).enumerate() {
+        assert_bits(name, a.row_slice(i), want);
     }
 
-    // Element mutation.
-    let mut edited = a.clone();
-    edited.set_at(0, dim - 1, 0.125);
-    assert_eq!(edited.at(0, dim - 1), 0.125, "{name}: set_at");
-    let mut vedited = x.clone();
-    vedited.elements_mut()[0] = 0.25;
-    assert_eq!(vedited.elements()[0], 0.25, "{name}: elements_mut");
-
-    // The dyn reference results.
-    let ra = DynBackend::name();
-    let da = <Matrix as MatrixOps>::from_dyn(&ad).unwrap();
-    let db = <Matrix as MatrixOps>::from_dyn(&bd).unwrap();
-    let dx = <Vector as VectorOps>::from_dyn(&xd).unwrap();
-    assert_eq!(ra, "dyn");
-
-    // gemv.
-    let mut out = B::Vector::zeros_len(dim).unwrap();
+    // gemv against the inherent heap kernel.
+    let mut out = x.clone();
     a.gemv(&x, &mut out);
-    let mut dout = Vector::zeros(dim);
-    da.gemv(&dx, &mut dout);
-    assert_bits_vec(name, &out.to_dyn(), &dout);
+    let dout = ad.mul_vector(&xd).unwrap();
+    assert_bits(name, out.elements(), dout.as_slice());
 
-    // Scalar kernels.
-    assert_eq!(a.quad_form(&x).to_bits(), da.quad_form(&dx).to_bits());
-    assert_eq!(x.dot(&out).to_bits(), dx.dot(&dout).to_bits());
-    assert_eq!(x.norm_inf().to_bits(), dx.norm_inf().to_bits());
-    assert_eq!(a.frobenius().to_bits(), da.frobenius().to_bits());
-
-    // Vector updates.
-    let mut y = out.clone();
-    y.axpy(-0.75, &x);
-    let mut dy = dout.clone();
-    dy.axpy(-0.75, &dx);
-    assert_bits_vec(name, &y.to_dyn(), &dy);
-    y.scale_in_place(1.5);
-    dy.scale_in_place(1.5);
-    assert_bits_vec(name, &y.to_dyn(), &dy);
-    y.assign(&x);
-    dy.assign(&dx);
-    assert_bits_vec(name, &y.to_dyn(), &dy);
-
-    // Matrix algebra.
-    assert_bits_mat(name, &a.add_mat(&b).to_dyn(), &da.add_mat(&db).to_dyn());
-    assert_bits_mat(name, &a.sub_mat(&b).to_dyn(), &da.sub_mat(&db).to_dyn());
-    assert_bits_mat(
-        name,
-        &a.scale_mat(-2.5).to_dyn(),
-        &da.scale_mat(-2.5).to_dyn(),
+    // Scalar kernels, including the zero-component skip of `quad_form` and
+    // a dot whose every product is `-0.0`.
+    let dq = <Matrix as MatrixOps>::quad_form(&ad, &xd);
+    assert_eq!(a.quad_form(&x).to_bits(), dq.to_bits(), "{name}: quad_form");
+    let mut sparse = x.clone();
+    sparse.elements_mut()[0] = 0.0;
+    let mut dsparse = xd.clone();
+    dsparse[0] = 0.0;
+    assert_eq!(
+        a.quad_form(&sparse).to_bits(),
+        <Matrix as MatrixOps>::quad_form(&ad, &dsparse).to_bits(),
+        "{name}: sparse quad_form"
     );
-    assert_bits_mat(name, &a.matmul(&b).to_dyn(), &da.matmul(&db).to_dyn());
-    assert_bits_mat(name, &a.transposed().to_dyn(), &da.transposed().to_dyn());
-    assert_bits_mat(name, &a.powi(6).to_dyn(), &da.powi(6).to_dyn());
-    assert_bits_mat(
-        name,
-        &B::Matrix::identity_of(dim).unwrap().to_dyn(),
-        &Matrix::identity(dim),
+    assert_eq!(
+        x.dot(&out).to_bits(),
+        VectorOps::dot(&xd, &dout).to_bits(),
+        "{name}: dot"
+    );
+    let (mut ones, mut neg_zeros) = (x.clone(), x.clone());
+    ones.elements_mut().fill(1.0);
+    neg_zeros.elements_mut().fill(-0.0);
+    assert_eq!(
+        ones.dot(&neg_zeros).to_bits(),
+        0.0_f64.to_bits(),
+        "{name}: -0.0"
     );
 
-    // Cold-path decomposition / eigen / Lyapunov interop.
-    let lu = decomp::lu_in(&a).unwrap();
-    let lu_dyn = decomp::lu_in(&da).unwrap();
-    assert_eq!(
-        decomp::determinant_in(&a).unwrap().to_bits(),
-        decomp::determinant_in(&da).unwrap().to_bits()
-    );
-    assert_eq!(lu.determinant().to_bits(), lu_dyn.determinant().to_bits());
-    if let Ok(inv) = decomp::inverse_in(&a) {
-        assert_bits_mat(
-            name,
-            &inv.to_dyn(),
-            &decomp::inverse_in(&da).unwrap().to_dyn(),
-        );
-    }
-    assert_eq!(
-        eigen::spectral_radius_in(&a).unwrap().to_bits(),
-        eigen::spectral_radius_in(&da).unwrap().to_bits()
-    );
-    let eigs = eigen::eigenvalues_in(&a).unwrap();
-    assert_eq!(
-        eigs.is_schur_stable(),
-        eigen::eigenvalues_in(&da).unwrap().is_schur_stable()
-    );
-    let q = B::Matrix::identity_of(dim).unwrap();
-    let dq = Matrix::identity(dim);
-    let p = lyapunov::solve_discrete_lyapunov_in(&a, &q).unwrap();
-    let dp = lyapunov::solve_discrete_lyapunov(&ad, &dq).unwrap();
-    assert_bits_mat(name, &p.to_dyn(), &dp);
-    assert_eq!(
-        lyapunov::is_positive_definite_in(&p).unwrap(),
-        lyapunov::is_positive_definite(&dp).unwrap()
-    );
+    // assign.
+    out.assign(&x);
+    assert_bits(name, out.elements(), xd.as_slice());
+}
+
+/// A static backend holds exactly its compile-time dimension.
+fn rejects_other_dimensions<B: LinalgBackend>(dim: usize) {
+    assert!(B::Matrix::from_dyn(&Matrix::identity(dim + 1)).is_err());
+    assert!(B::Matrix::from_dyn(&Matrix::identity(dim - 1)).is_err());
+    assert!(B::Vector::from_dyn(&Vector::zeros(dim + 1)).is_err());
 }
 
 #[test]
@@ -212,26 +129,10 @@ fn static_backends_conform_on_the_whole_menu() {
     conforms::<StaticBackend<3>>(3);
     conforms::<StaticBackend<4>>(4);
     conforms::<StaticBackend<5>>(5);
-}
-
-/// Rectangular compile-time ops are inherent (outside the square trait);
-/// check them against the dyn reference too.
-#[test]
-fn rectangular_static_ops_match_dyn() {
-    let a = Matrix::from_rows(&[&[1.0, -2.0, 0.5], &[0.25, 3.0, -1.0]]).unwrap();
-    let x = Vector::from_slice(&[0.5, -1.5, 2.0]);
-    let sa = StaticMatrix::<2, 3>::from_rows_array([[1.0, -2.0, 0.5], [0.25, 3.0, -1.0]]);
-    let sx = StaticVector::<3>::from_array([0.5, -1.5, 2.0]);
-    let got = sa.gemv_static(&sx);
-    let want = a.mul_vector(&x).unwrap();
-    for (g, w) in got.as_array().iter().zip(want.as_slice()) {
-        assert_eq!(g.to_bits(), w.to_bits());
-    }
-    let t = sa.transpose_static();
-    let dt = a.transpose();
-    for i in 0..3 {
-        assert_eq!(t.row_array(i)[..], dt.as_slice()[i * 2..(i + 1) * 2]);
-    }
+    rejects_other_dimensions::<StaticBackend<2>>(2);
+    rejects_other_dimensions::<StaticBackend<3>>(3);
+    rejects_other_dimensions::<StaticBackend<4>>(4);
+    rejects_other_dimensions::<StaticBackend<5>>(5);
 }
 
 proptest! {
@@ -244,31 +145,22 @@ proptest! {
         let rows: Vec<&[f64]> = entries.chunks_exact(3).collect();
         let ad = Matrix::from_rows(&rows).unwrap();
         let xd = Vector::from_slice(&xs);
-        let sa = StaticMatrix::<3, 3>::from_dyn(&ad).unwrap();
+        let sa = StaticMatrix::<3>::from_dyn(&ad).unwrap();
         let sx = StaticVector::<3>::from_dyn(&xd).unwrap();
 
-        // gemv against the inherent heap kernel (the pre-trait reference).
+        // gemv against the inherent heap kernel.
         let inherent = ad.mul_vector(&xd).unwrap();
-        let mut fast = StaticVector::<3>::zeros();
+        let mut fast = sx;
         sa.gemv(&sx, &mut fast);
-        for (f, w) in fast.to_dyn().as_slice().iter().zip(inherent.as_slice()) {
+        for (f, w) in fast.elements().iter().zip(inherent.as_slice()) {
             prop_assert_eq!(f.to_bits(), w.to_bits());
         }
 
-        // Quadratic form, powers, products.
-        let da = <Matrix as MatrixOps>::from_dyn(&ad).unwrap();
-        let dx = <Vector as VectorOps>::from_dyn(&xd).unwrap();
-        prop_assert_eq!(sa.quad_form(&sx).to_bits(), da.quad_form(&dx).to_bits());
-        prop_assert_eq!(sx.dot(&sx).to_bits(), dx.dot(&dx).to_bits());
-        let sp = sa.powi(5).to_dyn();
-        let dp = da.powi(5).to_dyn();
-        for (s, d) in sp.as_slice().iter().zip(dp.as_slice()) {
-            prop_assert_eq!(s.to_bits(), d.to_bits());
-        }
-        let sm = sa.matmul(&sa.transposed()).to_dyn();
-        let dm = da.matmul(&da.transposed()).to_dyn();
-        for (s, d) in sm.as_slice().iter().zip(dm.as_slice()) {
-            prop_assert_eq!(s.to_bits(), d.to_bits());
-        }
+        // Quadratic form and dot product.
+        prop_assert_eq!(
+            sa.quad_form(&sx).to_bits(),
+            MatrixOps::quad_form(&ad, &xd).to_bits()
+        );
+        prop_assert_eq!(sx.dot(&fast).to_bits(), VectorOps::dot(&xd, &inherent).to_bits());
     }
 }

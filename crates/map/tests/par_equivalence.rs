@@ -33,9 +33,6 @@ proptest! {
         let reference = serial.minimize_slots(&fleet).unwrap();
         for threads in [2, 4, 8] {
             let pool = cps_par::Pool::with_threads(threads);
-            if !pool.is_parallel_for(2) {
-                continue; // feature "parallel" disabled
-            }
             let mut engine = MapExplorerEngine::new().with_pool(pool);
             let report = engine.minimize_slots(&fleet).unwrap();
             prop_assert_eq!(report.slots(), reference.slots(), "threads={}", threads);

@@ -25,9 +25,7 @@
 //! caller's data work without `Arc` and a panicking worker propagates
 //! instead of deadlocking. At `threads() == 1` every combinator degrades to
 //! a plain serial loop over the same closure — the serial path *is* the
-//! parallel path with one shard, so the `parallel` cargo feature no longer
-//! needs `cfg` forks at call sites: disabling it merely clamps every pool
-//! to one thread.
+//! parallel path with one shard, so no call site keeps a serial fork.
 //!
 //! Thread-count selection, in priority order:
 //!
@@ -59,23 +57,25 @@ impl Pool {
         Pool { threads: 1 }
     }
 
-    /// An explicit thread count, clamped to `1..=`[`MAX_THREADS`]. With the
-    /// `parallel` feature disabled the count clamps to 1 regardless.
+    /// An explicit thread count, clamped to `1..=`[`MAX_THREADS`].
     pub fn with_threads(threads: usize) -> Self {
         Pool {
-            threads: clamp_threads(threads),
+            threads: threads.clamp(1, MAX_THREADS),
         }
     }
 
     /// Reads `CPS_THREADS`, falling back to the machine parallelism when the
-    /// variable is unset or unparsable. With the `parallel` feature disabled
-    /// this is always the serial pool.
+    /// variable is unset or unparsable.
     pub fn from_env() -> Self {
         let threads = std::env::var(THREADS_ENV)
             .ok()
             .and_then(|raw| raw.trim().parse::<usize>().ok())
             .filter(|&n| n >= 1)
-            .unwrap_or_else(default_threads);
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            });
         Pool::with_threads(threads)
     }
 
@@ -194,24 +194,6 @@ impl Default for Pool {
     }
 }
 
-fn clamp_threads(threads: usize) -> usize {
-    if cfg!(feature = "parallel") {
-        threads.clamp(1, MAX_THREADS)
-    } else {
-        1
-    }
-}
-
-fn default_threads() -> usize {
-    if cfg!(feature = "parallel") {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        1
-    }
-}
-
 fn join_worker<R>(handle: std::thread::ScopedJoinHandle<'_, R>) -> R {
     match handle.join() {
         Ok(value) => value,
@@ -242,13 +224,8 @@ mod tests {
     #[test]
     fn with_threads_clamps() {
         assert_eq!(Pool::with_threads(0).threads(), 1);
-        let wide = Pool::with_threads(4);
-        if cfg!(feature = "parallel") {
-            assert_eq!(wide.threads(), 4);
-            assert_eq!(Pool::with_threads(100_000).threads(), MAX_THREADS);
-        } else {
-            assert_eq!(wide.threads(), 1);
-        }
+        assert_eq!(Pool::with_threads(4).threads(), 4);
+        assert_eq!(Pool::with_threads(100_000).threads(), MAX_THREADS);
     }
 
     #[test]
@@ -301,12 +278,7 @@ mod tests {
         // Serialized via the env var name being unique to this test binary
         // run; tests in this module run on one process.
         std::env::set_var(THREADS_ENV, "3");
-        let pool = Pool::from_env();
-        if cfg!(feature = "parallel") {
-            assert_eq!(pool.threads(), 3);
-        } else {
-            assert_eq!(pool.threads(), 1);
-        }
+        assert_eq!(Pool::from_env().threads(), 3);
         std::env::set_var(THREADS_ENV, "not-a-number");
         assert!(Pool::from_env().threads() >= 1);
         std::env::remove_var(THREADS_ENV);
@@ -322,10 +294,6 @@ mod tests {
                 i
             })
         });
-        if cfg!(feature = "parallel") {
-            assert!(result.is_err());
-        } else {
-            assert!(result.is_err()); // serial loop panics directly
-        }
+        assert!(result.is_err());
     }
 }

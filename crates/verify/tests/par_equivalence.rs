@@ -73,10 +73,6 @@ proptest! {
             let reference = serial.verify(&model, &config);
             for threads in [2, 4, 8] {
                 let pool = cps_par::Pool::with_threads(threads);
-                if !pool.is_parallel_for(2) {
-                    // Feature "parallel" disabled: every pool is serial.
-                    continue;
-                }
                 let mut engine = SlotVerifyEngine::with_pool(pool);
                 let outcome = engine.verify(&model, &config);
                 match (&reference, &outcome) {

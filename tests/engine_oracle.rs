@@ -3,10 +3,10 @@
 //! every settling cell — on the paper's case study and on randomized plants.
 
 use cps_apps::case_study;
-use cps_control::{StateFeedback, StateSpace};
+use cps_control::{Settling, StateFeedback, StateSpace};
 use cps_core::dwell::{self, reference, DwellSearchOptions};
 use cps_core::engine::DwellEngine;
-use cps_core::{Mode, SwitchedApplication};
+use cps_core::{BackendChoice, CoreError, Mode, SwitchedApplication};
 use cps_linalg::{eigen, Matrix, Vector};
 
 #[test]
@@ -26,7 +26,62 @@ fn case_study_dwell_tables_match_reference_exactly() {
             "{}: dwell table diverges from oracle",
             a.name()
         );
+        // Both linalg backends, pinned: the dyn and static kernels must give
+        // the oracle's table bit for bit on every paper plant.
+        for backend in [BackendChoice::ForceDyn, BackendChoice::ForceStatic] {
+            let forced =
+                dwell::compute_dwell_table_with_backend(a, app.jstar(), options, 1, backend)
+                    .unwrap();
+            assert_eq!(
+                forced,
+                naive,
+                "{}: {backend:?} dwell table diverges from oracle",
+                a.name()
+            );
+        }
     }
+}
+
+#[test]
+fn a_loop_that_diverges_to_nan_never_counts_as_settled() {
+    assert_eq!(Settling::new(0.02).settling_samples(&[1.0, f64::NAN]), None);
+    // The event-triggered loop applies no feedback to an unstable plant
+    // (x ← 4x), so its output overflows to infinity and then turns NaN
+    // (0 · ∞) around sample 512. The time-triggered loop is stable.
+    let plant = StateSpace::from_slices(&[&[4.0]], &[0.1], &[1.0]).unwrap();
+    let app = SwitchedApplication::builder("diverging")
+        .plant(plant)
+        .fast_gain(StateFeedback::from_slice(&[39.0]))
+        .slow_gain(Vector::from_slice(&[0.0, 0.0]))
+        .sampling_period(0.02)
+        .settling_threshold(0.02)
+        .disturbance_state(Vector::from_slice(&[1.0]))
+        .build()
+        .unwrap();
+    let options = DwellSearchOptions::default();
+    let horizon = options.horizon;
+    let trajectory = app
+        .simulate_modes(&vec![Mode::EventTriggered; horizon])
+        .unwrap();
+    assert!(trajectory.outputs().last().unwrap().is_nan());
+    assert!(matches!(
+        app.settling_in_mode(Mode::EventTriggered, horizon),
+        Err(CoreError::DidNotSettle { .. })
+    ));
+    let engine = DwellEngine::new(&app);
+    assert_eq!(
+        engine.pure_mode_settling(Mode::EventTriggered, horizon),
+        None
+    );
+    let did_not_settle = CoreError::DidNotSettle { horizon };
+    assert_eq!(
+        dwell::compute_dwell_table(&app, 20, options).unwrap_err(),
+        did_not_settle
+    );
+    assert_eq!(
+        reference::compute_dwell_table(&app, 20, options).unwrap_err(),
+        did_not_settle
+    );
 }
 
 #[test]
