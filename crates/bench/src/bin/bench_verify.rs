@@ -13,13 +13,16 @@
 //! aborts with a non-zero exit code, which the CI bench-smoke job turns into
 //! a failure. Writes `BENCH_verify.json` at the repository root.
 //!
-//! Run with `cargo run --release -p cps-bench --bin bench_verify` (append
-//! `-- --quick` for the reduced CI smoke sizes).
+//! Run with `cargo run --release -p cps-bench --bin bench_verify`. The
+//! bench has one size, the one the CI bench-smoke job runs. The engine's
+//! pool width (`CPS_THREADS`, else the machine's parallelism) is recorded as
+//! `pool_threads`; the committed report is recorded at width 1, so its
+//! speedups are single-thread.
 
 use std::fmt::Write as _;
 
 use cps_bench::published_profiles;
-use cps_bench::report::{quick_flag, timed, write_report};
+use cps_bench::report::{timed, write_report};
 use cps_core::{AppTimingProfile, DwellTimeTable};
 use cps_verify::bounded::sufficient_instance_bound;
 use cps_verify::{
@@ -210,22 +213,17 @@ fn bench_family(name: &str, cases: &[ModelCase]) -> FamilyReport {
 }
 
 fn main() {
-    let quick = quick_flag();
     let mut reports = Vec::new();
 
     // The paper's exact (unbounded sporadic) slot mappings, hardest last:
     // verifying {C1,C5,C4,C3} is the check that took UPPAAL ~5 h unbounded
     // and unlocks the two-slot partition.
-    let exact_names: &[&[&str]] = if quick {
-        &[&["C6", "C2"], &["C1", "C5", "C4"]]
-    } else {
-        &[
-            &["C6", "C2"],
-            &["C1", "C5", "C4"],
-            &["C1", "C5", "C4", "C6"],
-            &["C1", "C5", "C4", "C3"],
-        ]
-    };
+    let exact_names: &[&[&str]] = &[
+        &["C6", "C2"],
+        &["C1", "C5", "C4"],
+        &["C1", "C5", "C4", "C6"],
+        &["C1", "C5", "C4", "C3"],
+    ];
     let exact_cases: Vec<ModelCase> = exact_names
         .iter()
         .map(|names| ModelCase {
@@ -238,21 +236,18 @@ fn main() {
 
     // The paper's acceleration: the case-study mappings under the
     // sufficient per-application disturbance-instance bound. In this
-    // discrete formulation the bounded model is *larger* than the exact one
-    // (the instance counters stop recurrent disturbances from merging into
-    // visited states — see `VerificationConfig::default`), so the family
-    // stops at the unschedulable four-application mapping: the schedulable
+    // discrete formulation the bounded model is far *larger* than the exact
+    // one: the instance counters stop recurrent disturbances from merging
+    // into visited states and leave no idle cell for dominance pruning (see
+    // `VerificationConfig::default`). The family therefore stops at the
+    // unschedulable four-application mapping: the schedulable
     // {C1,C5,C4,C3} bounded model exceeds the naive oracle's memory, while
     // the exact family above already covers it.
-    let bounded_names: &[&[&str]] = if quick {
-        &[&["C6", "C2"], &["C1", "C5", "C4"]]
-    } else {
-        &[
-            &["C6", "C2"],
-            &["C1", "C5", "C4"],
-            &["C1", "C5", "C4", "C6"],
-        ]
-    };
+    let bounded_names: &[&[&str]] = &[
+        &["C6", "C2"],
+        &["C1", "C5", "C4"],
+        &["C1", "C5", "C4", "C6"],
+    ];
     let bounded_cases: Vec<ModelCase> = bounded_names
         .iter()
         .map(|names| {
@@ -272,14 +267,11 @@ fn main() {
     // the fleet to be schedulable). The engine's symmetry reduction
     // collapses the permutation orbits, so the gap to the oracle grows with
     // the fleet size.
-    // The oracle's state count is dominated by the product of the
-    // inter-arrival phases (~ r^k), so r shrinks with the fleet size to keep
-    // the naive side inside the default pop budget.
-    let fleet_sizes: &[(usize, usize, usize)] = if quick {
-        &[(3, 3, 40), (4, 2, 25)]
-    } else {
-        &[(3, 3, 40), (4, 3, 40), (5, 2, 20)]
-    };
+    // Dominance pruning removes most of the product of the inter-arrival
+    // phases (~ r^k), but not the permutations, so the oracle's count still
+    // grows fastest with k; r shrinks with the fleet size to keep the naive
+    // side short.
+    let fleet_sizes: &[(usize, usize, usize)] = &[(3, 3, 40), (4, 3, 40), (5, 2, 20)];
     let fleet_cases: Vec<ModelCase> = fleet_sizes
         .iter()
         .map(|&(k, dwell, r)| {
@@ -295,7 +287,7 @@ fn main() {
         .collect();
     reports.push(bench_family("symmetric_fleet", &fleet_cases));
 
-    let json = render_json(quick, &reports);
+    let json = render_json(&reports);
     write_report("verify", &json);
 
     let total_oracle: f64 = reports.iter().map(|r| r.oracle_ms).sum();
@@ -311,12 +303,16 @@ fn main() {
     println!("worst speedup across families: {worst:.1}x");
 }
 
-fn render_json(quick: bool, reports: &[FamilyReport]) -> String {
+fn render_json(reports: &[FamilyReport]) -> String {
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
     let total_oracle: f64 = reports.iter().map(|r| r.oracle_ms).sum();
     let total_engine: f64 = reports.iter().map(|r| r.engine_ms).sum();
+    let _ = writeln!(
+        json,
+        "  \"pool_threads\": {},",
+        cps_par::Pool::from_env().threads()
+    );
     let _ = writeln!(
         json,
         "  \"overall_speedup\": {:.1},",

@@ -94,17 +94,19 @@ impl CachedHashIndex {
         self.len = 0;
     }
 
-    /// Interns `hash` with `new_id`: returns `Some(existing)` when an entry
+    /// Interns `hash` with `new_id`: returns the stored id when an entry
     /// with an equal cached hash satisfies `is_equal` (the id already
     /// interned for this key), or `None` after storing `new_id` as a new
     /// entry. `is_equal` receives candidate ids whose cached hash matches
-    /// `hash` and must compare the underlying keys exactly.
+    /// `hash` and must compare the underlying keys exactly. The caller may
+    /// overwrite the returned id with another id of an equal key, below
+    /// `u32::MAX`: the entry then resolves to it.
     pub fn intern(
         &mut self,
         hash: u64,
         mut is_equal: impl FnMut(u32) -> bool,
         new_id: u32,
-    ) -> Option<u32> {
+    ) -> Option<&mut u32> {
         debug_assert!(new_id != EMPTY, "id space exhausted");
         self.stats.probes += 1;
         if (self.len + 1) * 4 > self.ids.len() * 3 {
@@ -124,7 +126,7 @@ impl CachedHashIndex {
                 self.stats.deep_compares += 1;
                 if is_equal(id) {
                     self.stats.hits += 1;
-                    return Some(id);
+                    return Some(&mut self.ids[slot]);
                 }
             } else {
                 self.stats.hash_skips += 1;
@@ -266,7 +268,7 @@ mod tests {
         let hash = seq_fingerprint(words);
         let new_id = arena.len() as u32;
         match index.intern(hash, |id| arena[id as usize] == words, new_id) {
-            Some(existing) => existing,
+            Some(existing) => *existing,
             None => {
                 arena.push(words.to_vec());
                 new_id
@@ -332,11 +334,11 @@ mod tests {
         // Lookups under the colliding hash resolve to the right ids.
         assert_eq!(
             index.intern(colliding_hash, |id| arena[id as usize] == [1, 2], 2),
-            Some(0)
+            Some(&mut 0)
         );
         assert_eq!(
             index.intern(colliding_hash, |id| arena[id as usize] == [3, 4], 2),
-            Some(1)
+            Some(&mut 1)
         );
         // A distinct hash never reaches the deep compare of those entries.
         let skips_before = index.stats().hash_skips;
@@ -345,6 +347,16 @@ mod tests {
             None
         );
         assert!(index.stats().hash_skips >= skips_before);
+    }
+
+    #[test]
+    fn an_overwritten_id_is_the_one_the_entry_resolves_to() {
+        let mut index = CachedHashIndex::new();
+        let hash = seq_fingerprint(&[7]);
+        assert_eq!(index.intern(hash, |_| true, 0), None);
+        *index.intern(hash, |id| id == 0, 1).unwrap() = 5;
+        assert_eq!(index.intern(hash, |id| id == 5, 1), Some(&mut 5));
+        assert_eq!(index.len(), 1);
     }
 
     #[test]

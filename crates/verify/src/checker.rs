@@ -14,6 +14,24 @@
 //!   `D = T_w^* − T_w` (the paper's EDF-like policy);
 //! * an application that is still waiting after `T_w^*` samples can no longer
 //!   meet its settling requirement — the error the verification must exclude.
+//!
+//! # Dominance pruning
+//!
+//! An application that is `Steady` or in `Cooldown { since }` is *idle*: the
+//! scheduler never reads its cell, which only decides when the next
+//! disturbance may arrive. Idle cells are ranked by `since`, with `Steady`
+//! above every cooldown. A state *dominates* another when their busy
+//! (`Waiting`/`Using`) cells are equal and each idle rank is at least the
+//! other's: it can copy every disturbance choice of the dominated state,
+//! step for step, and so reaches every deadline miss the dominated state
+//! reaches, no later. The search therefore skips every successor an
+//! already-visited state dominates (the zone-inclusion subsumption of
+//! timed-automata model checkers, restricted to the one clock that never
+//! meets the scheduler). Equality is the degenerate case, so the rule
+//! replaces plain duplicate detection, and the verdict and the sample of the
+//! first miss are those of the unpruned search. Bounded mode has no idle
+//! cells — the instance counters still differ — and keeps exact duplicate
+//! detection.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -34,8 +52,9 @@ pub struct VerificationConfig {
 impl Default for VerificationConfig {
     fn default() -> Self {
         // The exact sporadic model: in this discrete formulation the full
-        // model is usually *cheaper* than the instance-bounded one because
-        // recurrent disturbances merge into already-visited states.
+        // model is far *cheaper* than the instance-bounded one, because
+        // recurrent disturbances merge into already-visited states and
+        // dominance pruning applies only without instance counters.
         VerificationConfig {
             max_disturbances_per_app: None,
             state_budget: 10_000_000,
@@ -175,6 +194,26 @@ impl Explorer {
             cells: vec![Cell::Steady; self.params.len()],
             instances_used: vec![0; self.params.len()],
         }
+    }
+
+    /// Splits a state into its busy projection — every idle cell blanked to
+    /// `Steady` — and the ranks of its idle cells in application order
+    /// (`Steady` ranks above every `Cooldown { since }`). Bounded mode has no
+    /// idle cells, so the projection is the state itself.
+    fn split(&self, state: &SystemState) -> (SystemState, Vec<u32>) {
+        let mut busy = state.clone();
+        let mut ranks = Vec::new();
+        if self.bound.is_none() {
+            for cell in &mut busy.cells {
+                match *cell {
+                    Cell::Steady => ranks.push(u32::MAX),
+                    Cell::Cooldown { since } => ranks.push(since),
+                    _ => continue,
+                }
+                *cell = Cell::Steady;
+            }
+        }
+        (busy, ranks)
     }
 
     /// Applications that may receive a disturbance in the current state.
@@ -336,6 +375,10 @@ fn subsets(items: &[usize]) -> Vec<Vec<usize>> {
 /// Verifies that every application mapped to the slot meets its deadline in
 /// every admissible disturbance scenario.
 ///
+/// The breadth-first search skips every successor that an already-visited
+/// state equals or dominates (see the module docs), so `states_explored`
+/// counts the states of the pruned search.
+///
 /// `state_budget` bounds the number of states *popped and expanded* (not
 /// merely discovered), matching the accounting of
 /// [`VerificationOutcome::states_explored`] and of the interned-state
@@ -351,6 +394,34 @@ pub fn verify(
     model: &SlotSharingModel,
     config: &VerificationConfig,
 ) -> Result<VerificationOutcome, VerifyError> {
+    // Busy projection → the idle-rank vectors of its visited states that no
+    // other visited state dominates (an antichain).
+    let mut visited: HashMap<SystemState, Vec<Vec<u32>>> = HashMap::new();
+    explore(model, config, |explorer, state| {
+        let (busy, ranks) = explorer.split(state);
+        let kept = visited.entry(busy).or_default();
+        if kept.iter().any(|other| dominates(other, &ranks)) {
+            return false;
+        }
+        kept.retain(|other| !dominates(&ranks, other));
+        kept.push(ranks);
+        true
+    })
+}
+
+/// `true` when every idle rank of `a` is at least the matching rank of `b`.
+fn dominates(a: &[u32], b: &[u32]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x >= y)
+}
+
+/// The breadth-first search shared by [`verify`] and the unpruned search of
+/// the tests: `visit` records a reached state and returns `true` when it
+/// must be queued, `false` when the search skips it.
+fn explore(
+    model: &SlotSharingModel,
+    config: &VerificationConfig,
+    mut visit: impl FnMut(&Explorer, &SystemState) -> bool,
+) -> Result<VerificationOutcome, VerifyError> {
     if config.state_budget == 0 {
         return Err(VerifyError::InvalidConfig {
             reason: "state budget must be positive".to_string(),
@@ -363,15 +434,14 @@ pub fn verify(
     }
     let explorer = Explorer::new(model, config);
     let initial = explorer.initial_state();
+    visit(&explorer, &initial);
 
     let mut nodes: Vec<Node> = vec![Node {
-        state: initial.clone(),
+        state: initial,
         parent: None,
         disturbed: Vec::new(),
         sample: 0,
     }];
-    let mut visited: HashMap<SystemState, usize> = HashMap::new();
-    visited.insert(initial, 0);
     let mut queue: VecDeque<usize> = VecDeque::new();
     queue.push_back(0);
 
@@ -388,8 +458,7 @@ pub fn verify(
         let eligible = explorer.eligible(&nodes[index].state);
         let sample = nodes[index].sample;
         for subset in subsets(&eligible) {
-            let current = nodes[index].state.clone();
-            match explorer.step(&current, &subset) {
+            match explorer.step(&nodes[index].state, &subset) {
                 StepResult::DeadlineMiss { app } => {
                     let witness = build_witness(&nodes, index, &subset, sample, app);
                     return Ok(VerificationOutcome {
@@ -399,10 +468,9 @@ pub fn verify(
                     });
                 }
                 StepResult::Ok(next) => {
-                    if visited.contains_key(&next) {
+                    if !visit(&explorer, &next) {
                         continue;
                     }
-                    visited.insert(next.clone(), nodes.len());
                     nodes.push(Node {
                         state: next,
                         parent: Some(index),
@@ -470,7 +538,11 @@ fn build_witness(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::witness::validate_witness;
     use cps_core::{AppTimingProfile, DwellTimeTable};
+    use proptest::prelude::*;
+    use proptest::TestRng;
+    use std::collections::HashSet;
 
     /// A profile with constant dwell times and a configurable deadline.
     fn profile(
@@ -615,5 +687,71 @@ mod tests {
                 .unwrap();
         let outcome = verify(&model, &VerificationConfig::default()).unwrap();
         assert!(outcome.schedulable());
+    }
+
+    /// The same search without dominance pruning: plain duplicate detection
+    /// over the same `Explorer::step`.
+    fn verify_unpruned(
+        model: &SlotSharingModel,
+        config: &VerificationConfig,
+    ) -> Result<VerificationOutcome, VerifyError> {
+        let mut visited = HashSet::new();
+        explore(model, config, |_, state| visited.insert(state.clone()))
+    }
+
+    /// A profile with random dwell arrays: waits up to 4 samples, dwells up
+    /// to 5, inter-arrival at most 10 beyond the requirement.
+    fn random_profile(rng: &mut TestRng, tag: usize) -> AppTimingProfile {
+        let max_wait = rng.next_below(5) as usize;
+        let dwell_min: Vec<usize> = (0..=max_wait)
+            .map(|_| 1 + rng.next_below(3) as usize)
+            .collect();
+        let dwell_plus: Vec<usize> = dwell_min
+            .iter()
+            .map(|&min| min + rng.next_below(3) as usize)
+            .collect();
+        let jstar = max_wait + dwell_plus.iter().max().unwrap() + 1;
+        let r = jstar + 1 + rng.next_below(10) as usize;
+        let table = DwellTimeTable::from_arrays(jstar, dwell_min, dwell_plus).unwrap();
+        AppTimingProfile::new(format!("P{tag}"), 1, jstar + 10, jstar, r, table).unwrap()
+    }
+
+    proptest! {
+        #[test]
+        fn pruning_keeps_every_verdict_and_miss_sample(seed in 0u64..1_000_000) {
+            // 1–3 applications drawn from 1–2 profiles, so duplicates appear
+            // adjacent, interleaved and not at all.
+            let mut rng = TestRng::new(seed);
+            let distinct = 1 + rng.next_below(2) as usize;
+            let pool: Vec<AppTimingProfile> =
+                (0..distinct).map(|i| random_profile(&mut rng, i)).collect();
+            let apps = 1 + rng.next_below(3) as usize;
+            let model = SlotSharingModel::new(
+                (0..apps)
+                    .map(|_| pool[rng.next_below(distinct as u64) as usize].clone())
+                    .collect(),
+            )
+            .unwrap();
+            for config in [VerificationConfig::unbounded(), VerificationConfig::bounded(2)] {
+                let pruned = verify(&model, &config).unwrap();
+                let unpruned = verify_unpruned(&model, &config).unwrap();
+                prop_assert_eq!(pruned.schedulable(), unpruned.schedulable());
+                prop_assert_eq!(
+                    pruned.witness().map(Witness::missed_at_sample),
+                    unpruned.witness().map(Witness::missed_at_sample)
+                );
+                for witness in [pruned.witness(), unpruned.witness()].into_iter().flatten() {
+                    validate_witness(&model, witness).unwrap();
+                }
+                if pruned.schedulable() {
+                    // The pruned search pops distinct reachable states.
+                    prop_assert!(pruned.states_explored() <= unpruned.states_explored());
+                }
+                if config.max_disturbances_per_app.is_some() {
+                    // Bounded mode has no idle cells: nothing is pruned.
+                    prop_assert_eq!(&pruned, &unpruned);
+                }
+            }
+        }
     }
 }

@@ -25,13 +25,30 @@
 //!   state's 64-bit fingerprint is the XOR of one key per slot. Successors
 //!   are hashed by XOR-updating the parent's cached fingerprint over the
 //!   slots that actually changed (stepping *and* the symmetry sort below),
-//!   never by re-mixing the whole word vector.
+//!   never by re-mixing the whole word vector. In unbounded mode the
+//!   fingerprint is that of the state's *busy projection* (below): an idle
+//!   slot hashes with the `Steady` key, so a cooldown that only advances
+//!   changes no key.
 //! * **Cached-hash interning** — states are deduplicated through a
-//!   [`cps_intern::CachedHashIndex`] that stores each interned state's
-//!   fingerprint next to its dense `u32` id. Probes compare the cached hash
-//!   before any arena words, growth re-buckets from cached hashes instead of
-//!   re-hashing the arena, and exact word equality stays the final probe
-//!   test — hash collisions cost a compare, never a wrong verdict.
+//!   [`cps_intern::CachedHashIndex`] that stores each entry's fingerprint
+//!   next to its dense `u32` id. Probes compare the cached hash before any
+//!   arena words, growth re-buckets from cached hashes instead of
+//!   re-hashing the arena, and word equality stays the final probe test —
+//!   hash collisions cost a compare, never a wrong verdict.
+//! * **Dominance pruning** (unbounded mode) — a cell that is `Steady` or in
+//!   `Cooldown { since }` is *idle*: the scheduler never reads it. A state
+//!   dominates another when their busy cells are equal and each idle cell is
+//!   at least as far along (`Steady` above every cooldown, cooldowns by
+//!   `since`); it can copy every disturbance choice of the other, so the
+//!   serial merge skips every successor an interned state dominates (see
+//!   [`crate::checker`]). The index maps each *busy projection* — the state
+//!   with its idle cells blanked to `Steady` — to the first state of an
+//!   antichain of its undominated states, linked through intrusive
+//!   per-state links. Equality is the degenerate case, so the same check
+//!   replaces exact deduplication. Bounded mode has no idle cells, because
+//!   the instance counters still differ: its projection is the whole state,
+//!   every antichain holds one state, and the same path deduplicates exact
+//!   states.
 //! * **Bitmask disturbance enumeration** — the per-sample disturbance choices
 //!   are enumerated as a mixed-radix counter over groups of interchangeable
 //!   applications and recorded as a `u32` position bitmask; the oracle
@@ -46,6 +63,11 @@
 //!   interchangeable group to disturb instead of *which*. Contention-heavy
 //!   symmetric fleets — the models the paper's headline verification time is
 //!   about — collapse their permutation orbits to single representatives.
+//!   The canonical order is *busy first*: the busy codes of a run in code
+//!   order, then (unbounded mode) its idle codes by descending rank, so two
+//!   states of a run with the same busy cells line their idle cells up slot
+//!   for slot and the dominance check compares like with like. Bounded mode
+//!   sorts by code.
 //!
 //! Restricting the reduction to runs of **adjacent** identical profiles keeps
 //! it sound with respect to the scheduler's lowest-index tie-break: permuting
@@ -59,9 +81,10 @@
 //! [`crate::witness::validate_witness`] in the test suite.
 //!
 //! `states_explored` counts states popped and expanded, with the same budget
-//! semantics as the oracle; on models without adjacent identical profiles the
-//! engine explores the oracle's graph in the oracle's order and reports the
-//! identical count.
+//! semantics as the oracle. On models without adjacent identical profiles the
+//! engine runs the oracle's pruned search: it pops the same states in the
+//! same order, makes the same skip decisions, and reports the identical
+//! count. With interchangeable neighbours it explores at most as many.
 //!
 //! # Exploration loop
 //!
@@ -75,9 +98,11 @@
 //!    the half of the step no disturbance choice changes — and each choice's
 //!    successor is stepped, canonicalised and incrementally hashed into a
 //!    staging buffer the engine owns and reuses. On a pool wider than one
-//!    thread the chunk is split into contiguous state ranges, one buffer per
-//!    worker. Staging reads only states interned before the chunk, so the
-//!    workers share nothing mutable.
+//!    thread, a span of more than `CHUNK_STATES` queued states is split into
+//!    contiguous state ranges, one buffer per worker; a shorter span stages
+//!    on the calling thread, where a thread spawn would cost more than the
+//!    staging it shares. Staging reads only states interned before the
+//!    chunk, so the workers share nothing mutable.
 //! 2. **Merge.** The staged records are interned in serial order, buffer by
 //!    buffer, replaying pop accounting, the state budget, cancellation and
 //!    the first deadline miss exactly as a pop-one-state loop interleaves
@@ -108,11 +133,10 @@ const MAX_APPS: usize = 32;
 /// cap of the Zobrist key tables; larger codes are compiled on each lookup.
 const ENTRY_CAP: usize = 1024;
 /// Queued states one worker stages before the merge interns them. Bounds
-/// the staging memory; the cost per state is flat over a wide range.
+/// the staging memory; the cost per state is flat over a wide range. A
+/// worker is added only for queued states beyond a full chunk, so each
+/// worker stages more than half a chunk, enough to pay for its thread.
 const CHUNK_STATES: usize = 2048;
-/// Fewest queued states per worker before another worker spawns: small
-/// chunks stage on fewer threads (same merged stream, less spawn overhead).
-const MIN_WORKER_STATES: usize = 64;
 /// Staged records between an index prefetch and the probe it prepares.
 const PREFETCH_DISTANCE: usize = 8;
 
@@ -124,19 +148,26 @@ pub struct VerifyStats {
     /// Intern probes against the state index (one per generated successor
     /// plus one per initial state).
     pub intern_probes: usize,
-    /// Probes that resolved to an already-interned state (dedup hits).
+    /// Successors discarded because an interned state equals them or, in
+    /// unbounded mode, dominates them; `intern_probes − hash_hits` states
+    /// were interned.
     pub hash_hits: usize,
     /// Occupied buckets skipped on a cached-hash mismatch alone, without
     /// comparing arena words.
     pub hash_skips: usize,
-    /// Full word comparisons performed (cached hashes matched first).
+    /// Index key comparisons after a cached-hash match: whole states in
+    /// bounded mode, busy projections in unbounded mode. The dominance
+    /// checks against a projection's antichain are not counted.
     pub deep_compares: usize,
-    /// Index growths; each re-buckets from cached hashes.
+    /// Index growths; each re-buckets from cached hashes. The index holds
+    /// one entry per state in bounded mode and one per busy projection in
+    /// unbounded mode.
     pub rehashes: usize,
     /// Entries re-bucketed during growths without re-hashing their words.
     pub rehashed_entries: usize,
     /// Per-slot XOR updates performed by the incremental Zobrist hashing —
-    /// the words the engine actually hashed.
+    /// the words the engine actually hashed. A slot whose busy projection
+    /// did not change (a cooldown that only advanced) needs none.
     pub hash_slot_updates: usize,
     /// Words a non-incremental scheme would have hashed for the same runs:
     /// the full state width per probe plus the whole arena per growth.
@@ -339,6 +370,10 @@ struct ModelCtx {
     /// sorts within.
     runs: Vec<(usize, usize)>,
     bound: Option<u32>,
+    /// Unbounded mode: idle codes exist, so [`ModelCtx::busy`] blanks them
+    /// and [`ModelCtx::order_key`] ranks them. In bounded mode both are the
+    /// identity on codes.
+    prune: bool,
     budget: usize,
     n: usize,
     /// The widest per-application code space; selects the word width.
@@ -438,6 +473,7 @@ impl ModelCtx {
             entries: Vec::new(),
             runs,
             bound,
+            prune: bound.is_none(),
             budget: config.state_budget,
             n,
             max_code_space,
@@ -462,6 +498,33 @@ impl ModelCtx {
         match self.entries[app].get(code as usize) {
             Some(&entry) => entry,
             None => self.compile(app, code),
+        }
+    }
+
+    /// The busy projection of `code` at `slot`: idle codes (`Steady` and
+    /// every `Cooldown`) read as `Steady`, code 0. The identity in bounded
+    /// mode, which has no idle codes.
+    #[inline]
+    fn busy(&self, slot: usize, code: u32) -> u32 {
+        if self.prune && code >= self.enc[slot].cooldown_base {
+            0
+        } else {
+            code
+        }
+    }
+
+    /// The canonical sort key of `code` at `slot`: busy codes first, in code
+    /// order, then the idle codes by descending rank — `Steady`, then
+    /// cooldowns from the longest elapsed. Bounded mode sorts by code.
+    #[inline]
+    fn order_key(&self, slot: usize, code: u32) -> u32 {
+        let enc = &self.enc[slot];
+        if !self.prune || (code != 0 && code < enc.cooldown_base) {
+            code
+        } else if code == 0 {
+            enc.cooldown_base
+        } else {
+            enc.cooldown_base + (enc.exhausted_code - code)
         }
     }
 
@@ -674,49 +737,125 @@ impl<W: StateWord> Frame<W> {
     }
 }
 
-/// Interns `words` under its incremental Zobrist fingerprint `hash`: returns
-/// `true` (and appends arena + meta + cached hash) when the state is new,
-/// `false` when an identical state is already stored. The cached-hash index
-/// rejects almost every collision without touching the arena; exact word
-/// equality remains the final test on every hash match.
-#[allow(clippy::too_many_arguments)]
-fn insert_if_new<W: StateWord>(
-    index: &mut CachedHashIndex,
-    arena: &mut Vec<W>,
-    meta: &mut Vec<NodeMeta>,
-    hashes: &mut Vec<u64>,
-    words: &[W],
-    hash: u64,
-    parent: u32,
-    mask: u32,
-    n: usize,
-) -> bool {
-    let new_id = meta.len() as u32;
-    let found = index.intern(
-        hash,
-        |id| {
-            let start = id as usize * n;
-            &arena[start..start + n] == words
-        },
-        new_id,
-    );
-    match found {
-        Some(_) => false,
-        None => {
-            arena.extend_from_slice(words);
-            meta.push(NodeMeta { parent, mask });
-            hashes.push(hash);
-            true
+/// End of an antichain list.
+const CHAIN_END: u32 = u32::MAX;
+
+/// The states one run interned, in BFS order, and the index that decides
+/// which successors are new.
+#[derive(Debug, Default)]
+struct Store<W> {
+    /// All interned states, back to back; state `id` occupies
+    /// `arena[id * n .. (id + 1) * n]`.
+    arena: Vec<W>,
+    /// Parent links and disturbance masks, indexed by state id. Discovery
+    /// order is BFS order, so `meta` doubles as the work queue (the cursor
+    /// walks it front to back).
+    meta: Vec<NodeMeta>,
+    /// Each interned state's index fingerprint, indexed by id (parallel to
+    /// `meta`): the Zobrist fingerprint of its busy projection (of the whole
+    /// state in bounded mode). It is the parent hash every incremental
+    /// successor update starts from, at the cost of one u64 per state
+    /// instead of a re-hash per pop.
+    hashes: Vec<u64>,
+    /// Cached-hash index from each busy projection's fingerprint to the
+    /// first state of its antichain: the interned states with that busy
+    /// projection that no other interned state dominates. In bounded mode
+    /// the projection is the whole state, so every antichain is one state.
+    index: CachedHashIndex,
+    /// Per state id: the next state of its antichain. [`CHAIN_END`], and
+    /// every id past the end of the vector, end an antichain: it grows only
+    /// when a state joins a nonempty antichain, so bounded mode never fills
+    /// it. Stale once the state leaves the antichain.
+    next: Vec<u32>,
+}
+
+impl<W: StateWord> Store<W> {
+    /// Empties the store; allocations and index statistics survive.
+    fn reset(&mut self) {
+        self.arena.clear();
+        self.meta.clear();
+        self.hashes.clear();
+        self.index.reset();
+        self.next.clear();
+    }
+
+    /// Interns the successor `words` under its index fingerprint `hash`:
+    /// returns `true` after appending it as a new state, `false` when an
+    /// interned state equals it or, in unbounded mode, dominates it. The
+    /// cached-hash index rejects almost every collision without touching the
+    /// arena; word comparison stays the final test on every hash match, so a
+    /// collision costs a compare, never a wrong verdict. Bounded mode takes
+    /// the same path: its busy projection is the identity, so an antichain
+    /// is one state and the only state that dominates a successor is an
+    /// equal one.
+    fn insert(&mut self, ctx: &ModelCtx, words: &[W], hash: u64, parent: u32, mask: u32) -> bool {
+        let n = ctx.n;
+        let new_id = self.meta.len() as u32;
+        let Store {
+            arena, index, next, ..
+        } = self;
+        let row = |id: u32| &arena[id as usize * n..(id as usize + 1) * n];
+        let busy_equal = |head: u32| {
+            let head = row(head);
+            (0..n).all(|slot| {
+                ctx.busy(slot, head[slot].unpack()) == ctx.busy(slot, words[slot].unpack())
+            })
+        };
+        let mut first = CHAIN_END;
+        if let Some(head) = index.intern(hash, busy_equal, new_id) {
+            // The antichain holds no two comparable states, so once the new
+            // state dominates one member none dominates it: dominated members
+            // are unlinked during the same walk. They stay interned and
+            // queued.
+            first = *head;
+            let mut prev = CHAIN_END;
+            let mut kept = first;
+            while kept != CHAIN_END {
+                let (kept_dominates, new_dominates) = compare_ranks(row(kept), words);
+                if kept_dominates {
+                    return false;
+                }
+                let after = next.get(kept as usize).copied().unwrap_or(CHAIN_END);
+                if !new_dominates {
+                    prev = kept;
+                } else if prev == CHAIN_END {
+                    first = after;
+                } else {
+                    next[prev as usize] = after;
+                }
+                kept = after;
+            }
+            *head = new_id;
         }
+        if first != CHAIN_END {
+            next.resize(new_id as usize, CHAIN_END);
+            next.push(first);
+        }
+        self.arena.extend_from_slice(words);
+        self.meta.push(NodeMeta { parent, mask });
+        self.hashes.push(hash);
+        true
     }
 }
 
-/// Sorts the packed codes of every symmetry run, mapping a state to its
-/// orbit representative.
-fn canonicalize<W: StateWord>(runs: &[(usize, usize)], words: &mut [W]) {
-    for &(start, end) in runs {
+/// Compares the idle ranks of two states with equal busy projections, slot
+/// by slot: `(a dominates b, b dominates a)`. Busy slots hold equal codes and
+/// compare both ways. An idle code ranks as `code − 1`, wrapped, so `Steady`
+/// (code 0) ranks above every cooldown and cooldowns rank by elapsed
+/// samples.
+fn compare_ranks<W: StateWord>(a: &[W], b: &[W]) -> (bool, bool) {
+    a.iter().zip(b).fold((true, true), |(a_ge, b_ge), (x, y)| {
+        let (x, y) = (x.unpack().wrapping_sub(1), y.unpack().wrapping_sub(1));
+        (a_ge && x >= y, b_ge && y >= x)
+    })
+}
+
+/// Sorts the packed codes of every symmetry run into canonical order (see
+/// [`ModelCtx::order_key`]), mapping a state to its orbit representative.
+fn canonicalize<W: StateWord>(ctx: &ModelCtx, words: &mut [W]) {
+    for &(start, end) in &ctx.runs {
         if end - start >= 2 {
-            words[start..end].sort_unstable();
+            words[start..end].sort_unstable_by_key(|w| ctx.order_key(start, w.unpack()));
         }
     }
 }
@@ -749,17 +888,18 @@ fn scan_groups<W: StateWord>(
     }
 }
 
-/// One staged successor: everything [`insert_if_new`] needs except the
+/// One staged successor: everything [`Store::insert`] needs except the
 /// words themselves, which live at the matching offset of the stage's flat
 /// word buffer.
 #[derive(Debug, Clone, Copy)]
 struct SuccRecord {
     parent: u32,
     mask: u32,
+    /// The index fingerprint (see [`Store::hashes`]).
     hash: u64,
-    /// Slots whose canonical code differs from the canonical parent's — the
-    /// incremental hash work, folded into the stats when the merge consumes
-    /// the record (discarded post-miss records never count).
+    /// Slots whose projected canonical code differs from the canonical
+    /// parent's — the incremental hash work, folded into the stats when the
+    /// merge consumes the record (discarded post-miss records never count).
     diffs: u32,
 }
 
@@ -822,23 +962,32 @@ impl<W: StateWord> Stage<W> {
                 self.words.extend_from_slice(&self.frame.base);
                 let succ = &mut self.words[at..];
                 self.frame.apply_choice(ctx, mask, succ);
-                canonicalize(&ctx.runs, succ);
-                // Incremental Zobrist update: XOR out/in exactly the slots
-                // whose canonical code differs from the canonical parent's.
-                // One diff pass covers both the stepping and the symmetry
-                // sort — a slot the sort permuted back to its old code
-                // contributes nothing, exactly as XOR algebra demands.
+                canonicalize(ctx, succ);
+                // Incremental Zobrist update of the index fingerprint: XOR
+                // out/in exactly the slots whose projected canonical code
+                // differs from the canonical parent's. One diff pass covers
+                // both the stepping and the symmetry sort — a slot the sort
+                // permuted back to its old code, or a cooldown that only
+                // advanced, contributes nothing, exactly as XOR algebra
+                // demands.
                 let mut hash = hashes[id];
                 let mut diffs = 0u32;
                 for (i, (w, old)) in succ.iter().zip(row).enumerate() {
                     if w != old {
-                        hash ^= ctx.keys.key(i, old.unpack()) ^ ctx.keys.key(i, w.unpack());
-                        diffs += 1;
+                        let (old, new) = (ctx.busy(i, old.unpack()), ctx.busy(i, w.unpack()));
+                        if old != new {
+                            hash ^= ctx.keys.key(i, old) ^ ctx.keys.key(i, new);
+                            diffs += 1;
+                        }
                     }
                 }
                 debug_assert_eq!(
                     hash,
-                    ctx.keys.fingerprint(succ.iter().map(|w| w.unpack())),
+                    ctx.keys.fingerprint(
+                        succ.iter()
+                            .enumerate()
+                            .map(|(i, w)| ctx.busy(i, w.unpack()))
+                    ),
                     "incremental fingerprint must equal the from-scratch hash"
                 );
                 self.records.push(SuccRecord {
@@ -865,19 +1014,7 @@ impl<W: StateWord> Stage<W> {
 /// Monomorphised exploration core; all buffers survive across runs.
 #[derive(Debug, Default)]
 struct Core<W> {
-    /// All interned states, back to back; state `id` occupies
-    /// `arena[id * n .. (id + 1) * n]`.
-    arena: Vec<W>,
-    /// Parent links and disturbance masks, indexed by state id. Discovery
-    /// order is BFS order, so `meta` doubles as the work queue (the cursor
-    /// walks it front to back).
-    meta: Vec<NodeMeta>,
-    /// Cached-hash intern index from state fingerprints to dense ids.
-    index: CachedHashIndex,
-    /// Each interned state's Zobrist fingerprint, indexed by id (parallel to
-    /// `meta`) — the parent hash every incremental successor update starts
-    /// from, at the cost of one u64 per state instead of a re-hash per pop.
-    hashes: Vec<u64>,
+    store: Store<W>,
     /// One staging buffer per worker.
     stages: Vec<Stage<W>>,
     /// Per-slot XOR updates performed by the current run's incremental
@@ -896,12 +1033,13 @@ impl<W: StateWord> Core<W> {
         ctx: &ModelCtx,
         pool: &cps_par::Pool,
     ) -> Result<VerificationOutcome, VerifyError> {
-        let before = *self.index.stats();
+        let before = *self.store.index.stats();
         self.slot_updates = 0;
         let result = self.explore(ctx, pool);
-        let delta = self.index.stats().since(&before);
+        let delta = self.store.index.stats().since(&before);
         self.stats.intern_probes += delta.probes;
-        self.stats.hash_hits += delta.hits;
+        // Every probe interns its state or discards it as equal or dominated.
+        self.stats.hash_hits += delta.probes - self.store.meta.len();
         self.stats.hash_skips += delta.hash_skips;
         self.stats.deep_compares += delta.deep_compares;
         self.stats.rehashes += delta.rehashes;
@@ -923,45 +1061,34 @@ impl<W: StateWord> Core<W> {
     ) -> Result<VerificationOutcome, VerifyError> {
         let n = ctx.n;
         let Core {
-            arena,
-            meta,
-            index,
-            hashes,
+            store,
             stages,
             slot_updates,
             ..
         } = self;
-        arena.clear();
-        meta.clear();
-        hashes.clear();
-        index.reset();
+        store.reset();
 
         // The initial state — every application steady — encodes to all-zero
-        // words under every layout and is its own canonical representative.
-        // Its fingerprint is the one from-scratch hash of the whole run.
-        arena.resize(n, W::pack(0));
+        // words under every layout and is its own canonical representative
+        // and busy projection. Its fingerprint is the one from-scratch hash
+        // of the whole run.
         let init_hash = ctx.keys.fingerprint(std::iter::repeat_n(0, n));
         *slot_updates += n;
-        let fresh = index.intern(init_hash, |_| false, 0).is_none();
-        debug_assert!(fresh, "a reset index holds no state");
-        meta.push(NodeMeta {
-            parent: NO_PARENT,
-            mask: 0,
-        });
-        hashes.push(init_hash);
+        let fresh = store.insert(ctx, &vec![W::pack(0); n], init_hash, NO_PARENT, 0);
+        debug_assert!(fresh, "a reset store holds no state");
 
         // `head` is the next state to pop; the chunk `[head, end)` is staged
         // whole, and the merge pops its states as their records come up.
         let mut head = 0usize;
         let mut explored = 0usize;
-        while head < meta.len() {
-            let end = meta.len().min(head + CHUNK_STATES * pool.threads());
-            let workers = pool.threads().min((end - head).div_ceil(MIN_WORKER_STATES));
+        while head < store.meta.len() {
+            let end = store.meta.len().min(head + CHUNK_STATES * pool.threads());
+            let workers = pool.threads().min((end - head).div_ceil(CHUNK_STATES));
             let per_worker = (end - head).div_ceil(workers);
             if stages.len() < workers {
                 stages.resize_with(workers, Stage::default);
             }
-            let (frozen, frozen_hashes) = (&*arena, &*hashes);
+            let (frozen, frozen_hashes) = (&*store.arena, &*store.hashes);
             pool.map_mut(&mut stages[..workers], |w, stage| {
                 let start = (head + w * per_worker).min(end);
                 let states = start..(start + per_worker).min(end);
@@ -970,11 +1097,11 @@ impl<W: StateWord> Core<W> {
 
             for stage in &stages[..workers] {
                 for rec in stage.records.iter().take(PREFETCH_DISTANCE) {
-                    index.prefetch(rec.hash);
+                    store.index.prefetch(rec.hash);
                 }
                 for (r, rec) in stage.records.iter().enumerate() {
                     if let Some(ahead) = stage.records.get(r + PREFETCH_DISTANCE) {
-                        index.prefetch(ahead.hash);
+                        store.index.prefetch(ahead.hash);
                     }
                     // Every staged state has at least one record, so records
                     // arrive grouped by parent in pop order.
@@ -984,14 +1111,12 @@ impl<W: StateWord> Core<W> {
                     }
                     *slot_updates += rec.diffs as usize;
                     let words = &stage.words[r * n..(r + 1) * n];
-                    insert_if_new(
-                        index, arena, meta, hashes, words, rec.hash, rec.parent, rec.mask, n,
-                    );
+                    store.insert(ctx, words, rec.hash, rec.parent, rec.mask);
                 }
                 if let Some((parent, mask)) = stage.miss {
                     debug_assert_eq!(parent as usize, head, "a missing state stages no record");
                     ctx.charge_pop(&mut explored)?;
-                    let witness = build_witness(ctx, arena, meta, parent, mask);
+                    let witness = build_witness(ctx, &store.arena, &store.meta, parent, mask);
                     return Ok(VerificationOutcome::new(false, explored, Some(witness)));
                 }
             }
@@ -1073,7 +1198,7 @@ fn build_witness<W: StateWord>(
                 continue;
             }
             order.clear();
-            order.extend((start..end).map(|app| (codes[app], app)));
+            order.extend((start..end).map(|app| (ctx.order_key(start, codes[app]), app)));
             order.sort_unstable();
             for (offset, &(_, app)) in order.iter().enumerate() {
                 perm[start + offset] = app;
@@ -1161,9 +1286,10 @@ impl SlotVerifyEngine {
     ///
     /// Verdict and witness validity match [`crate::checker::verify`] (the
     /// retained oracle); `states_explored` counts popped states under the
-    /// same budget semantics, and is at most the oracle's count (strictly
-    /// smaller whenever the symmetry reduction collapses permutation
-    /// orbits).
+    /// same budget semantics. It equals the oracle's count on models without
+    /// interchangeable neighbours, and is at most the oracle's count
+    /// otherwise, where the symmetry reduction may merge permutations of a
+    /// state.
     ///
     /// # Errors
     ///

@@ -17,20 +17,27 @@
 //!   their [`cps_core::AppTimingProfile`]s.
 //! * [`engine`] — the interned-state exploration engine
 //!   ([`SlotVerifyEngine`]): packed state words in a flat arena, hash-index
-//!   deduplication, bitmask disturbance enumeration and a symmetry reduction
-//!   over interchangeable applications. This is the production path, used by
-//!   [`SlotSharingModel::verify`] and the mapping oracle of `cps-map`.
+//!   deduplication with dominance pruning, bitmask disturbance enumeration
+//!   and a symmetry reduction over interchangeable applications. This is the
+//!   production path, used by [`SlotSharingModel::verify`] and the mapping
+//!   oracle of `cps-map`.
 //! * [`checker`] — the naive breadth-first exploration over all sporadic
 //!   disturbance patterns (the only source of nondeterminism), with the
 //!   scheduler and the dwell-time strategy applied deterministically in
-//!   every state. Retained as the semantic oracle (re-exported as
-//!   [`mod@reference`]); engine and oracle verdicts, budget semantics and
-//!   witness validity are asserted equivalent in tests and on every
-//!   `bench_verify` run.
+//!   every state. It skips every state that a visited state dominates: one
+//!   whose scheduler-visible cells are equal and whose idle applications are
+//!   each at least as close to their next possible disturbance. Retained as
+//!   the semantic oracle (re-exported as [`mod@reference`]); engine and
+//!   oracle verdicts, budget semantics and witness validity are asserted
+//!   equivalent in tests and on every `bench_verify` run.
 //! * [`bounded`] — the paper's acceleration: restricting each application to
-//!   a bounded number of disturbance instances per analysis, which collapses
-//!   the post-rejection bookkeeping and speeds verification up by an order of
-//!   magnitude without changing the verdict for the case study.
+//!   a bounded number of disturbance instances per analysis. In UPPAAL it
+//!   sped the paper's hardest mapping up about 20×; in this discrete
+//!   formulation the instance counters keep otherwise equal states apart
+//!   and leave nothing to prune, so the bounded model costs far more than
+//!   the exact one (1,413,516 states at one instance per application
+//!   against 35,822 exact states on `{C1,C5,C4,C3}`). It is kept for
+//!   fidelity to the paper.
 //! * [`conservative`] — the prior-work-style worst-case-blocking analysis,
 //!   `B_i ≤ D_i` per application in closed form; a coarser verdict than
 //!   [`checker`] whose accepts imply exact accepts, used as the admission

@@ -6,7 +6,10 @@
 //! the engine's [`cps_verify::VerifyStats`] counters. Models are drawn
 //! pseudo-randomly (via the offline proptest stub's deterministic RNG) and
 //! include budget-bounded configurations so the parallel path reproduces
-//! budget exhaustion at the same popped state as the serial path.
+//! budget exhaustion at the same popped state as the serial path. The random
+//! models stage every span on one thread; one fixed bounded model queues
+//! more than a staging chunk at a time, so wider pools split its spans
+//! across workers.
 
 use cps_core::{AppTimingProfile, DwellTimeTable};
 use cps_verify::{validate_witness, SlotSharingModel, SlotVerifyEngine, VerificationConfig};
@@ -49,6 +52,37 @@ fn random_model(seed: u64) -> SlotSharingModel {
     SlotSharingModel::new(profiles).unwrap()
 }
 
+/// Verifies `model` under each config on the serial pool and at widths 2, 4
+/// and 8, and asserts equal outcomes, valid witnesses and equal stats.
+fn assert_width_independent(model: &SlotSharingModel, configs: &[VerificationConfig]) {
+    for config in configs {
+        let mut serial = SlotVerifyEngine::with_pool(cps_par::Pool::serial());
+        let reference = serial.verify(model, config);
+        for threads in [2, 4, 8] {
+            let pool = cps_par::Pool::with_threads(threads);
+            let mut engine = SlotVerifyEngine::with_pool(pool);
+            let outcome = engine.verify(model, config);
+            match (&reference, &outcome) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a, b, "threads={threads}");
+                    if let Some(witness) = b.witness() {
+                        validate_witness(model, witness).unwrap();
+                    }
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a.to_string(), b.to_string(), "threads={threads}");
+                }
+                _ => panic!(
+                    "threads={threads}: serial {:?} vs parallel {:?}",
+                    reference.is_ok(),
+                    outcome.is_ok()
+                ),
+            }
+            assert_eq!(serial.stats(), engine.stats(), "stats, threads={threads}");
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn parallel_verify_is_bitwise_identical_across_thread_counts(seed in 0u64..1_000_000) {
@@ -68,33 +102,32 @@ proptest! {
                 ..VerificationConfig::default()
             },
         ];
-        for config in configs {
-            let mut serial = SlotVerifyEngine::with_pool(cps_par::Pool::serial());
-            let reference = serial.verify(&model, &config);
-            for threads in [2, 4, 8] {
-                let pool = cps_par::Pool::with_threads(threads);
-                let mut engine = SlotVerifyEngine::with_pool(pool);
-                let outcome = engine.verify(&model, &config);
-                match (&reference, &outcome) {
-                    (Ok(a), Ok(b)) => {
-                        prop_assert_eq!(a, b, "threads={}", threads);
-                        if let Some(witness) = b.witness() {
-                            validate_witness(&model, witness).unwrap();
-                        }
-                    }
-                    (Err(a), Err(b)) => {
-                        prop_assert_eq!(a.to_string(), b.to_string(), "threads={}", threads);
-                    }
-                    _ => prop_assert!(
-                        false,
-                        "threads={}: serial {:?} vs parallel {:?}",
-                        threads,
-                        reference.is_ok(),
-                        outcome.is_ok()
-                    ),
-                }
-                prop_assert_eq!(serial.stats(), engine.stats(), "stats, threads={}", threads);
-            }
-        }
+        assert_width_independent(&model, &configs);
     }
+}
+
+/// The random models above are small enough that every span of queued
+/// states fits in one staging chunk, so the engine stages them on the
+/// calling thread at every width. This bounded model queues more than a
+/// chunk at a time, so wider pools split those spans across workers; the
+/// second run exhausts its budget halfway through.
+#[test]
+fn spans_wider_than_a_chunk_stage_on_workers_with_serial_results() {
+    let model = SlotSharingModel::new(vec![
+        profile("A", 4, 2, 4, 20),
+        profile("B", 3, 1, 3, 18),
+        profile("C", 2, 2, 3, 16),
+    ])
+    .unwrap();
+    let bounded = VerificationConfig::bounded(2);
+    let explored = SlotVerifyEngine::with_pool(cps_par::Pool::serial())
+        .verify(&model, &bounded)
+        .unwrap()
+        .states_explored();
+    assert_eq!(explored, 50_061, "the model must stay wider than a chunk");
+    let budgeted = VerificationConfig {
+        state_budget: explored / 2,
+        ..bounded
+    };
+    assert_width_independent(&model, &[bounded, budgeted]);
 }

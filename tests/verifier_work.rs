@@ -3,11 +3,18 @@
 //!
 //! The counts below are `SlotVerifyEngine`'s outcome and every `VerifyStats`
 //! field for three published-row models. Any change to the exploration order,
-//! the symmetry canonicalisation, the incremental hashing or the intern index
-//! moves at least one of them, so an optimisation of the verifier that claims
-//! to cut only the cost per state must leave this file untouched. Every model
-//! runs on the serial pool and on a two-thread pool, which must agree bit for
-//! bit.
+//! the symmetry canonicalisation, the dominance pruning, the incremental
+//! hashing or the intern index moves at least one of them, so an optimisation
+//! of the verifier that claims to cut only the cost per state must leave this
+//! file untouched. Every model runs on the serial pool and on a two-thread
+//! pool, which must agree bit for bit.
+//!
+//! The two unbounded pins count the dominance-pruned search: a successor is
+//! skipped when an interned state with the same busy cells has every idle
+//! cell at least as far along. An unpruned search explores all 1,250,000 =
+//! 25·25·40·50 cooldown phase combinations of `{C1,C5,C4,C3}` and pops
+//! 49,993 states of `{C1,C5,C4,C6}` before its miss. The bounded pin prunes
+//! nothing: its instance counters differ, so it has no idle cells.
 
 use cps_apps::case_study;
 use cps_core::AppTimingProfile;
@@ -68,16 +75,16 @@ fn hardest_published_slot_explores_the_recorded_states() {
         &["C1", "C5", "C4", "C3"],
         VerificationConfig::unbounded(),
         true,
-        1_250_000,
+        35_822,
         VerifyStats {
-            intern_probes: 1_413_517,
-            hash_hits: 163_517,
-            hash_skips: 3_033_126,
-            deep_compares: 163_517,
-            rehashes: 11,
-            rehashed_entries: 1_572_096,
-            hash_slot_updates: 5_483_144,
-            full_hash_words: 11_942_452,
+            intern_probes: 41_865,
+            hash_hits: 6_043,
+            hash_skips: 57_765,
+            deep_compares: 36_016,
+            rehashes: 3,
+            rehashed_entries: 5_376,
+            hash_slot_updates: 68_675,
+            full_hash_words: 188_964,
         },
     );
 }
@@ -88,16 +95,16 @@ fn rejected_published_slot_misses_at_the_recorded_state() {
         &["C1", "C5", "C4", "C6"],
         VerificationConfig::unbounded(),
         false,
-        49_993,
+        29_628,
         VerifyStats {
-            intern_probes: 64_814,
-            hash_hits: 1,
-            hash_skips: 153_494,
-            deep_compares: 1,
-            rehashes: 7,
-            rehashed_entries: 97_536,
-            hash_slot_updates: 242_965,
-            full_hash_words: 649_400,
+            intern_probes: 36_959,
+            hash_hits: 1_558,
+            hash_skips: 64_369,
+            deep_compares: 24_756,
+            rehashes: 4,
+            rehashed_entries: 11_520,
+            hash_slot_updates: 82_431,
+            full_hash_words: 193_916,
         },
     );
 }
