@@ -31,6 +31,14 @@
 //! retry it safely — [`crate::RetryingClient`] automates exactly that.
 //! Recovery replays the mirror against the restored warm caches, so it
 //! costs memo lookups, not exact verification.
+//!
+//! The last good snapshot rolls forward every
+//! [`ServiceOptions::snapshot_interval`] successful mutations, but is
+//! re-encoded only when the caches changed since its last encode, as
+//! [`AdmissionState::cache_generation`] tells. Once the caches have seen a
+//! fleet's contents most requests change nothing they persist, and an
+//! unchanged cache is not encoded again. A restart forces the next encode,
+//! because the restored caches count their changes afresh.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -222,10 +230,11 @@ pub struct ServiceOptions {
     /// Bound of the request queue (the service's backpressure).
     pub queue_capacity: usize,
     /// Take a recovery snapshot of the cascade caches after this many
-    /// successful mutating requests. Staleness only costs recovery *warmth*,
-    /// never correctness: the fleet is always rebuilt from the supervisor's
-    /// mirror, and the caches merely decide how much re-verification the
-    /// rebuild needs.
+    /// successful mutating requests; caches unchanged since the last
+    /// snapshot are not re-encoded, as the last one already holds their
+    /// bytes. Staleness only costs recovery *warmth*, never correctness:
+    /// the fleet is always rebuilt from the supervisor's mirror, and the
+    /// caches merely decide how much re-verification the rebuild needs.
     pub snapshot_interval: usize,
     /// Deterministic fault injection for the worker (panic sites and budget
     /// squeezes). [`FaultPlan::none`] — the default — is entirely inert.
@@ -485,6 +494,9 @@ struct Supervisor {
     snapshot_interval: usize,
     ops_since_snapshot: usize,
     last_snapshot: Vec<u8>,
+    /// The state's cache generation when `last_snapshot` was encoded;
+    /// `None` after a restart, whose restored caches count afresh.
+    snapshot_generation: Option<u64>,
     /// The resident fleet as of the last *successful* mutation — the ground
     /// truth recovery rebuilds from. Updated only after a request fully
     /// succeeded, so a panic anywhere in a handler leaves it describing the
@@ -500,6 +512,7 @@ impl Supervisor {
     fn new(state: AdmissionState, options: ServiceOptions) -> Self {
         Supervisor {
             last_snapshot: state.snapshot(),
+            snapshot_generation: Some(state.cache_generation()),
             mirror: state.fleet().to_vec(),
             config: *state.config(),
             state,
@@ -569,7 +582,8 @@ impl Supervisor {
     }
 
     /// Mirrors a successful mutation and rolls the recovery snapshot
-    /// forward on cadence.
+    /// forward on cadence, re-encoding only when the caches changed since
+    /// the last encode.
     fn note_success(
         &mut self,
         response: &Response,
@@ -601,7 +615,11 @@ impl Supervisor {
         if mutated {
             self.ops_since_snapshot += 1;
             if self.ops_since_snapshot >= self.snapshot_interval {
-                self.last_snapshot = self.state.snapshot();
+                let generation = self.state.cache_generation();
+                if self.snapshot_generation != Some(generation) {
+                    self.last_snapshot = self.state.snapshot();
+                    self.snapshot_generation = Some(generation);
+                }
                 self.ops_since_snapshot = 0;
             }
         }
@@ -629,6 +647,7 @@ impl Supervisor {
         self.mirror = survivors;
         self.state = fresh;
         self.ops_since_snapshot = 0;
+        self.snapshot_generation = None;
     }
 }
 
@@ -905,6 +924,57 @@ mod tests {
         drop(client);
         let state = service.shutdown().unwrap();
         assert_eq!(state.fleet().len(), 12);
+    }
+
+    #[test]
+    fn recovery_snapshots_match_the_state_at_every_cadence_point() {
+        // Served in-thread, so the supervisor's fields can be read between
+        // requests. Panics after handling force restarts.
+        let plan = FaultPlan::seeded(5).with_rate(FaultSite::WorkerPanicPost, 100);
+        let options = ServiceOptions {
+            snapshot_interval: 2,
+            faults: plan,
+            ..ServiceOptions::default()
+        };
+        let mut supervisor = Supervisor::new(AdmissionState::new(), options);
+        let (mut cadence_points, mut skipped, mut restarts) = (0, 0, 0);
+        let mut encoded_at = supervisor.snapshot_generation;
+        for i in 0..80 {
+            let resident = supervisor.state.fleet().len();
+            let request = if resident < 4 || (resident < 8 && i % 3 != 0) {
+                Request::Admit(profile(&format!("P{i}"), 4 + i % 2 * 3, 2))
+            } else {
+                Request::Evict(i % resident)
+            };
+            match supervisor.serve(request) {
+                Ok(_) if supervisor.ops_since_snapshot == 0 => {
+                    cadence_points += 1;
+                    let generation = supervisor.state.cache_generation();
+                    assert_eq!(supervisor.snapshot_generation, Some(generation));
+                    assert_eq!(
+                        supervisor.last_snapshot,
+                        supervisor.state.snapshot(),
+                        "request {i}: the recovery snapshot is stale"
+                    );
+                    skipped += usize::from(encoded_at == Some(generation));
+                    encoded_at = Some(generation);
+                }
+                Ok(_) => {}
+                Err(ServiceError::WorkerRestarted) => {
+                    restarts += 1;
+                    // The restored caches count afresh, so their generation
+                    // says nothing about the last encode.
+                    assert_eq!(supervisor.snapshot_generation, None, "request {i}");
+                    encoded_at = None;
+                }
+                Err(e) => panic!("request {i}: {e}"),
+            }
+        }
+        assert!(restarts > 0, "the seeded plan must trip");
+        assert!(
+            skipped > 0 && skipped < cadence_points,
+            "{skipped} of {cadence_points} cadence points skipped the encode"
+        );
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! Correctness rides along: at sampled checkpoints (and at the end) the
 //! service's partition is asserted **bit-identical** to a from-scratch
 //! batch [`MapExplorerEngine::first_fit`] over a mirrored fleet, the warm
-//! run must reproduce the cold run's checkpoint partitions exactly, finish
-//! with zero exact verifications, a strictly higher memo hit rate, and a
-//! lower p99 than the cold run. Any violation aborts with a non-zero exit
+//! run must reproduce the cold run's checkpoint partitions exactly, send
+//! the same number of probes to the cascade, finish with zero exact
+//! verifications, a strictly higher memo hit rate, and a lower p99 than the
+//! cold run. Any violation aborts with a non-zero exit
 //! code, which the CI admit-soak-smoke job turns into a failure. Writes
 //! `BENCH_admit.json` at the repository root.
 //!
@@ -188,6 +189,10 @@ fn main() {
     assert_eq!(
         warm.exact_verifies, 0,
         "a warm replay of the same trace must be answered entirely from the caches"
+    );
+    assert_eq!(
+        cold.queries, warm.queries,
+        "which probes a repair skips must depend on the partitions alone, not on the caches"
     );
     assert!(
         warm.memo_hit_rate() > cold.memo_hit_rate(),

@@ -40,10 +40,43 @@
 //! reuses a rank buffer the state owns and the slot vectors of the
 //! partition the last repair replaced.
 //!
-//! Most re-placed probes hit the cascade's memo (the suffix was placed
-//! before, and verdicts are keyed canonically), so a memo-answered repair
-//! costs its probes — one memo lookup each — and little else; repair cost
-//! beyond that is the genuinely new queries the exact verifier answers.
+//! Most probes of a re-placed suffix were decided before, by the run that
+//! built the current partition. While pruning, the state records each
+//! survivor's old slot and the slot a departure leaves, and the placement
+//! loop tracks, per slot, whether the slot being rebuilt equals the old
+//! one, contains it, is contained in it, or neither (both restricted to the
+//! applications placed so far; the slot a departure leaves starts out
+//! contained in the old one).
+//! For an application whose old slot is `j`, at slot `i`:
+//!
+//! - `i < j` and the rebuilt slot equals or contains the old one: rejected
+//!   without a probe, since the old run rejected the application there;
+//! - `i == j` and the rebuilt slot equals or is contained in the old one:
+//!   accepted without a probe, since the old run accepted it there;
+//! - an application with the fingerprint of the one placed just before it
+//!   (its twin; for the first re-placed one, the last of the prefix) is
+//!   rejected without a probe at every slot below the twin's slot, which
+//!   has not changed since it rejected the twin;
+//! - otherwise the probe goes to the cascade, as does every probe of the
+//!   arriving application, which has no old slot.
+//!
+//! These answers are exact. The committed partition is exact first-fit
+//! (degraded accepts are exact accepts), so the old run's verdicts are
+//! exact, and they transfer because admission is anti-monotone under
+//! order-preserving embedding: a probe containing a rejected probe is
+//! rejected, one contained in an accepted probe is accepted. Containment by
+//! fleet index is such an embedding, since slots list members in rank order
+//! and the candidate comes last. The cascade's anti-monotone tier relies on
+//! the same property, and
+//! `crates/map/tests/engine_oracle.rs::admission_is_anti_monotone` checks it
+//! against the exact oracle.
+//!
+//! Which probes are skipped depends on the partitions alone, never on the
+//! caches, so a warm replay sends the cold one's probes, and a
+//! deadline-bounded repair spends its budget only on probes whose verdict
+//! is unknown. Those mostly hit the cascade's memo (verdicts are keyed
+//! canonically), so a repair costs one memo lookup per unknown probe plus
+//! the genuinely new queries the exact verifier answers.
 //!
 //! # Warm starts
 //!
@@ -63,7 +96,7 @@ use cps_intern::SnapshotError;
 use cps_verify::{VerificationConfig, VerifyError};
 
 use crate::cascade::{CascadeCore, TierVerdict};
-use crate::first_fit::{first_fit_key, is_first_fit_order, place_suffix};
+use crate::first_fit::{first_fit_key, is_first_fit_order, place_suffix, PriorRun};
 use crate::report::{MappingReport, TierStats};
 
 /// Name under which the service's reports identify their oracle.
@@ -181,6 +214,9 @@ pub struct AdmissionState {
     /// The slot vectors of the partition the last repair replaced, reused by
     /// the next pruning.
     spare_slots: Vec<Vec<usize>>,
+    /// The record of the run that built `report`'s partition, written by
+    /// each pruning and read by the repair that follows it.
+    prior: PriorRun,
     report: MappingReport,
 }
 
@@ -200,6 +236,7 @@ impl AdmissionState {
             order: Vec::new(),
             ranks: Vec::new(),
             spare_slots: Vec::new(),
+            prior: PriorRun::default(),
             report: MappingReport::with_tier_stats(
                 ORACLE_NAME.to_string(),
                 Vec::new(),
@@ -333,7 +370,7 @@ impl AdmissionState {
         self.fleet_ids.push(id);
         self.fleet_keys.push(key);
         self.fill_ranks();
-        (self.prune_to_prefix(cut, |m| m), cut)
+        (self.prune_to_prefix(cut, None), cut)
     }
 
     /// Reverts [`AdmissionState::arrive`]: the arrival at rank `cut` leaves
@@ -369,7 +406,7 @@ impl AdmissionState {
         // departure down by one.
         self.fill_ranks();
         let cut = self.ranks[index];
-        let slots = self.prune_to_prefix(cut, |m| m - usize::from(m > index));
+        let slots = self.prune_to_prefix(cut, Some(index));
         let profile = self.fleet.remove(index);
         let id = self.fleet_ids.remove(index);
         let key = self.fleet_keys.remove(index);
@@ -395,6 +432,14 @@ impl AdmissionState {
         };
         self.debug_assert_order();
         result
+    }
+
+    /// A count that moves whenever the caches [`AdmissionState::snapshot`]
+    /// persists change. While it stands still the state snapshots the same
+    /// bytes, so a caller that keeps a recent snapshot can skip re-encoding.
+    /// A state restored from a snapshot counts from zero again.
+    pub fn cache_generation(&self) -> u64 {
+        self.core.generation()
     }
 
     /// Serializes the cascade caches (configuration, interned fingerprints,
@@ -426,31 +471,21 @@ impl AdmissionState {
     }
 
     /// Prunes the current partition to the members whose rank (per the
-    /// freshly filled `ranks`) is below `cut`, applying `remap` to every
-    /// surviving index. Slots opened by suffix members become empty and are
-    /// dropped; they always form a tail of the slot list (slots are opened in
-    /// rank order of their first member), so dropping them reconstructs the
-    /// exact mid-algorithm slot list. The pruned slots are written into the
-    /// vectors the last repair replaced, so a repair allocates only for the
-    /// slots it opens beyond those.
-    fn prune_to_prefix(&mut self, cut: usize, remap: impl Fn(usize) -> usize) -> Vec<Vec<usize>> {
-        let slots = self.report.slots();
+    /// freshly filled `ranks`) is below `cut`, renumbering survivors past
+    /// the `departing` index, and records the partition in `prior` for the
+    /// repair (see [`PriorRun::prune`]). The pruned slots are written into
+    /// the vectors the last repair replaced, so a repair allocates only for
+    /// the slots it opens beyond those.
+    fn prune_to_prefix(&mut self, cut: usize, departing: Option<usize>) -> Vec<Vec<usize>> {
         let mut pruned = std::mem::take(&mut self.spare_slots);
-        pruned.resize_with(slots.len(), Vec::new);
-        for (kept, slot) in pruned.iter_mut().zip(slots) {
-            kept.clear();
-            kept.extend(
-                slot.iter()
-                    .filter(|&&m| self.ranks[m] < cut)
-                    .map(|&m| remap(m)),
-            );
-        }
-        let len = pruned.iter().take_while(|slot| !slot.is_empty()).count();
-        debug_assert!(
-            pruned[len..].iter().all(Vec::is_empty),
-            "emptied slots must form a tail of the slot list"
+        self.prior.prune(
+            self.report.slots(),
+            &self.ranks,
+            &self.fleet_ids,
+            cut,
+            departing,
+            &mut pruned,
         );
-        pruned.truncate(len);
         pruned
     }
 
@@ -472,7 +507,8 @@ impl AdmissionState {
         let core = &mut self.core;
         let fleet = &self.fleet;
         let fleet_ids = &self.fleet_ids;
-        place_suffix(&mut slots, &self.order[cut..], |members| {
+        let prior = Some((&mut self.prior, fleet_ids.as_slice()));
+        place_suffix(&mut slots, &self.order[cut..], prior, |members| {
             core.admit_query(fleet, fleet_ids, members)
         })?;
         let delta = self.core.stats().since(&before);
@@ -496,9 +532,10 @@ impl AdmissionState {
         let core = &mut self.core;
         let fleet = &self.fleet;
         let fleet_ids = &self.fleet_ids;
+        let prior = Some((&mut self.prior, fleet_ids.as_slice()));
         let mut degraded = false;
         let mut undecided = false;
-        let placed = place_suffix(&mut slots, &self.order[cut..], |members| {
+        let placed = place_suffix(&mut slots, &self.order[cut..], prior, |members| {
             match core.admit_query_bounded(fleet, fleet_ids, members, Some(state_budget))? {
                 TierVerdict::Exact(verdict) => Ok(verdict),
                 TierVerdict::DegradedAccept => {

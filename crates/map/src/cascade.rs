@@ -194,6 +194,10 @@ pub(crate) struct CascadeCore {
     /// Known-inadmissible fingerprint sequences (kept free of mutual
     /// embeddings) backing the anti-monotone tier.
     inadmissible: Vec<Vec<u32>>,
+    /// Counts changes to what [`CascadeCore::write_snapshot`] persists: new
+    /// fingerprints, memo inserts, anti-monotone index changes and memo-kind
+    /// switches. Not persisted; a restored core counts from zero.
+    generation: u64,
     stats: TierStats,
     // Reused scratch buffers.
     key_scratch: Vec<u32>,
@@ -222,6 +226,12 @@ impl CascadeCore {
         &self.stats
     }
 
+    /// The count of changes to the persisted caches: while it stands still,
+    /// [`CascadeCore::to_snapshot_bytes`] returns the same bytes.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Moves the exact verifier onto `pool`, keeping its buffers and
     /// statistics (a rebuilt verifier would restart the counters that
     /// [`TierStats::since`] subtracts).
@@ -233,12 +243,14 @@ impl CascadeCore {
     /// evicted). Verdicts are identical to the bounded default.
     pub(crate) fn set_unbounded_memo(&mut self) {
         self.memo = Memo::Unbounded(MemoMap::default());
+        self.generation += 1;
     }
 
     /// Bounds the verdict memo to `buckets` two-way buckets (capacity
     /// `2 × buckets`, rounded up to a power of two).
     pub(crate) fn set_memo_capacity(&mut self, buckets: usize) {
         self.memo = Memo::Bounded(TwoWayTranspositionTable::new(buckets));
+        self.generation += 1;
     }
 
     /// Interns every profile of the fleet, returning one fingerprint id per
@@ -271,6 +283,7 @@ impl CascadeCore {
             t_dw_plus: t_dw_plus.to_vec(),
         });
         bucket.push(id);
+        self.generation += 1;
         id
     }
 
@@ -291,6 +304,7 @@ impl CascadeCore {
     /// memo, depth is the member count — deeper (more expensive) verdicts
     /// survive floods of shallow ones in the depth-preferred way.
     fn memo_insert(&mut self, verdict: bool) {
+        self.generation += 1;
         match &mut self.memo {
             Memo::Unbounded(map) => {
                 map.insert(self.key_scratch.clone(), verdict);
@@ -483,6 +497,7 @@ impl CascadeCore {
             let key = &self.key_scratch;
             self.inadmissible.retain(|s| !is_subsequence(key, s));
             self.inadmissible.push(key.clone());
+            self.generation += 1;
         }
     }
 
@@ -709,6 +724,72 @@ mod tests {
         assert!(!is_subsequence(&[1, 1], &[1, 0, 2]));
         assert!(!is_subsequence(&[2, 1], &[1, 2]));
         assert!(!is_subsequence(&[1, 2, 3], &[1, 2]));
+    }
+
+    /// A profile with constant dwell arrays (see the admission tests).
+    fn profile(max_wait: usize, dwell_min: usize, dwell_plus: usize, r: usize) -> AppTimingProfile {
+        let len = max_wait + 1;
+        let jstar = max_wait + dwell_plus + 1;
+        let table = cps_core::DwellTimeTable::from_arrays(
+            jstar,
+            vec![dwell_min; len],
+            vec![dwell_plus; len],
+        )
+        .unwrap();
+        AppTimingProfile::new("p", 1, jstar + 10, jstar, r.max(jstar + 1), table).unwrap()
+    }
+
+    #[test]
+    fn an_unchanged_generation_means_unchanged_snapshot_bytes() {
+        let mut rng = proptest::TestRng::new(23);
+        let mut below = |bound: usize| rng.next_below(bound as u64) as usize;
+        let pool: Vec<AppTimingProfile> = (0..6)
+            .map(|_| {
+                let dwell_min = 1 + below(2);
+                profile(below(6), dwell_min, dwell_min + below(2), 8 + below(20))
+            })
+            .collect();
+        for memo in ["bounded", "one-bucket bounded", "unbounded"] {
+            let mut core = CascadeCore::default();
+            match memo {
+                "one-bucket bounded" => core.set_memo_capacity(1),
+                "unbounded" => core.set_unbounded_memo(),
+                _ => {}
+            }
+            let (mut fleet, mut ids) = (Vec::new(), Vec::new());
+            let mut generation = core.generation();
+            let mut bytes = core.to_snapshot_bytes();
+            let (mut moved, mut stood) = (0, 0);
+            for step in 0..300 {
+                if fleet.len() < 2 || below(4) == 0 {
+                    let p = pool[below(pool.len())].clone();
+                    ids.push(core.intern_profile(&p));
+                    fleet.push(p);
+                } else {
+                    let mut members: Vec<usize> =
+                        (0..2 + below(2)).map(|_| below(fleet.len())).collect();
+                    members.sort_unstable();
+                    members.dedup();
+                    core.admit_query(&fleet, &ids, &members).unwrap();
+                }
+                if step == 200 {
+                    // A memo-kind switch empties the memo.
+                    core.set_memo_capacity(4);
+                }
+                let now = core.to_snapshot_bytes();
+                if core.generation() == generation {
+                    assert_eq!(now, bytes, "{memo}, step {step}");
+                    stood += 1;
+                } else {
+                    moved += 1;
+                }
+                (generation, bytes) = (core.generation(), now);
+            }
+            assert!(
+                moved > 0 && stood > 0,
+                "{memo}: {moved} moved, {stood} stood"
+            );
+        }
     }
 
     #[test]

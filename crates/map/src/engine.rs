@@ -284,7 +284,7 @@ impl MapExplorerEngine {
         let before = *self.core.stats();
         let mut slots: Vec<Vec<usize>> = Vec::new();
         let core = &mut self.core;
-        place_suffix(&mut slots, order, |members| {
+        place_suffix(&mut slots, order, None, |members| {
             core.admit_query(profiles, fleet_ids, members)
         })?;
         let delta = self.core.stats().since(&before);

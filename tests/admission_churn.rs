@@ -10,10 +10,16 @@
 //! deferred and failed requests must leave the fleet and the partition as
 //! they found them, and later requests must still match the batch rebuild.
 //! Switching an engine between memo kinds keeps its eviction count.
+//!
+//! A repair skips every probe whose verdict the run that built the current
+//! partition, or the identical application placed just before (its twin),
+//! already decided. The stream's probe and verification counts are pinned,
+//! and named cases pin the probes single requests send.
 
 use cps_core::{AppTimingProfile, DwellTimeTable};
 use cps_map::{
-    sort_for_first_fit, AdmissionError, AdmissionState, DeadlineAdmit, MapExplorerEngine,
+    sort_for_first_fit, AdmissionError, AdmissionState, AdmitQuality, DeadlineAdmit,
+    MapExplorerEngine,
 };
 use cps_verify::{VerificationConfig, VerifyError};
 
@@ -23,6 +29,16 @@ const REQUESTS: usize = 320;
 const RESIDENT_CAP: usize = 12;
 /// A deadline-bounded arrival is tried every this many requests.
 const DEFERRAL_EVERY: usize = 40;
+/// Per seed: the stream's probes that reached the cascade and its exact
+/// verifications, deferred arrivals included, under either memo kind.
+const STREAM_WORK: [(u64, usize, usize); 2] = [(1, 1_589, 45), (7, 1_638, 36)];
+
+/// Catalog indices of the named cases.
+const URGENT: usize = 0;
+const TIE_A: usize = 1;
+const TIE_B: usize = 2;
+const RELAXED: usize = 3;
+const LONG: usize = 4;
 
 /// A profile with constant dwell arrays: `max_wait` is `T_w^*`, the first
 /// dwell array `T_dw^-` and the second `T_dw^+`. `full_hold` sets `J_T` to
@@ -204,8 +220,143 @@ fn churn_stream_matches_batch_first_fit_after_every_request() {
             assert!(ties_resident, "seed {seed}, {label}");
             assert!(state.stats().exact_verifies > 0, "{label}");
             assert!(state.stats().memo_hits > 0, "{label}");
+            let work = (state.stats().queries, state.stats().exact_verifies);
+            let pinned = STREAM_WORK.iter().find(|w| w.0 == seed).unwrap();
+            assert_eq!(work, (pinned.1, pinned.2), "seed {seed}, {label}");
         }
     }
+}
+
+/// Applies `request` and returns how many probes reached the cascade,
+/// after checking the partition against a batch rebuild.
+fn probes_of(
+    state: &mut AdmissionState,
+    request: impl FnOnce(&mut AdmissionState),
+    context: &str,
+) -> usize {
+    let before = state.stats().queries;
+    request(state);
+    assert_matches_batch(state, &mut MapExplorerEngine::new(), context);
+    state.stats().queries - before
+}
+
+/// Admits a copy of each listed catalog entry, in order.
+fn admit_all(state: &mut AdmissionState, catalog: &[AppTimingProfile], entries: &[usize]) {
+    for (k, &c) in entries.iter().enumerate() {
+        apply(state, catalog, Request::Arrive(c), k);
+    }
+}
+
+#[test]
+fn departure_of_a_slots_first_member_reuses_the_prior_run() {
+    // `urgent long relaxed` share slot 0; the second `long` opens slot 1
+    // and the third joins it. Evicting the second `long` re-places the
+    // third and `relaxed`. The third `long` was rejected at slot 0 and
+    // slot 0 is unchanged, so it is rejected again and opens slot 1;
+    // `relaxed` was accepted at slot 0, unchanged, so it is accepted again.
+    // Neither needs a probe.
+    let catalog = catalog();
+    for (label, mut state) in fresh_states(VerificationConfig::default()) {
+        admit_all(&mut state, &catalog, &[URGENT, LONG, LONG, LONG, RELAXED]);
+        assert_eq!(
+            state.report().slots(),
+            [vec![0, 1, 4], vec![2, 3]],
+            "{label}"
+        );
+        let probes = probes_of(&mut state, |s| drop(s.remove_app(2).unwrap()), label);
+        assert_eq!(state.report().slots(), [vec![0, 1, 3], vec![2]], "{label}");
+        assert_eq!(probes, 0, "{label}");
+    }
+}
+
+#[test]
+fn an_arrival_that_pushes_a_later_application_out_repairs_exactly() {
+    // A second `urgent` ranks right after the first and joins slot 0, so
+    // the first `long` no longer fits there and moves to slot 1. Slot 0 has
+    // gained a member, so `long` and `relaxed` probe it; slot 1 has lost
+    // its old members, so the second `long` probes it. Below slot 1 the
+    // second `long` is rejected without a probe: its twin, the first
+    // `long`, was just rejected there. Four probes, one fewer than a plain
+    // re-placement.
+    let catalog = catalog();
+    for (label, mut state) in fresh_states(VerificationConfig::default()) {
+        admit_all(&mut state, &catalog, &[URGENT, LONG, RELAXED, LONG]);
+        assert_eq!(state.report().slots(), [vec![0, 1, 2], vec![3]], "{label}");
+        let probes = probes_of(
+            &mut state,
+            |s| apply(s, &catalog, Request::Arrive(URGENT), 4),
+            label,
+        );
+        assert_eq!(
+            state.report().slots(),
+            [vec![0, 4, 2], vec![1, 3]],
+            "{label}"
+        );
+        assert_eq!(probes, 4, "{label}");
+    }
+}
+
+#[test]
+fn a_twin_run_stops_at_the_tie_keyed_pair() {
+    // Arrivals at the end of the first-fit order: only the twin rule can
+    // skip a probe. `tie_a` and `tie_b` share a key, so the run below is
+    // ordered by arrival, but only equal contents are twins: each `tie_a`
+    // right after a `tie_a` skips the slots below its twin's slot (third
+    // `tie_a`: one probe, not two; the last but one: one, not three), while
+    // the `tie_b` after a `tie_a`, and the `tie_a` after it, probe every
+    // slot.
+    let catalog = catalog();
+    let run = [TIE_A, TIE_A, TIE_A, TIE_A, TIE_B, TIE_A, TIE_A, TIE_B];
+    for (label, mut state) in fresh_states(VerificationConfig::default()) {
+        let probes: Vec<usize> = run
+            .iter()
+            .enumerate()
+            .map(|(k, &c)| {
+                let context = format!("{label}, arrival {k}");
+                probes_of(
+                    &mut state,
+                    |s| apply(s, &catalog, Request::Arrive(c), k),
+                    &context,
+                )
+            })
+            .collect();
+        assert_eq!(probes, [0, 1, 1, 1, 2, 3, 1, 4], "{label}");
+        assert_eq!(
+            state.report().slots(),
+            [vec![0, 1], vec![2, 3], vec![4, 5], vec![6, 7]],
+            "{label}"
+        );
+    }
+}
+
+#[test]
+fn deadline_arrivals_place_exactly_on_known_verdicts() {
+    // A one-entry memo forgets almost every verdict, and a one-state budget
+    // starves the exact tier. The arriving `tie_a` ranks after the resident
+    // `tie_a` pair and before `relaxed`. Its twin, the second resident
+    // `tie_a`, was rejected at slot 0, so slot 0 rejects it without a
+    // probe; that probe's verdict is long evicted, and the screen cannot
+    // reject. Slot 1 takes it through the baseline gate, and `relaxed` goes
+    // back to slot 0, unchanged, without a probe. The placement is exact.
+    let catalog = catalog();
+    let mut state = AdmissionState::new().with_memo_capacity(1);
+    admit_all(&mut state, &catalog, &[LONG, RELAXED, TIE_A, TIE_A]);
+    assert_eq!(state.report().slots(), [vec![0, 2, 1], vec![3]]);
+    let mut verdict = None;
+    let probes = probes_of(
+        &mut state,
+        |s| verdict = Some(s.add_app_within(catalog[TIE_A].clone(), 1).unwrap()),
+        "deadline arrival",
+    );
+    assert_eq!(
+        verdict,
+        Some(DeadlineAdmit::Placed {
+            index: 4,
+            quality: AdmitQuality::Exact
+        })
+    );
+    assert_eq!(state.report().slots(), [vec![0, 2, 1], vec![3, 4]]);
+    assert_eq!(probes, 1);
 }
 
 #[test]
