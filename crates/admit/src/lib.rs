@@ -5,26 +5,26 @@
 //! [`cps_map::MapExplorerEngine`] (re-run first-fit over a whole fleet) and
 //! the incremental [`cps_map::AdmissionState`] (repair the partition as
 //! applications arrive and depart). This crate turns the latter into a
-//! *service*: a single worker thread owns one long-lived `AdmissionState`
-//! — and through it the persistent verdict memo, anti-monotone index,
-//! interned fingerprints, and the exact verifier — while any number of
-//! client handles enqueue requests on a bounded message queue and block for
-//! their answers.
+//! *service*: one long-lived `AdmissionState` — and through it the
+//! persistent verdict memo, anti-monotone index, interned fingerprints, and
+//! the exact verifier — sits behind a lock shared by any number of client
+//! handles. Each client serves its own requests on its own thread, one
+//! lock holder at a time, so a request costs no thread switch.
 //!
-//! The crate splits along the usual lines of a networked front end:
+//! The crate splits along the usual lines of a service front end:
 //!
 //! * [`protocol`] — the message types ([`Request`], [`Response`],
 //!   [`ServiceError`]) and nothing else;
-//! * [`service`] — the bounded queue, the worker loop, and the
+//! * [`service`] — the shared state, its supervisor, and the
 //!   [`AdmissionClient`] / [`AdmissionService`] handles.
 //!
 //! Warm starts close the loop with `cps-intern`'s snapshot format:
-//! [`AdmissionClient::snapshot`] serializes the worker's caches, and
+//! [`AdmissionClient::snapshot`] serializes the service's caches, and
 //! [`AdmissionService::spawn_warm`] restores them so a restarted service
 //! answers re-admissions of its old fleet without ever touching the exact
 //! verifier — bit-identical verdicts, memo-hit latency.
 //!
-//! The service is *fault tolerant*: the worker is supervised (a panic
+//! The service is *fault tolerant*: its state is supervised (a panic
 //! rebuilds the state from the last good snapshot and the supervisor's
 //! fleet mirror, and the interrupted request is answered with the retryable
 //! [`ServiceError::WorkerRestarted`]), deadline-bounded admissions degrade
@@ -54,7 +54,8 @@ mod tests {
     #[test]
     fn handles_are_send() {
         fn assert_send<T: Send>() {}
-        assert_send::<AdmissionClient>();
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<AdmissionClient>();
         assert_send::<AdmissionService>();
         assert_send::<Request>();
         assert_send::<Response>();

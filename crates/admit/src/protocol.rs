@@ -1,13 +1,13 @@
 //! Message types of the admission service.
 //!
 //! The service speaks a small request/response protocol: every [`Request`]
-//! sent to the worker is answered with exactly one `Result<Response,
+//! a client sends is answered with exactly one `Result<Response,
 //! ServiceError>`, and requests and responses pair up by kind (an
 //! [`Request::Admit`] is answered by [`Response::Admitted`], and so on).
-//! Keeping the wire types separate from the queue/worker mechanics mirrors
-//! the usual protocol/message-queue/transport layering of a networked
-//! service front end, even though this in-process service only ever crosses
-//! a channel.
+//! Keeping the message types separate from the locking and supervision
+//! mechanics mirrors the usual protocol/transport layering of a networked
+//! service front end, even though this in-process service serves each
+//! request on its caller's thread.
 
 use std::error::Error;
 use std::fmt;
@@ -16,7 +16,7 @@ use cps_core::AppTimingProfile;
 use cps_map::{AdmissionError, TierStats};
 use cps_verify::VerifyError;
 
-/// A client request to the admission worker.
+/// A client request to the admission service.
 #[derive(Debug, Clone)]
 pub enum Request {
     /// Admit an arriving application into the resident fleet.
@@ -42,7 +42,7 @@ pub enum Request {
     Stats,
 }
 
-/// The worker's answer to one [`Request`], paired by kind.
+/// The service's answer to one [`Request`], paired by kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
     /// Answer to [`Request::Admit`].
@@ -101,11 +101,11 @@ pub struct ServiceStats {
     pub fleet_len: usize,
     /// Current partition (slots list fleet indices).
     pub slots: Vec<Vec<usize>>,
-    /// Admission checks performed by every repair so far, across worker
+    /// Admission checks performed by every repair so far, across
     /// restarts.
     pub oracle_calls: usize,
     /// Lifetime cascade statistics (memo hits, exact verifies, ...), across
-    /// worker restarts.
+    /// restarts.
     pub tier: TierStats,
     /// Worker restarts the supervisor performed after panics.
     pub restarts: usize,
@@ -118,7 +118,7 @@ pub struct ServiceStats {
     pub faults_injected: usize,
 }
 
-/// Why a request failed. The worker survives every error — a failed
+/// Why a request failed. The service survives every error — a failed
 /// admission rolls the fleet back and the service keeps answering.
 #[derive(Debug)]
 pub enum ServiceError {
@@ -131,22 +131,24 @@ pub enum ServiceError {
         /// Resident fleet size at the time of the request.
         fleet_len: usize,
     },
-    /// The worker hung up (service shut down) before answering.
+    /// A panic escaped the supervisor, on this call or an earlier one, and
+    /// left the service dead.
     Disconnected,
-    /// The worker panicked while serving this request and was restarted
-    /// from its last good snapshot. The request was **not** applied (the
-    /// rebuilt state never contains a half-applied mutation), so retrying
-    /// it is safe — [`crate::RetryingClient`] does exactly that.
+    /// A panic interrupted this request, and the supervisor rebuilt the
+    /// state from its last good snapshot. The request was **not** applied
+    /// (the rebuilt state never contains a half-applied mutation), so
+    /// retrying it is safe — [`crate::RetryingClient`] does exactly that.
     WorkerRestarted,
-    /// The bounded request queue was full on a non-blocking send.
+    /// A non-blocking call found the service's bound of callers in flight
+    /// reached (see [`crate::ServiceOptions::queue_capacity`]).
     QueueFull,
-    /// An internal invariant did not hold while answering; the worker
+    /// An internal invariant did not hold while answering; the service
     /// survives and keeps serving. Never expected in practice.
     Internal {
         /// What was violated.
         reason: &'static str,
     },
-    /// The worker answered with a response of the wrong kind — a protocol
+    /// The service answered with a response of the wrong kind — a protocol
     /// bug, never expected in practice.
     Protocol {
         /// The response kind the client was waiting for.
@@ -165,10 +167,12 @@ impl fmt::Display for ServiceError {
             ServiceError::Disconnected => write!(f, "admission service disconnected"),
             ServiceError::WorkerRestarted => write!(
                 f,
-                "admission worker was restarted while serving this request; \
+                "admission service was restarted while serving this request; \
                  the request was not applied and may be retried"
             ),
-            ServiceError::QueueFull => write!(f, "admission service queue is full"),
+            ServiceError::QueueFull => {
+                write!(f, "admission service has too many callers in flight")
+            }
             ServiceError::Internal { reason } => {
                 write!(f, "admission service internal invariant violated: {reason}")
             }

@@ -1,20 +1,21 @@
 //! A client wrapper that retries transient service failures.
 //!
 //! Two [`ServiceError`]s are *transient by contract*: [`ServiceError::QueueFull`]
-//! (the bounded queue had no capacity at the instant of a non-blocking send
-//! — nothing was enqueued) and [`ServiceError::WorkerRestarted`] (the
-//! supervisor rebuilt the worker from its last good snapshot and the
-//! request was **not** applied). Both leave the service's state exactly as
-//! if the request had never been sent, so repeating the identical request
-//! is always safe — no admission can be applied twice. [`RetryingClient`]
-//! automates that repeat with a bounded, deterministic exponential backoff;
-//! every other error (verification failures, protocol violations,
-//! disconnection) is permanent and surfaces immediately.
+//! (the service's bound of callers in flight was reached at the instant of
+//! a non-blocking call — the state was not touched) and
+//! [`ServiceError::WorkerRestarted`] (the supervisor rebuilt the state from
+//! its last good snapshot and the request was **not** applied). Both leave
+//! the service's state exactly as if the request had never been sent, so
+//! repeating the identical request is always safe — no admission can be
+//! applied twice. [`RetryingClient`] automates that repeat with a bounded,
+//! deterministic exponential backoff; every other error (verification
+//! failures, protocol violations, disconnection) is permanent and surfaces
+//! immediately.
 //!
 //! For the fault soak the wrapper can also carry its own
 //! [`cps_fault::FaultPlan`] that injects [`ServiceError::QueueFull`] on the
-//! client side before a send, exercising the retry path deterministically
-//! without having to race the real queue bound.
+//! client side before a call, exercising the retry path deterministically
+//! without having to race the real in-flight bound.
 
 use std::thread;
 use std::time::Duration;
@@ -90,8 +91,8 @@ impl RetryingClient {
     }
 
     /// Arms client-side fault injection: [`cps_fault::FaultSite::QueueFull`]
-    /// trips make a send fail fast as [`ServiceError::QueueFull`] without
-    /// touching the queue.
+    /// trips make a call fail fast as [`ServiceError::QueueFull`] without
+    /// touching the service.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self

@@ -1,26 +1,23 @@
-//! The message-queue worker and its client handle.
+//! The admission service and its client handle.
 //!
-//! One worker thread owns the whole mutable state — a single
-//! [`AdmissionState`] (and with it the persistent memo, anti-monotone
+//! One [`AdmissionState`] — and with it the persistent memo, anti-monotone
 //! index, interned fingerprints, and the exact [`cps_verify`] engine behind
-//! the cascade). Clients never touch that state; they enqueue [`Request`]s
-//! on a *bounded* [`std::sync::mpsc::sync_channel`] and block on a
-//! per-request reply channel. The bound is the service's backpressure: when
-//! the queue is full, producers wait instead of piling up unboundedly ahead
-//! of a verifier-limited consumer.
+//! the cascade — sits behind a lock that the service and every
+//! [`AdmissionClient`] share. A client serves its [`Request`] on its own
+//! thread under that lock, so a round trip costs one uncontended lock and
+//! no thread switch. Concurrent callers are served in lock order, not
+//! FIFO. [`ServiceOptions::queue_capacity`] bounds the callers in flight: a
+//! blocking call waits on the lock, and the retrying client's non-blocking
+//! call is refused with [`ServiceError::QueueFull`], without touching the
+//! state, when that many are already in flight.
 //!
-//! Shutdown is by hang-up, the natural drain semantics of mpsc: dropping
-//! the last [`AdmissionClient`] closes the channel, the worker keeps
-//! receiving until the queue is *empty* (a disconnected `recv` still yields
-//! every queued envelope), answers each one, and only then exits.
-//! [`AdmissionService::shutdown`] does exactly that and hands back the
-//! final [`AdmissionState`] so a caller can snapshot it at rest — bounded
-//! by [`AdmissionService::DEFAULT_SHUTDOWN_TIMEOUT`] so forgotten client
-//! handles surface as a typed [`ShutdownError`] instead of a silent hang.
+//! [`AdmissionService::shutdown`] waits, up to a deadline, until every
+//! client has dropped, then hands back the final [`AdmissionState`] so a
+//! caller can snapshot it at rest.
 //!
 //! # Supervision
 //!
-//! The worker thread is *supervised*: every request is handled under
+//! The state is *supervised*: every request is handled under
 //! [`std::panic::catch_unwind`], and a panic — whether a genuine bug or one
 //! injected through the [`cps_fault::FaultPlan`] of [`ServiceOptions`] —
 //! discards the possibly half-mutated state and rebuilds it from the last
@@ -30,18 +27,21 @@
 //! only records mutations after their reply-worthy success), so clients can
 //! retry it safely — [`crate::RetryingClient`] automates exactly that.
 //! Recovery replays the mirror against the restored warm caches, so it
-//! costs memo lookups, not exact verification.
+//! costs memo lookups, not exact verification. A panic that escapes the
+//! supervisor itself poisons the lock: that call and every later one are
+//! answered [`ServiceError::Disconnected`], and shutdown reports
+//! [`ShutdownError::WorkerPanicked`].
 //!
 //! The last good snapshot rolls forward every
 //! [`ServiceOptions::snapshot_interval`] successful mutations, but is
 //! re-encoded only when the caches changed since its last encode, as
-//! [`AdmissionState::cache_generation`] tells. Once the caches have seen a
-//! fleet's contents most requests change nothing they persist, and an
-//! unchanged cache is not encoded again. A restart forces the next encode,
-//! because the restored caches count their changes afresh.
+//! [`AdmissionState::cache_generation`] tells. A restart encodes the caches
+//! it rebuilt, so a second restart before the next cadence point restores
+//! what the first one's replay verified.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -55,68 +55,70 @@ use crate::protocol::{
     AdmitOutcome, AdmitVerdict, EvictOutcome, Request, Response, ServiceError, ServiceStats,
 };
 
-/// One queued request plus the channel its answer goes back on.
-struct Envelope {
-    request: Request,
-    reply: mpsc::Sender<Result<Response, ServiceError>>,
+/// What the service and its clients share: the supervised state behind its
+/// lock, and the callers in flight.
+struct Shared {
+    supervisor: Mutex<Supervisor>,
+    in_flight: AtomicUsize,
+    /// [`ServiceOptions::queue_capacity`], at least one.
+    capacity: usize,
+}
+
+impl Shared {
+    /// Runs `serve` under the lock for a caller counted in flight, then counts
+    /// it out. A panic escaping `serve` poisons the lock for good.
+    fn serve(
+        &self,
+        serve: impl FnOnce(&mut Supervisor) -> Result<Response, ServiceError>,
+    ) -> Result<Response, ServiceError> {
+        let answer = panic::catch_unwind(AssertUnwindSafe(|| {
+            self.supervisor
+                .lock()
+                .map_or(Err(ServiceError::Disconnected), |mut s| serve(&mut s))
+        }))
+        .unwrap_or(Err(ServiceError::Disconnected));
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        answer
+    }
 }
 
 /// A cloneable, blocking handle to a running [`AdmissionService`].
 ///
-/// # Drop order and shutdown
-///
-/// Every live handle (clones included) holds the request queue open, and
-/// the worker only exits once the queue is closed *and* drained. Rust drops
-/// locals at the end of their scope, not at last use — so a client bound in
-/// the same scope as [`AdmissionService::shutdown`] deadlocks the join
-/// unless it is `drop`ped explicitly first. When the set of outstanding
-/// handles is not statically obvious, prefer
-/// [`AdmissionService::shutdown_timeout`], which turns the silent hang into
-/// a typed [`ShutdownTimeout`] error that can still finish the join later.
+/// Every live handle (clones included) holds up
+/// [`AdmissionService::shutdown`] until it drops, so a handle bound in the
+/// same scope as the shutdown must be `drop`ped explicitly first.
 #[derive(Clone)]
 pub struct AdmissionClient {
-    tx: mpsc::SyncSender<Envelope>,
+    shared: Arc<Shared>,
 }
 
 impl AdmissionClient {
-    /// Sends one request and blocks for its answer.
+    /// Answers one request on the calling thread, waiting for the lock
+    /// while other callers hold it.
     fn call(&self, request: Request) -> Result<Response, ServiceError> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.tx
-            .send(Envelope {
-                request,
-                reply: reply_tx,
-            })
-            .map_err(|_| ServiceError::Disconnected)?;
-        reply_rx.recv().map_err(|_| ServiceError::Disconnected)?
+        self.shared.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.shared.serve(|supervisor| supervisor.serve(request))
     }
 
-    /// Like [`AdmissionClient::call`], but never blocks on a full queue:
-    /// enqueueing on a full queue fails fast with
-    /// [`ServiceError::QueueFull`] instead of waiting for capacity. The
-    /// retrying client is built on this.
+    /// Like [`AdmissionClient::call`], but fails fast with
+    /// [`ServiceError::QueueFull`] when [`ServiceOptions::queue_capacity`]
+    /// callers are already in flight. The retrying client is built on this.
     pub(crate) fn try_call(&self, request: Request) -> Result<Response, ServiceError> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.tx
-            .try_send(Envelope {
-                request,
-                reply: reply_tx,
-            })
-            .map_err(|e| match e {
-                mpsc::TrySendError::Full(_) => ServiceError::QueueFull,
-                mpsc::TrySendError::Disconnected(_) => ServiceError::Disconnected,
-            })?;
-        reply_rx.recv().map_err(|_| ServiceError::Disconnected)?
+        if self.shared.in_flight.fetch_add(1, Ordering::Relaxed) >= self.shared.capacity {
+            self.shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+            return Err(ServiceError::QueueFull);
+        }
+        self.shared.serve(|supervisor| supervisor.serve(request))
     }
 
-    /// Admits an arriving application; blocks until the worker has repaired
-    /// the partition.
+    /// Admits an arriving application; returns once the partition is
+    /// repaired.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Verify`] if the cascade's exact tier fails (the
-    /// worker rolls the fleet back and keeps serving), or
-    /// [`ServiceError::Disconnected`] if the service shut down.
+    /// service rolls the fleet back and keeps serving), or
+    /// [`ServiceError::Disconnected`] if a panic escaped the supervisor.
     pub fn admit(&self, profile: cps_core::AppTimingProfile) -> Result<AdmitOutcome, ServiceError> {
         match self.call(Request::Admit(profile))? {
             Response::Admitted(outcome) => Ok(outcome),
@@ -155,8 +157,8 @@ impl AdmissionClient {
     /// # Errors
     ///
     /// [`ServiceError::EvictOutOfRange`] for a bad index (checked by the
-    /// worker — the service never panics on malformed requests), plus the
-    /// errors of [`AdmissionClient::admit`].
+    /// service — it never panics on malformed requests), plus the errors of
+    /// [`AdmissionClient::admit`].
     pub fn evict(&self, index: usize) -> Result<EvictOutcome, ServiceError> {
         match self.call(Request::Evict(index))? {
             Response::Evicted(outcome) => Ok(outcome),
@@ -166,11 +168,11 @@ impl AdmissionClient {
         }
     }
 
-    /// Serializes the worker's cascade caches as a warm-start snapshot.
+    /// Serializes the service's cascade caches as a warm-start snapshot.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Disconnected`] if the service shut down.
+    /// [`ServiceError::Disconnected`] if a panic escaped the supervisor.
     pub fn snapshot(&self) -> Result<Vec<u8>, ServiceError> {
         match self.call(Request::Snapshot)? {
             Response::Snapshot(bytes) => Ok(bytes),
@@ -184,7 +186,7 @@ impl AdmissionClient {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Disconnected`] if the service shut down.
+    /// [`ServiceError::Disconnected`] if a panic escaped the supervisor.
     pub fn stats(&self) -> Result<ServiceStats, ServiceError> {
         match self.call(Request::Stats)? {
             Response::Stats(stats) => Ok(stats),
@@ -193,9 +195,9 @@ impl AdmissionClient {
     }
 }
 
-/// A running admission service: one worker thread over one
-/// [`AdmissionState`]. See the module docs for the queue and shutdown
-/// contract.
+/// A running admission service: one supervised [`AdmissionState`] that its
+/// clients serve requests on. See the module docs for the in-flight bound
+/// and the shutdown contract.
 ///
 /// # Example
 ///
@@ -213,7 +215,7 @@ impl AdmissionClient {
 /// let a = client.admit(profile("A"))?;
 /// let b = client.admit(profile("B"))?;
 /// assert_eq!((a.index, b.index), (0, 1));
-/// drop(client); // outstanding clients keep the worker alive
+/// drop(client); // shutdown waits for every outstanding client
 /// let state = service.shutdown()?;
 /// assert_eq!(state.fleet().len(), 2);
 /// # Ok(())
@@ -221,13 +223,13 @@ impl AdmissionClient {
 /// ```
 pub struct AdmissionService {
     client: AdmissionClient,
-    worker: thread::JoinHandle<AdmissionState>,
 }
 
 /// Construction-time knobs of an [`AdmissionService`].
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
-    /// Bound of the request queue (the service's backpressure).
+    /// Bound on the callers in flight (the service's backpressure); the
+    /// retrying client's calls beyond it fail fast. Zero counts as one.
     pub queue_capacity: usize,
     /// Take a recovery snapshot of the cascade caches after this many
     /// successful mutating requests; caches unchanged since the last
@@ -236,8 +238,9 @@ pub struct ServiceOptions {
     /// the fleet is always rebuilt from the supervisor's mirror, and the
     /// caches merely decide how much re-verification the rebuild needs.
     pub snapshot_interval: usize,
-    /// Deterministic fault injection for the worker (panic sites and budget
-    /// squeezes). [`FaultPlan::none`] — the default — is entirely inert.
+    /// Deterministic fault injection for the service (panic sites and
+    /// budget squeezes). [`FaultPlan::none`] — the default — is entirely
+    /// inert.
     pub faults: FaultPlan,
 }
 
@@ -252,22 +255,21 @@ impl Default for ServiceOptions {
 }
 
 impl AdmissionService {
-    /// Queue bound used by [`AdmissionService::spawn`] and
+    /// In-flight bound used by [`AdmissionService::spawn`] and
     /// [`AdmissionService::spawn_warm`].
     pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
-    /// Deadline of [`AdmissionService::shutdown`]: generous enough for any
-    /// drain of a bounded queue, finite so forgotten client handles surface
-    /// as an error instead of a hung process.
+    /// Deadline of [`AdmissionService::shutdown`]: long enough for any client
+    /// to finish, finite so a forgotten handle surfaces as an error.
     pub const DEFAULT_SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(30);
 
-    /// Spawns a cold service: empty fleet, empty caches, default (exact,
+    /// Starts a cold service: empty fleet, empty caches, default (exact,
     /// unbounded) verification configuration.
     pub fn spawn() -> Self {
         Self::spawn_with_options(AdmissionState::new(), ServiceOptions::default())
     }
 
-    /// Spawns a warm service from [`AdmissionClient::snapshot`] bytes: the
+    /// Starts a warm service from [`AdmissionClient::snapshot`] bytes: the
     /// fleet starts empty (snapshots carry caches, not request state) but
     /// re-admissions of the saved fleet are answered without touching the
     /// exact verifier.
@@ -282,8 +284,8 @@ impl AdmissionService {
         ))
     }
 
-    /// Spawns a service over an explicit state (e.g. a custom verification
-    /// configuration or bounded memo) and queue bound.
+    /// Starts a service over an explicit state (e.g. a custom verification
+    /// configuration or bounded memo) and in-flight bound.
     pub fn spawn_with(state: AdmissionState, queue_capacity: usize) -> Self {
         Self::spawn_with_options(
             state,
@@ -294,86 +296,70 @@ impl AdmissionService {
         )
     }
 
-    /// Spawns a service with explicit [`ServiceOptions`] — queue bound,
+    /// Starts a service with explicit [`ServiceOptions`] — in-flight bound,
     /// recovery snapshot cadence, and (for tests and the fault soak) a
     /// deterministic fault plan.
     pub fn spawn_with_options(state: AdmissionState, options: ServiceOptions) -> Self {
-        let (tx, rx) = mpsc::sync_channel(options.queue_capacity);
-        let worker = thread::spawn(move || worker_loop(state, rx, options));
+        let shared = Arc::new(Shared {
+            capacity: options.queue_capacity.max(1),
+            in_flight: AtomicUsize::new(0),
+            supervisor: Mutex::new(Supervisor::new(state, options)),
+        });
         AdmissionService {
-            client: AdmissionClient { tx },
-            worker,
+            client: AdmissionClient { shared },
         }
     }
 
     /// A new client handle. Handles are cheap to clone and may be moved to
-    /// other threads; requests from concurrent clients serialize through
-    /// the queue.
+    /// other threads; requests from concurrent clients take the state's
+    /// lock in turn.
     pub fn client(&self) -> AdmissionClient {
         self.client.clone()
     }
 
-    /// Gracefully shuts down: hangs up the service's own client, waits for
-    /// the worker to drain every queued request (outstanding clients keep
-    /// the queue open until they drop), and returns the final state.
-    ///
-    /// Bounded by [`AdmissionService::DEFAULT_SHUTDOWN_TIMEOUT`]: client
-    /// handles still alive at the deadline (locals included — Rust drops
-    /// them at end of scope, not last use) surface as
-    /// [`ShutdownError::TimedOut`] instead of hanging the caller forever,
-    /// and the shutdown can still be completed once they are gone. Use
-    /// [`AdmissionService::shutdown_timeout`] for an explicit deadline.
+    /// Gracefully shuts down: waits until every client handle has dropped
+    /// (each finishes its requests first) and returns the final state.
+    /// Equivalent to [`AdmissionService::shutdown_timeout`] with
+    /// [`AdmissionService::DEFAULT_SHUTDOWN_TIMEOUT`].
     ///
     /// # Errors
     ///
-    /// [`ShutdownError::TimedOut`] when live clients hold the queue open at
-    /// the deadline; [`ShutdownError::WorkerPanicked`] if the worker thread
-    /// itself died (the supervisor makes this unreachable short of a bug in
-    /// the supervisor).
+    /// As [`AdmissionService::shutdown_timeout`].
     pub fn shutdown(self) -> Result<AdmissionState, ShutdownError> {
         self.shutdown_timeout(Self::DEFAULT_SHUTDOWN_TIMEOUT)
     }
 
-    /// Like [`AdmissionService::shutdown`], with an explicit deadline.
-    ///
-    /// The service's own handle is hung up immediately; the worker is then
-    /// polled (with a short exponential backoff) until it drains and exits
-    /// or the deadline passes.
+    /// Like [`AdmissionService::shutdown`], with an explicit deadline: the
+    /// other handles are polled for (with a short exponential backoff)
+    /// until they have all dropped or the deadline passes. Rust drops
+    /// locals at the end of their scope, not at last use, so the deadline
+    /// turns a forgotten handle into an error instead of a hang.
     ///
     /// # Errors
     ///
     /// [`ShutdownError::TimedOut`] when live [`AdmissionClient`] handles
-    /// are still keeping the queue open at the deadline. The error owns the
-    /// worker handle, so the shutdown can still be completed later with
-    /// [`ShutdownTimeout::wait`] once the stragglers are gone.
-    /// [`ShutdownError::WorkerPanicked`] if the worker thread itself died.
+    /// remain at the deadline; its [`ShutdownTimeout::wait`] completes the
+    /// shutdown once they are gone. [`ShutdownError::WorkerPanicked`] if a
+    /// panic escaped the supervisor (a bug in the supervisor).
     pub fn shutdown_timeout(self, timeout: Duration) -> Result<AdmissionState, ShutdownError> {
-        let AdmissionService { client, worker } = self;
-        drop(client);
-        let deadline = Instant::now() + timeout;
-        let mut backoff = Duration::from_micros(50);
-        while !worker.is_finished() {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ShutdownError::TimedOut(ShutdownTimeout { timeout, worker }));
-            }
-            thread::sleep(backoff.min(deadline - now));
-            backoff = (backoff * 2).min(Duration::from_millis(10));
-        }
-        worker.join().map_err(|_| ShutdownError::WorkerPanicked)
+        let pending = ShutdownTimeout {
+            timeout,
+            shared: self.client.shared,
+        };
+        pending.finish(Some(Instant::now() + timeout))
     }
 }
 
 /// Why a shutdown did not hand the final state back.
 #[derive(Debug)]
 pub enum ShutdownError {
-    /// Outstanding clients still held the queue open at the deadline; the
-    /// carried [`ShutdownTimeout`] owns the worker handle and can finish
-    /// the shutdown once they hang up.
+    /// Outstanding clients were still alive at the deadline; the carried
+    /// [`ShutdownTimeout`] keeps the service and can finish the shutdown
+    /// once they drop.
     TimedOut(ShutdownTimeout),
-    /// The worker thread itself panicked — per-request panics are caught
-    /// and recovered by the supervisor, so this means a bug outside any
-    /// request handler.
+    /// A panic escaped the supervisor — per-request panics are caught and
+    /// recovered by the supervisor, so this means a bug outside any request
+    /// handler.
     WorkerPanicked,
 }
 
@@ -392,7 +378,7 @@ impl std::fmt::Display for ShutdownError {
         match self {
             ShutdownError::TimedOut(t) => t.fmt(f),
             ShutdownError::WorkerPanicked => {
-                write!(f, "admission worker thread panicked outside any request")
+                write!(f, "admission service panicked outside any request")
             }
         }
     }
@@ -407,16 +393,15 @@ impl std::error::Error for ShutdownError {
     }
 }
 
-/// Typed shutdown failure: clients were still holding the queue open when
+/// Typed shutdown failure: clients were still alive when
 /// [`AdmissionService::shutdown_timeout`]'s deadline passed.
 ///
-/// The worker is *not* lost — it keeps draining requests from the surviving
-/// clients, and this error owns its join handle, so dropping the stragglers
-/// and calling [`ShutdownTimeout::wait`] completes the shutdown.
-#[derive(Debug)]
+/// The service is *not* lost — it keeps serving the surviving clients, and
+/// this error keeps it, so dropping the stragglers and calling
+/// [`ShutdownTimeout::wait`] completes the shutdown.
 pub struct ShutdownTimeout {
     timeout: Duration,
-    worker: thread::JoinHandle<AdmissionState>,
+    shared: Arc<Shared>,
 }
 
 impl ShutdownTimeout {
@@ -425,22 +410,47 @@ impl ShutdownTimeout {
         self.timeout
     }
 
-    /// Whether the worker has exited in the meantime (every client gone,
-    /// queue drained), making [`ShutdownTimeout::wait`] immediate.
+    /// Whether every client has dropped in the meantime, making
+    /// [`ShutdownTimeout::wait`] immediate.
     pub fn is_finished(&self) -> bool {
-        self.worker.is_finished()
+        Arc::strong_count(&self.shared) == 1
     }
 
-    /// Blocks until the worker drains and exits, completing the shutdown
-    /// that timed out.
+    /// Blocks until every client has dropped, completing the shutdown that
+    /// timed out.
     ///
     /// # Errors
     ///
-    /// [`ShutdownError::WorkerPanicked`] if the worker thread itself died.
+    /// [`ShutdownError::WorkerPanicked`] if a panic escaped the supervisor.
     pub fn wait(self) -> Result<AdmissionState, ShutdownError> {
-        self.worker
-            .join()
-            .map_err(|_| ShutdownError::WorkerPanicked)
+        self.finish(None)
+    }
+
+    /// Takes the final state out once every other handle has dropped,
+    /// polling with a short exponential backoff; at `deadline`, if any,
+    /// hands `self` back as the error.
+    fn finish(mut self, deadline: Option<Instant>) -> Result<AdmissionState, ShutdownError> {
+        let mut backoff = Duration::from_micros(50);
+        let alone = loop {
+            self.shared = match Arc::try_unwrap(self.shared) {
+                Ok(alone) => break alone,
+                Err(shared) => shared,
+            };
+            let now = Instant::now();
+            if deadline.is_some_and(|deadline| now >= deadline) {
+                return Err(ShutdownError::TimedOut(self));
+            }
+            thread::sleep(deadline.map_or(backoff, |deadline| backoff.min(deadline - now)));
+            backoff = (backoff * 2).min(Duration::from_millis(10));
+        };
+        let state = alone.supervisor.into_inner().map(|s| s.state);
+        state.map_err(|_| ShutdownError::WorkerPanicked)
+    }
+}
+
+impl std::fmt::Debug for ShutdownTimeout {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ShutdownTimeout({:?})", self.timeout)
     }
 }
 
@@ -448,30 +458,13 @@ impl std::fmt::Display for ShutdownTimeout {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "admission service shutdown timed out after {:?}: outstanding clients still hold the queue open",
+            "admission service shutdown timed out after {:?}: outstanding clients remain",
             self.timeout
         )
     }
 }
 
 impl std::error::Error for ShutdownTimeout {}
-
-/// The worker loop: answer until every sender is gone *and* the queue is
-/// empty, then hand the state back.
-fn worker_loop(
-    state: AdmissionState,
-    rx: mpsc::Receiver<Envelope>,
-    options: ServiceOptions,
-) -> AdmissionState {
-    let mut supervisor = Supervisor::new(state, options);
-    while let Ok(Envelope { request, reply }) = rx.recv() {
-        let answer = supervisor.serve(request);
-        // A client that hung up without waiting loses its answer; that is
-        // its problem, not the service's.
-        let _ = reply.send(answer);
-    }
-    supervisor.state
-}
 
 /// Supervisor-owned counters surfaced through [`ServiceStats`].
 #[derive(Default)]
@@ -485,7 +478,7 @@ struct ServiceMeta {
     retired_oracle_calls: usize,
 }
 
-/// The worker's crash containment: the live state, the last good snapshot
+/// The service's crash containment: the live state, the last good snapshot
 /// of its caches, and a mirror of the resident fleet kept outside the
 /// panic blast radius. See the module docs.
 struct Supervisor {
@@ -494,9 +487,8 @@ struct Supervisor {
     snapshot_interval: usize,
     ops_since_snapshot: usize,
     last_snapshot: Vec<u8>,
-    /// The state's cache generation when `last_snapshot` was encoded;
-    /// `None` after a restart, whose restored caches count afresh.
-    snapshot_generation: Option<u64>,
+    /// The state's cache generation when `last_snapshot` was encoded.
+    snapshot_generation: u64,
     /// The resident fleet as of the last *successful* mutation — the ground
     /// truth recovery rebuilds from. Updated only after a request fully
     /// succeeded, so a panic anywhere in a handler leaves it describing the
@@ -512,7 +504,7 @@ impl Supervisor {
     fn new(state: AdmissionState, options: ServiceOptions) -> Self {
         Supervisor {
             last_snapshot: state.snapshot(),
-            snapshot_generation: Some(state.cache_generation()),
+            snapshot_generation: state.cache_generation(),
             mirror: state.fleet().to_vec(),
             config: *state.config(),
             state,
@@ -559,11 +551,11 @@ impl Supervisor {
         let plan = &mut self.plan;
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             if plan.trip(FaultSite::WorkerPanicPre) {
-                panic!("injected fault: admission worker panic before handling");
+                panic!("injected fault: admission service panic before handling");
             }
             let answer = handle(state, request, meta);
             if answer.is_ok() && plan.trip(FaultSite::WorkerPanicPost) {
-                panic!("injected fault: admission worker panic after handling");
+                panic!("injected fault: admission service panic after handling");
             }
             answer
         }));
@@ -616,9 +608,9 @@ impl Supervisor {
             self.ops_since_snapshot += 1;
             if self.ops_since_snapshot >= self.snapshot_interval {
                 let generation = self.state.cache_generation();
-                if self.snapshot_generation != Some(generation) {
+                if self.snapshot_generation != generation {
                     self.last_snapshot = self.state.snapshot();
-                    self.snapshot_generation = Some(generation);
+                    self.snapshot_generation = generation;
                 }
                 self.ops_since_snapshot = 0;
             }
@@ -626,8 +618,9 @@ impl Supervisor {
     }
 
     /// Rebuilds the state after a panic: restore the cache snapshot (cold
-    /// caches if even that fails), then replay the fleet mirror against the
-    /// warm caches. Applications that fail to re-admit are counted as
+    /// caches if even that fails), replay the fleet mirror against the
+    /// warm caches, then encode the rebuilt caches as the new recovery
+    /// snapshot. Applications that fail to re-admit are counted as
     /// recovery losses and dropped from the mirror so fleet indices stay
     /// consistent; a correct run never loses any.
     fn restart(&mut self) {
@@ -647,7 +640,8 @@ impl Supervisor {
         self.mirror = survivors;
         self.state = fresh;
         self.ops_since_snapshot = 0;
-        self.snapshot_generation = None;
+        self.last_snapshot = self.state.snapshot();
+        self.snapshot_generation = self.state.cache_generation();
     }
 }
 
@@ -719,6 +713,7 @@ mod tests {
     use super::*;
     use cps_core::{AppTimingProfile, DwellTimeTable};
     use cps_verify::{VerificationConfig, VerifyError};
+    use std::sync::mpsc;
 
     fn profile(name: &str, max_wait: usize, dwell: usize) -> AppTimingProfile {
         let len = max_wait + 1;
@@ -728,7 +723,7 @@ mod tests {
     }
 
     #[test]
-    fn admit_evict_roundtrip_through_the_queue() {
+    fn admit_evict_roundtrip_through_a_client() {
         let service = AdmissionService::spawn();
         let client = service.client();
         let a = client.admit(profile("A", 10, 3)).unwrap();
@@ -758,7 +753,7 @@ mod tests {
                 fleet_len: 0
             }
         ));
-        // The worker survived and keeps serving.
+        // The service survived and keeps serving.
         client.admit(profile("A", 10, 3)).unwrap();
         drop(client);
         assert_eq!(service.shutdown().unwrap().fleet().len(), 1);
@@ -785,11 +780,10 @@ mod tests {
     }
 
     #[test]
-    fn dropping_every_client_drains_the_queue_before_shutdown() {
+    fn every_request_of_a_dropped_client_lands_before_shutdown() {
         let service = AdmissionService::spawn_with(AdmissionState::new(), 16);
-        // Fire-and-forget admissions from a second thread, dropping the
-        // reply receivers immediately: the worker must still answer all of
-        // them before exiting.
+        // Admissions from a second thread that ignores the answers and
+        // drops its handle: shutdown returns the state they all changed.
         let client = service.client();
         let producer = thread::spawn(move || {
             for i in 0..8 {
@@ -799,7 +793,7 @@ mod tests {
         });
         producer.join().unwrap();
         let state = service.shutdown().unwrap();
-        assert_eq!(state.fleet().len(), 8, "every queued admission lands");
+        assert_eq!(state.fleet().len(), 8, "every admission lands");
     }
 
     #[test]
@@ -814,9 +808,9 @@ mod tests {
         assert_eq!(timeout.timeout(), Duration::from_millis(20));
         assert!(
             !timeout.is_finished(),
-            "a live client keeps the worker alive"
+            "a live client keeps the service alive"
         );
-        // The worker is still serving the straggler...
+        // The service still serves the straggler...
         straggler.admit(profile("A", 10, 3)).unwrap();
         // ...and once it hangs up, the shutdown completes.
         drop(straggler);
@@ -950,22 +944,30 @@ mod tests {
                 Ok(_) if supervisor.ops_since_snapshot == 0 => {
                     cadence_points += 1;
                     let generation = supervisor.state.cache_generation();
-                    assert_eq!(supervisor.snapshot_generation, Some(generation));
+                    assert_eq!(supervisor.snapshot_generation, generation);
                     assert_eq!(
                         supervisor.last_snapshot,
                         supervisor.state.snapshot(),
                         "request {i}: the recovery snapshot is stale"
                     );
-                    skipped += usize::from(encoded_at == Some(generation));
-                    encoded_at = Some(generation);
+                    skipped += usize::from(encoded_at == generation);
+                    encoded_at = generation;
                 }
                 Ok(_) => {}
                 Err(ServiceError::WorkerRestarted) => {
                     restarts += 1;
-                    // The restored caches count afresh, so their generation
-                    // says nothing about the last encode.
-                    assert_eq!(supervisor.snapshot_generation, None, "request {i}");
-                    encoded_at = None;
+                    // A restart encodes the caches it rebuilt.
+                    assert_eq!(
+                        supervisor.snapshot_generation,
+                        supervisor.state.cache_generation(),
+                        "request {i}"
+                    );
+                    assert_eq!(
+                        supervisor.last_snapshot,
+                        supervisor.state.snapshot(),
+                        "request {i}: the restart left a stale recovery snapshot"
+                    );
+                    encoded_at = supervisor.snapshot_generation;
                 }
                 Err(e) => panic!("request {i}: {e}"),
             }
@@ -978,12 +980,112 @@ mod tests {
     }
 
     #[test]
+    fn back_to_back_restarts_replay_from_the_rebuilt_caches() {
+        // No request reaches the cadence, so until a restart the recovery
+        // snapshot holds the empty start-up caches.
+        let options = ServiceOptions {
+            snapshot_interval: usize::MAX,
+            ..ServiceOptions::default()
+        };
+        let mut supervisor = Supervisor::new(AdmissionState::new(), options);
+        for (i, &(wait, dwell_min, dwell_plus, r)) in
+            [(10, 3, 5, 30), (10, 3, 5, 30), (4, 2, 3, 20), (3, 1, 2, 12)]
+                .iter()
+                .enumerate()
+        {
+            let p = wide_profile(&format!("P{i}"), wait, dwell_min, dwell_plus, r);
+            supervisor.serve(Request::Admit(p)).unwrap();
+        }
+        assert!(supervisor.state.stats().exact_verifies > 0);
+        supervisor.plan = FaultPlan::seeded(1).with_rate(FaultSite::WorkerPanicPre, 1000);
+        let mut replays = Vec::new();
+        for _ in 0..2 {
+            let answer = supervisor.serve(Request::Stats);
+            assert!(matches!(answer, Err(ServiceError::WorkerRestarted)));
+            assert_eq!(supervisor.state.fleet().len(), 4);
+            replays.push(supervisor.state.stats().exact_verifies);
+        }
+        assert!(replays[0] > 0, "the first replay starts from empty caches");
+        assert_eq!(
+            replays[1], 0,
+            "the second replay restores what the first one verified"
+        );
+    }
+
+    #[test]
+    fn try_calls_beyond_the_in_flight_bound_are_refused_untouched() {
+        let service = AdmissionService::spawn_with(AdmissionState::new(), 1);
+        let client = service.client();
+        // Hold the state as a caller mid-request would.
+        let held = service.client.shared.supervisor.lock().unwrap();
+        let blocked = {
+            let client = client.clone();
+            thread::spawn(move || client.admit(profile("A", 10, 3)))
+        };
+        while service.client.shared.in_flight.load(Ordering::Relaxed) == 0 {
+            thread::yield_now();
+        }
+        // Answered at once, from another thread so that a call that waited
+        // instead fails the test rather than hanging it.
+        let (answer, refused) = mpsc::channel();
+        let eager = client.clone();
+        thread::spawn(move || {
+            answer
+                .send(eager.try_call(Request::Admit(profile("B", 10, 3))))
+                .ok()
+        });
+        assert!(matches!(
+            refused.recv_timeout(Duration::from_secs(10)),
+            Ok(Err(ServiceError::QueueFull))
+        ));
+        // The blocking caller waited on the lock and is served once freed.
+        drop(held);
+        assert_eq!(blocked.join().unwrap().unwrap().index, 0);
+        assert_eq!(service.client.shared.in_flight.load(Ordering::Relaxed), 0);
+        let stats = client.try_call(Request::Stats).unwrap();
+        assert!(matches!(
+            stats,
+            Response::Stats(ServiceStats { fleet_len: 1, .. })
+        ));
+        drop(client);
+        let state = service.shutdown().unwrap();
+        assert_eq!(
+            state.fleet()[0].name(),
+            "A",
+            "the refused call changed nothing"
+        );
+    }
+
+    #[test]
+    fn a_panic_escaping_the_supervisor_leaves_the_service_dead() {
+        let service = AdmissionService::spawn();
+        let client = service.client();
+        client.admit(profile("A", 10, 3)).unwrap();
+        client.shared.in_flight.fetch_add(1, Ordering::Relaxed);
+        let escaped = client
+            .shared
+            .serve(|_| panic!("a bug outside any request handler"));
+        assert!(matches!(escaped, Err(ServiceError::Disconnected)));
+        assert!(matches!(
+            client.admit(profile("B", 10, 3)),
+            Err(ServiceError::Disconnected)
+        ));
+        assert!(matches!(client.stats(), Err(ServiceError::Disconnected)));
+        assert_eq!(service.client.shared.in_flight.load(Ordering::Relaxed), 0);
+        drop(client);
+        assert!(matches!(
+            service.shutdown(),
+            Err(ShutdownError::WorkerPanicked)
+        ));
+    }
+
+    #[test]
     fn clients_are_disconnected_after_shutdown() {
         let service = AdmissionService::spawn();
         let survivor = service.client();
-        // `shutdown` only hangs up the service's own handle; the worker
-        // stays alive for outstanding clients. Drop the survivor from a
-        // helper thread while shutdown waits.
+        // `shutdown` waits for outstanding clients, which the service keeps
+        // serving. Drop the survivor while a helper thread waits in
+        // shutdown.
         let joiner = thread::spawn(move || service.shutdown());
         survivor.admit(profile("A", 10, 3)).unwrap();
         drop(survivor);

@@ -3,12 +3,13 @@
 //!
 //! The trace drives one [`AdmissionService`] per run: applications drawn
 //! from a small synthetic pool arrive and depart under a resident-fleet
-//! cap, and every admission is timed end to end through the message queue
-//! (client send → worker repair → reply). The cold run starts from empty
-//! caches; the warm run restarts from the cold run's snapshot and replays
-//! the *same* trace, so every repair probe is answerable from the restored
-//! memo — the cold-vs-warm deltas in p50/p99 latency and memo hit rate are
-//! the quantities this bench exists to measure.
+//! cap, and every admission is timed end to end through the client (lock
+//! → supervised repair → reply, all on the calling thread). The cold run
+//! starts from empty caches; the warm run restarts from the cold run's
+//! snapshot and replays the *same* trace, so every repair probe is
+//! answerable from the restored memo — the cold-vs-warm deltas in p50/p99
+//! latency and memo hit rate are the quantities this bench exists to
+//! measure.
 //!
 //! Correctness rides along: at sampled checkpoints (and at the end) the
 //! service's partition is asserted **bit-identical** to a from-scratch
@@ -91,7 +92,7 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
     sorted_us[rank.clamp(1, sorted_us.len()) - 1]
 }
 
-/// Replays the trace through one service. `snapshot` warm-starts the worker
+/// Replays the trace through one service. `snapshot` warm-starts the service
 /// when given. Checkpoints every `check_every` operations assert the service
 /// partition bit-identical to a from-scratch batch rebuild of the mirrored
 /// fleet.
