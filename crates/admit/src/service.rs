@@ -857,10 +857,11 @@ mod tests {
             other => panic!("expected an exact admission, got {other:?}"),
         }
         // A starved budget on an arrival the conservative screen cannot
-        // vouch for: deferred, nothing changes.
+        // vouch for and the exact tier cannot decide from one popped state:
+        // deferred, nothing changes.
         assert_eq!(
             client
-                .admit_within(wide_profile("C", 0, 5, 5, 30), 1)
+                .admit_within(wide_profile("C", 2, 5, 5, 30), 1)
                 .unwrap(),
             AdmitVerdict::Deferred
         );

@@ -210,8 +210,9 @@ fn main() {
 
     // Deterministic warm-up: a co-residency the conservative screen accepts
     // (degraded under a one-state budget) and an arrival it cannot vouch
-    // for (deferred), so the degradation counters are non-zero for every
-    // seed. The warm-up fleet is evicted again before the storm.
+    // for and the exact tier cannot decide from one popped state
+    // (deferred), so the degradation counters are non-zero for every seed.
+    // The warm-up fleet is evicted again before the storm.
     let a = admit_bounded(
         &mut client,
         &mut metrics,
@@ -227,7 +228,7 @@ fn main() {
     );
     client.evict(1).expect("warm-up eviction succeeds");
     let before_deferral = metrics.deferred_requests;
-    admit_bounded(&mut client, &mut metrics, wide("W2", 0, 5, 5, 30), 1);
+    admit_bounded(&mut client, &mut metrics, wide("W2", 2, 5, 5, 30), 1);
     assert!(
         metrics.deferred_requests > before_deferral,
         "the warm-up loner must defer under a one-state budget"

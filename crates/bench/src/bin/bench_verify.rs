@@ -1,17 +1,20 @@
 //! Slot-sharing verification performance report: the interned-state
 //! [`SlotVerifyEngine`] vs. the retained naive checker
-//! ([`cps_verify::reference`]) across three model families — the paper's
-//! exact case-study mappings, the instance-bounded acceleration, and
-//! symmetric fleets where the engine's symmetry reduction collapses
-//! permutation orbits.
+//! ([`cps_verify::reference`]) across four model families — the paper's
+//! exact case-study mappings, the instance-bounded acceleration, symmetric
+//! fleets where the engine's symmetry reduction collapses permutation
+//! orbits, and random fleets the exact verifier rejects, where the
+//! lookahead decides each miss.
 //!
 //! Every timed model is also checked for engine/oracle equivalence: verdicts
 //! must match, the engine must never pop more states than the oracle (and
-//! must pop *exactly* as many on models without interchangeable
-//! applications), and every counterexample witness must replay through the
-//! scheduler semantics via [`cps_verify::validate_witness`]. Any mismatch
-//! aborts with a non-zero exit code, which the CI bench-smoke job turns into
-//! a failure. Writes `BENCH_verify.json` at the repository root.
+//! must pop *exactly* as many, and return the identical witness, on models
+//! without interchangeable applications), and every counterexample witness
+//! must replay through the scheduler semantics via
+//! [`cps_verify::validate_witness`]. Any mismatch aborts with a non-zero
+//! exit code, which the CI bench-smoke job turns into a failure. Writes
+//! `BENCH_verify.json` at the repository root; its top-level
+//! `engine_states` sums the popped states of every family.
 //!
 //! Run with `cargo run --release -p cps-bench --bin bench_verify`. The
 //! bench has one size, the one the CI bench-smoke job runs. The engine's
@@ -21,6 +24,7 @@
 
 use std::fmt::Write as _;
 
+use cps_bench::fleet::random_fleet;
 use cps_bench::published_profiles;
 use cps_bench::report::{timed, write_report};
 use cps_core::{AppTimingProfile, DwellTimeTable};
@@ -103,6 +107,11 @@ fn assert_equivalent(
             fast.states_explored(),
             oracle.states_explored(),
             "{label}: popped-state counts must match without interchangeable applications"
+        );
+        assert_eq!(
+            fast.witness(),
+            oracle.witness(),
+            "{label}: witnesses must match without interchangeable applications"
         );
     }
     assert_eq!(
@@ -287,6 +296,38 @@ fn main() {
         .collect();
     reports.push(bench_family("symmetric_fleet", &fleet_cases));
 
+    // Random fleets of 3–5 applications that the exact verifier rejects:
+    // misses dominate the verify layer of the admission churn, and the
+    // lookahead decides each one when it interns the state that leads to
+    // it. Fleets with interchangeable neighbours are skipped, so the engine
+    // must pop exactly the oracle's states and return its witness.
+    let mut rng = 0x05EE_D0FF_1EE7_u64;
+    let mut miss_cases: Vec<ModelCase> = Vec::new();
+    let mut screen = SlotVerifyEngine::new();
+    for draw in 0.. {
+        if miss_cases.len() == 9 {
+            break;
+        }
+        let size = 3 + miss_cases.len() % 3;
+        let model = SlotSharingModel::new(random_fleet(&mut rng, draw, size, size))
+            .expect("non-empty fleet");
+        let config = VerificationConfig::unbounded();
+        if has_interchangeable_neighbors(&model)
+            || screen
+                .verify(&model, &config)
+                .expect("engine verifies")
+                .schedulable()
+        {
+            continue;
+        }
+        miss_cases.push(ModelCase {
+            label: format!("random_{size}_draw{draw}"),
+            model,
+            config,
+        });
+    }
+    reports.push(bench_family("random_fleet_miss", &miss_cases));
+
     let json = render_json(&reports);
     write_report("verify", &json);
 
@@ -318,6 +359,8 @@ fn render_json(reports: &[FamilyReport]) -> String {
         "  \"overall_speedup\": {:.1},",
         total_oracle / total_engine
     );
+    let states: usize = reports.iter().map(|r| r.engine_states).sum();
+    let _ = writeln!(json, "  \"engine_states\": {states},");
     let probes: usize = reports.iter().map(|r| r.verify.intern_probes).sum();
     let hits: usize = reports.iter().map(|r| r.verify.hash_hits).sum();
     let incremental: usize = reports.iter().map(|r| r.verify.hash_slot_updates).sum();

@@ -36,6 +36,8 @@
 //! With more than one worker thread, wait rows are additionally fanned out
 //! across `std::thread` workers.
 
+use std::sync::Arc;
+
 use crate::{engine::DwellEngine, kernel::BackendChoice, CoreError, Mode, SwitchedApplication};
 
 /// Options controlling the exhaustive dwell-time search.
@@ -232,6 +234,16 @@ pub fn settling_surface_with_backend(
 pub struct DwellTimeTable {
     jstar: usize,
     max_wait: usize,
+    /// The per-wait arrays. A table never changes once built, and every
+    /// fleet, request and report that holds a profile holds a clone of its
+    /// table, so the clones share one copy.
+    rows: Arc<DwellRows>,
+}
+
+/// The per-wait arrays of a [`DwellTimeTable`], indexed by wait
+/// `0..=T_w^*`.
+#[derive(Debug, PartialEq, Eq)]
+struct DwellRows {
     t_dw_min: Vec<usize>,
     t_dw_plus: Vec<usize>,
     j_at_min: Vec<usize>,
@@ -239,6 +251,15 @@ pub struct DwellTimeTable {
 }
 
 impl DwellTimeTable {
+    /// The table of non-empty, equally long `rows`.
+    fn from_rows(jstar: usize, rows: DwellRows) -> Self {
+        DwellTimeTable {
+            jstar,
+            max_wait: rows.t_dw_min.len() - 1,
+            rows: Arc::new(rows),
+        }
+    }
+
     /// Builds a table directly from published `T_dw^-` / `T_dw^+` arrays
     /// (e.g. the paper's Table 1) instead of recomputing them by simulation.
     ///
@@ -275,14 +296,13 @@ impl DwellTimeTable {
             });
         }
         let len = t_dw_min.len();
-        Ok(DwellTimeTable {
-            jstar,
-            max_wait: len - 1,
+        let rows = DwellRows {
             t_dw_min,
             t_dw_plus,
             j_at_min: vec![jstar; len],
             j_at_plus: vec![jstar; len],
-        })
+        };
+        Ok(DwellTimeTable::from_rows(jstar, rows))
     }
 
     /// The settling requirement `J*` in samples that the table was computed
@@ -299,56 +319,57 @@ impl DwellTimeTable {
     /// Minimum dwell time `T_dw^-(T_w)` for a wait of `wait` samples, or
     /// `None` when `wait > T_w^*`.
     pub fn t_dw_min(&self, wait: usize) -> Option<usize> {
-        self.t_dw_min.get(wait).copied()
+        self.rows.t_dw_min.get(wait).copied()
     }
 
     /// Maximum useful dwell time `T_dw^+(T_w)` for a wait of `wait` samples,
     /// or `None` when `wait > T_w^*`.
     pub fn t_dw_plus(&self, wait: usize) -> Option<usize> {
-        self.t_dw_plus.get(wait).copied()
+        self.rows.t_dw_plus.get(wait).copied()
     }
 
     /// Settling time (samples) achieved when dwelling exactly
     /// `T_dw^-(T_w)` samples.
     pub fn settling_at_min(&self, wait: usize) -> Option<usize> {
-        self.j_at_min.get(wait).copied()
+        self.rows.j_at_min.get(wait).copied()
     }
 
     /// Best achievable settling time (samples) for the given wait, reached at
     /// `T_dw^+(T_w)`.
     pub fn settling_at_plus(&self, wait: usize) -> Option<usize> {
-        self.j_at_plus.get(wait).copied()
+        self.rows.j_at_plus.get(wait).copied()
     }
 
     /// The full `T_dw^-` array indexed by wait time (`0..=T_w^*`), as printed
     /// in the paper's Table 1.
     pub fn t_dw_min_array(&self) -> &[usize] {
-        &self.t_dw_min
+        &self.rows.t_dw_min
     }
 
     /// The full `T_dw^+` array indexed by wait time (`0..=T_w^*`).
     pub fn t_dw_plus_array(&self) -> &[usize] {
-        &self.t_dw_plus
+        &self.rows.t_dw_plus
     }
 
     /// The largest minimum dwell time over all admissible waits
     /// (`T_dw^{-*}`), used by the paper's mapping heuristic as a tie-breaker.
     pub fn max_t_dw_min(&self) -> usize {
-        self.t_dw_min.iter().copied().max().unwrap_or(0)
+        self.rows.t_dw_min.iter().copied().max().unwrap_or(0)
     }
 
     /// The largest useful dwell time over all admissible waits.
     pub fn max_t_dw_plus(&self) -> usize {
-        self.t_dw_plus.iter().copied().max().unwrap_or(0)
+        self.rows.t_dw_plus.iter().copied().max().unwrap_or(0)
     }
 
     /// Number of distinct values in the `T_dw^-` and `T_dw^+` arrays — the
     /// paper notes the tables can be stored compactly because this is small.
     pub fn distinct_values(&self) -> usize {
         let mut values: Vec<usize> = self
+            .rows
             .t_dw_min
             .iter()
-            .chain(self.t_dw_plus.iter())
+            .chain(self.rows.t_dw_plus.iter())
             .copied()
             .collect();
         values.sort_unstable();
@@ -529,15 +550,14 @@ pub(crate) fn compute_dwell_table_detailed(
         return Err(CoreError::RequirementInfeasible { jt, jstar });
     }
 
+    let rows = DwellRows {
+        t_dw_min,
+        t_dw_plus,
+        j_at_min,
+        j_at_plus,
+    };
     Ok(TableComputation {
-        table: DwellTimeTable {
-            jstar,
-            max_wait: t_dw_min.len() - 1,
-            t_dw_min,
-            t_dw_plus,
-            j_at_min,
-            j_at_plus,
-        },
+        table: DwellTimeTable::from_rows(jstar, rows),
         jt,
         je,
     })
@@ -552,7 +572,8 @@ pub(crate) fn compute_dwell_table_detailed(
 /// early exit, no parallelism.
 pub mod reference {
     use super::{
-        table_row, validate_surface_bounds, DwellSearchOptions, DwellTimeTable, SettlingSurface,
+        table_row, validate_surface_bounds, DwellRows, DwellSearchOptions, DwellTimeTable,
+        SettlingSurface,
     };
     use crate::{CoreError, Mode, ModeSchedule, SwitchedApplication};
 
@@ -633,14 +654,13 @@ pub mod reference {
             return Err(CoreError::RequirementInfeasible { jt, jstar });
         }
 
-        Ok(DwellTimeTable {
-            jstar,
-            max_wait: t_dw_min.len() - 1,
+        let rows = DwellRows {
             t_dw_min,
             t_dw_plus,
             j_at_min,
             j_at_plus,
-        })
+        };
+        Ok(DwellTimeTable::from_rows(jstar, rows))
     }
 }
 

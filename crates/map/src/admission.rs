@@ -757,21 +757,23 @@ mod tests {
 
     #[test]
     fn starved_arrivals_defer_and_roll_back() {
-        // Budget 1: the exact tier cannot decide any pair probe. "C" has a
-        // zero-wait deadline with a long dwell next to it, so the
-        // conservative screen cannot accept a shared slot either — the
-        // arrival must come back deferred with the fleet untouched.
+        // Budget 1: the exact tier decides no pair probe that takes more
+        // than one popped state. "C" waits at most two samples next to A's
+        // three-sample minimum dwell, which the exact tier cannot decide
+        // from the first state and the conservative screen cannot accept in
+        // a shared slot — the arrival must come back deferred with the
+        // fleet untouched.
         let mut state = AdmissionState::new();
         state.add_app(profile("A", 10, 3, 5, 30)).unwrap();
         let slots_before = state.report().slots().to_vec();
         let deferred_before = state.stats().deferred;
-        let verdict = state.add_app_within(profile("C", 0, 5, 5, 30), 1).unwrap();
+        let verdict = state.add_app_within(profile("C", 2, 5, 5, 30), 1).unwrap();
         assert_eq!(verdict, DeadlineAdmit::Deferred);
         assert_eq!(state.fleet().len(), 1, "deferred arrival must roll back");
         assert_eq!(state.report().slots(), slots_before.as_slice());
         assert_eq!(state.stats().deferred, deferred_before + 1);
         // Retried without a deadline, the same arrival lands.
-        state.add_app(profile("C", 0, 5, 5, 30)).unwrap();
+        state.add_app(profile("C", 2, 5, 5, 30)).unwrap();
         assert_matches_batch(&state);
     }
 

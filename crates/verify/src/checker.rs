@@ -32,8 +32,18 @@
 //! first miss are those of the unpruned search. Bounded mode has no idle
 //! cells — the instance counters still differ — and keeps exact duplicate
 //! detection.
+//!
+//! # Lookahead
+//!
+//! The search steps every disturbance choice of each newly visited state at
+//! once, and stops at the first state with a choice that leaves an
+//! application past its maximum wait one sample later. A visited state that
+//! dominates such a state has such a choice itself, so the first one is
+//! never skipped, and it is the parent of the first expired state a search
+//! without lookahead would pop, reached through its first expiring choice.
+//! Verdict and witness are that search's; only the pops before a miss fall.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::witness::{TraceEvent, Witness};
 use crate::{SlotSharingModel, VerifyError};
@@ -45,7 +55,10 @@ pub struct VerificationConfig {
     /// per analysis (the paper's acceleration). `None` explores the full
     /// sporadic model.
     pub max_disturbances_per_app: Option<usize>,
-    /// Maximum number of states to pop and expand before giving up.
+    /// Maximum number of states to pop and expand before giving up. A miss
+    /// seen one sample ahead is decided within the budget: it takes only the
+    /// pops up to the parent of the doomed state, none when the initial
+    /// state is doomed.
     pub state_budget: usize,
 }
 
@@ -103,7 +116,9 @@ impl VerificationOutcome {
     }
 
     /// Number of system states that were popped and expanded (matching the
-    /// budget accounting of [`VerificationConfig::state_budget`]).
+    /// budget accounting of [`VerificationConfig::state_budget`]). A miss is
+    /// decided when the state that leads to it is visited, so its count
+    /// ends at that state's parent, and a doomed initial state reports 0.
     pub fn states_explored(&self) -> usize {
         self.states_explored
     }
@@ -159,12 +174,6 @@ impl AppParams {
 struct Explorer {
     params: Vec<AppParams>,
     bound: Option<usize>,
-}
-
-/// Result of applying the deterministic scheduler + time advance to a state.
-enum StepResult {
-    Ok(SystemState),
-    DeadlineMiss { app: usize },
 }
 
 impl Explorer {
@@ -233,9 +242,22 @@ impl Explorer {
             .collect()
     }
 
+    /// The first application waiting beyond its maximum wait: it can no
+    /// longer meet its requirement even if granted right now.
+    fn expired(&self, state: &SystemState) -> Option<usize> {
+        state.cells.iter().enumerate().position(
+            |(app, cell)| matches!(cell, Cell::Waiting { waited } if *waited > self.params[app].max_wait),
+        )
+    }
+
     /// Applies one sample step: the chosen disturbances arrive, the scheduler
-    /// decides, and time advances by one sample.
-    fn step(&self, state: &SystemState, disturbed: &[usize]) -> StepResult {
+    /// decides, and time advances by one sample. The search stops at the
+    /// parent of every state with an expired waiter, so it never steps one.
+    fn step(&self, state: &SystemState, disturbed: &[usize]) -> SystemState {
+        assert!(
+            self.expired(state).is_none(),
+            "the search never steps past a deadline miss"
+        );
         let mut cells = state.cells.clone();
         let mut used = state.instances_used.clone();
 
@@ -250,17 +272,7 @@ impl Explorer {
             }
         }
 
-        // 2. Deadline check: a waiter beyond its maximum wait can no longer
-        //    meet its requirement even if granted right now.
-        for (app, cell) in cells.iter().enumerate() {
-            if let Cell::Waiting { waited } = cell {
-                if *waited > self.params[app].max_wait {
-                    return StepResult::DeadlineMiss { app };
-                }
-            }
-        }
-
-        // 3. Scheduler decision for this sample.
+        // 2. Scheduler decision for this sample.
         let mut occupant: Option<usize> =
             cells.iter().position(|c| matches!(c, Cell::Using { .. }));
 
@@ -323,7 +335,7 @@ impl Explorer {
             }
         }
 
-        // 4. One sample of time passes.
+        // 3. One sample of time passes.
         for (app, cell) in cells.iter_mut().enumerate() {
             *cell = match *cell {
                 Cell::Steady => Cell::Steady,
@@ -350,10 +362,10 @@ impl Explorer {
             };
         }
 
-        StepResult::Ok(SystemState {
+        SystemState {
             cells,
             instances_used: used,
-        })
+        }
     }
 }
 
@@ -376,8 +388,9 @@ fn subsets(items: &[usize]) -> Vec<Vec<usize>> {
 /// every admissible disturbance scenario.
 ///
 /// The breadth-first search skips every successor that an already-visited
-/// state equals or dominates (see the module docs), so `states_explored`
-/// counts the states of the pruned search.
+/// state equals or dominates, and stops at the first visited state with a
+/// deadline miss one sample ahead (see the module docs), so
+/// `states_explored` counts the states of the pruned search.
 ///
 /// `state_budget` bounds the number of states *popped and expanded* (not
 /// merely discovered), matching the accounting of
@@ -394,10 +407,16 @@ pub fn verify(
     model: &SlotSharingModel,
     config: &VerificationConfig,
 ) -> Result<VerificationOutcome, VerifyError> {
+    explore(model, config, prune())
+}
+
+/// The visit rule of [`verify`]: records a reached state and returns `false`
+/// when an already-visited state equals or dominates it.
+fn prune() -> impl FnMut(&Explorer, &SystemState) -> bool {
     // Busy projection → the idle-rank vectors of its visited states that no
     // other visited state dominates (an antichain).
     let mut visited: HashMap<SystemState, Vec<Vec<u32>>> = HashMap::new();
-    explore(model, config, |explorer, state| {
+    move |explorer, state| {
         let (busy, ranks) = explorer.split(state);
         let kept = visited.entry(busy).or_default();
         if kept.iter().any(|other| dominates(other, &ranks)) {
@@ -406,7 +425,7 @@ pub fn verify(
         kept.retain(|other| !dominates(&ranks, other));
         kept.push(ranks);
         true
-    })
+    }
 }
 
 /// `true` when every idle rank of `a` is at least the matching rank of `b`.
@@ -416,7 +435,10 @@ fn dominates(a: &[u32], b: &[u32]) -> bool {
 
 /// The breadth-first search shared by [`verify`] and the unpruned search of
 /// the tests: `visit` records a reached state and returns `true` when it
-/// must be queued, `false` when the search skips it.
+/// must be queued, `false` when the search skips it. Every queued state is
+/// stepped under each disturbance choice at once, and the search stops at
+/// the first one with a choice that leaves an application past its maximum
+/// wait.
 fn explore(
     model: &SlotSharingModel,
     config: &VerificationConfig,
@@ -435,59 +457,60 @@ fn explore(
     let explorer = Explorer::new(model, config);
     let initial = explorer.initial_state();
     visit(&explorer, &initial);
-
     let mut nodes: Vec<Node> = vec![Node {
         state: initial,
         parent: None,
         disturbed: Vec::new(),
         sample: 0,
     }];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    queue.push_back(0);
+    if let Some(witness) = first_miss(&explorer, &nodes, 0) {
+        return Ok(VerificationOutcome::new(false, 0, Some(witness)));
+    }
 
-    // The budget gates (and `states_explored` reports) states that are
-    // actually popped and expanded, not merely discovered and queued.
+    // Every visited state is queued, so `nodes` doubles as the queue. The
+    // budget gates (and `states_explored` reports) states that are actually
+    // popped and expanded, not merely discovered and queued.
     let mut explored = 0usize;
-    while let Some(index) = queue.pop_front() {
+    while explored < nodes.len() {
+        let index = explored;
         explored += 1;
         if explored > config.state_budget {
             return Err(VerifyError::StateBudgetExhausted {
                 budget: config.state_budget,
             });
         }
-        let eligible = explorer.eligible(&nodes[index].state);
         let sample = nodes[index].sample;
-        for subset in subsets(&eligible) {
-            match explorer.step(&nodes[index].state, &subset) {
-                StepResult::DeadlineMiss { app } => {
-                    let witness = build_witness(&nodes, index, &subset, sample, app);
-                    return Ok(VerificationOutcome {
-                        schedulable: false,
-                        states_explored: explored,
-                        witness: Some(witness),
-                    });
-                }
-                StepResult::Ok(next) => {
-                    if !visit(&explorer, &next) {
-                        continue;
-                    }
-                    nodes.push(Node {
-                        state: next,
-                        parent: Some(index),
-                        disturbed: subset.clone(),
-                        sample: sample + 1,
-                    });
-                    queue.push_back(nodes.len() - 1);
-                }
+        for subset in subsets(&explorer.eligible(&nodes[index].state)) {
+            let next = explorer.step(&nodes[index].state, &subset);
+            if !visit(&explorer, &next) {
+                continue;
+            }
+            nodes.push(Node {
+                state: next,
+                parent: Some(index),
+                disturbed: subset,
+                sample: sample + 1,
+            });
+            if let Some(witness) = first_miss(&explorer, &nodes, nodes.len() - 1) {
+                return Ok(VerificationOutcome::new(false, explored, Some(witness)));
             }
         }
     }
 
-    Ok(VerificationOutcome {
-        schedulable: true,
-        states_explored: explored,
-        witness: None,
-    })
+    Ok(VerificationOutcome::new(true, explored, None))
+}
+
+/// Steps every disturbance choice of the visited state `nodes[index]` and
+/// returns the witness through the first that leaves an application past
+/// its maximum wait, if any.
+fn first_miss(explorer: &Explorer, nodes: &[Node], index: usize) -> Option<Witness> {
+    let state = &nodes[index].state;
+    subsets(&explorer.eligible(state))
+        .into_iter()
+        .find_map(|subset| {
+            let app = explorer.expired(&explorer.step(state, &subset))?;
+            Some(build_witness(nodes, index, &subset, app))
+        })
 }
 
 /// One node of the exploration graph, kept for witness reconstruction.
@@ -498,17 +521,19 @@ struct Node {
     sample: usize,
 }
 
+/// The counterexample through the parent chain of `nodes[doomed]` and its
+/// choice `final_disturbed`, after which `failing_app` waits past its
+/// maximum wait one sample later.
 fn build_witness(
     nodes: &[Node],
-    failing_parent: usize,
+    doomed: usize,
     final_disturbed: &[usize],
-    final_sample: usize,
     failing_app: usize,
 ) -> Witness {
     let mut events = Vec::new();
     // Walk back up the parent chain collecting the disturbance choices.
     let mut chain = Vec::new();
-    let mut index = Some(failing_parent);
+    let mut index = Some(doomed);
     while let Some(i) = index {
         chain.push(i);
         index = nodes[i].parent;
@@ -522,17 +547,15 @@ fn build_witness(
             });
         }
     }
+    let sample = nodes[doomed].sample;
     for &app in final_disturbed {
-        events.push(TraceEvent::Disturbance {
-            app,
-            sample: final_sample,
-        });
+        events.push(TraceEvent::Disturbance { app, sample });
     }
     events.push(TraceEvent::DeadlineMissed {
         app: failing_app,
-        sample: final_sample,
+        sample: sample + 1,
     });
-    Witness::new(events, failing_app, final_sample)
+    Witness::new(events, failing_app, sample + 1)
 }
 
 #[cfg(test)]
@@ -699,6 +722,45 @@ mod tests {
         explore(model, config, |_, state| visited.insert(state.clone()))
     }
 
+    /// The pruned search without lookahead: it reports a miss only when it
+    /// pops a state with an expired waiter, as the search did before it
+    /// stopped at that state's parent.
+    fn verify_plain(model: &SlotSharingModel, config: &VerificationConfig) -> VerificationOutcome {
+        let explorer = Explorer::new(model, config);
+        let mut visit = prune();
+        let initial = explorer.initial_state();
+        visit(&explorer, &initial);
+        let mut nodes = vec![Node {
+            state: initial,
+            parent: None,
+            disturbed: Vec::new(),
+            sample: 0,
+        }];
+        let mut explored = 0;
+        while explored < nodes.len() {
+            let index = explored;
+            explored += 1;
+            if let Some(app) = explorer.expired(&nodes[index].state) {
+                let node = &nodes[index];
+                let witness = build_witness(&nodes, node.parent.unwrap(), &node.disturbed, app);
+                return VerificationOutcome::new(false, explored, Some(witness));
+            }
+            for subset in subsets(&explorer.eligible(&nodes[index].state)) {
+                let next = explorer.step(&nodes[index].state, &subset);
+                if visit(&explorer, &next) {
+                    let sample = nodes[index].sample + 1;
+                    nodes.push(Node {
+                        state: next,
+                        parent: Some(index),
+                        disturbed: subset,
+                        sample,
+                    });
+                }
+            }
+        }
+        VerificationOutcome::new(true, explored, None)
+    }
+
     /// A profile with random dwell arrays: waits up to 4 samples, dwells up
     /// to 5, inter-arrival at most 10 beyond the requirement.
     fn random_profile(rng: &mut TestRng, tag: usize) -> AppTimingProfile {
@@ -716,22 +778,58 @@ mod tests {
         AppTimingProfile::new(format!("P{tag}"), 1, jstar + 10, jstar, r, table).unwrap()
     }
 
+    /// 1–3 applications drawn from 1–2 random profiles, so duplicates
+    /// appear adjacent, interleaved and not at all.
+    fn random_model(seed: u64) -> SlotSharingModel {
+        let mut rng = TestRng::new(seed);
+        let distinct = 1 + rng.next_below(2) as usize;
+        let pool: Vec<AppTimingProfile> =
+            (0..distinct).map(|i| random_profile(&mut rng, i)).collect();
+        let apps = 1 + rng.next_below(3) as usize;
+        SlotSharingModel::new(
+            (0..apps)
+                .map(|_| pool[rng.next_below(distinct as u64) as usize].clone())
+                .collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn a_doomed_initial_state_misses_before_any_pop() {
+        // Two zero-wait applications: disturbing both leaves one waiting.
+        let model =
+            SlotSharingModel::new(vec![profile("A", 0, 5, 5, 30), profile("B", 0, 5, 5, 30)])
+                .unwrap();
+        let outcome = verify(&model, &VerificationConfig::default()).unwrap();
+        assert_eq!(outcome.states_explored(), 0);
+        let witness = outcome.witness().unwrap();
+        assert_eq!((witness.failing_app(), witness.missed_at_sample()), (1, 1));
+        validate_witness(&model, witness).unwrap();
+        assert_eq!(
+            verify_plain(&model, &VerificationConfig::default()).witness(),
+            Some(witness)
+        );
+    }
+
     proptest! {
         #[test]
+        fn lookahead_keeps_every_verdict_and_witness(seed in 0u64..1_000_000) {
+            let model = random_model(seed);
+            for config in [VerificationConfig::unbounded(), VerificationConfig::bounded(2)] {
+                let ahead = verify(&model, &config).unwrap();
+                let plain = verify_plain(&model, &config);
+                prop_assert_eq!(ahead.schedulable(), plain.schedulable());
+                prop_assert_eq!(ahead.witness(), plain.witness());
+                prop_assert!(ahead.states_explored() <= plain.states_explored());
+                if ahead.schedulable() {
+                    prop_assert_eq!(ahead.states_explored(), plain.states_explored());
+                }
+            }
+        }
+
+        #[test]
         fn pruning_keeps_every_verdict_and_miss_sample(seed in 0u64..1_000_000) {
-            // 1–3 applications drawn from 1–2 profiles, so duplicates appear
-            // adjacent, interleaved and not at all.
-            let mut rng = TestRng::new(seed);
-            let distinct = 1 + rng.next_below(2) as usize;
-            let pool: Vec<AppTimingProfile> =
-                (0..distinct).map(|i| random_profile(&mut rng, i)).collect();
-            let apps = 1 + rng.next_below(3) as usize;
-            let model = SlotSharingModel::new(
-                (0..apps)
-                    .map(|_| pool[rng.next_below(distinct as u64) as usize].clone())
-                    .collect(),
-            )
-            .unwrap();
+            let model = random_model(seed);
             for config in [VerificationConfig::unbounded(), VerificationConfig::bounded(2)] {
                 let pruned = verify(&model, &config).unwrap();
                 let unpruned = verify_unpruned(&model, &config).unwrap();

@@ -49,6 +49,19 @@
 //!   the instance counters still differ: its projection is the whole state,
 //!   every antichain holds one state, and the same path deduplicates exact
 //!   states.
+//! * **Lookahead miss detection** — a state is *doomed* when some
+//!   disturbance choice leaves an application past its maximum wait one
+//!   sample later: it has two zero-laxity grant candidates (waiters at their
+//!   maximum wait, or eligible applications whose maximum wait is 0), or one
+//!   while the occupant can be neither released nor preempted. Compiled
+//!   entries flag the candidates, so the test is one entry lookup per slot.
+//!   Staging tests every successor and the search stops at the first doomed
+//!   state it interns, instead of expanding the rest of the BFS queue up to
+//!   the expired successor. An interned state that dominates a doomed state
+//!   is doomed itself, so the first doomed state interned is the parent of
+//!   the first expired state a search without lookahead would pop: the
+//!   verdict and the witness are that search's, only the pops of a miss
+//!   fall.
 //! * **Bitmask disturbance enumeration** — the per-sample disturbance choices
 //!   are enumerated as a mixed-radix counter over groups of interchangeable
 //!   applications and recorded as a `u32` position bitmask; the oracle
@@ -81,9 +94,12 @@
 //! [`crate::witness::validate_witness`] in the test suite.
 //!
 //! `states_explored` counts states popped and expanded, with the same budget
-//! semantics as the oracle. On models without adjacent identical profiles the
-//! engine runs the oracle's pruned search: it pops the same states in the
-//! same order, makes the same skip decisions, and reports the identical
+//! semantics as the oracle: a miss is decided when its doomed parent is
+//! interned, during the pop of that state's own parent, so a doomed initial
+//! state reports 0 popped states. On models without adjacent identical
+//! profiles the engine runs the oracle's pruned search with its lookahead:
+//! it pops the same states in the same order, makes the same skip
+//! decisions, stops at the same doomed state, and reports the identical
 //! count. With interchangeable neighbours it explores at most as many.
 //!
 //! # Exploration loop
@@ -96,8 +112,9 @@
 //!
 //! 1. **Stage.** Every state of the chunk is loaded once — its entries and
 //!    the half of the step no disturbance choice changes — and each choice's
-//!    successor is stepped, canonicalised and incrementally hashed into a
-//!    staging buffer the engine owns and reuses. On a pool wider than one
+//!    successor is stepped, canonicalised, incrementally hashed and tested
+//!    for doom into a staging buffer the engine owns and reuses. A buffer
+//!    stops at its first doomed successor. On a pool wider than one
 //!    thread, a span of more than `CHUNK_STATES` queued states is split into
 //!    contiguous state ranges, one buffer per worker; a shorter span stages
 //!    on the calling thread, where a thread spawn would cost more than the
@@ -105,12 +122,14 @@
 //!    chunk, so the workers share nothing mutable.
 //! 2. **Merge.** The staged records are interned in serial order, buffer by
 //!    buffer, replaying pop accounting, the state budget, cancellation and
-//!    the first deadline miss exactly as a pop-one-state loop interleaves
-//!    them. Each record's index bucket is prefetched
+//!    the first doomed state exactly as a pop-one-state loop interleaves
+//!    them. Once it interns a doomed state it stages that state alone and
+//!    replays the witness through its first expiring choice, in the usual
+//!    choice order. Each record's index bucket is prefetched
 //!    ([`cps_intern::CachedHashIndex::prefetch`]) a fixed distance ahead, so
 //!    the probes into a large index overlap their cache misses.
 //!
-//! Because ids, hashes, stats counters and the first-miss choice are all
+//! Because ids, hashes, stats counters and the first doomed state are all
 //! decided by the in-order merge, verdicts, witnesses, interned ids and
 //! [`VerifyStats`] are **bit-identical under any thread count** (asserted by
 //! the cross-thread-count property tests at pool widths 2, 4 and 8).
@@ -338,6 +357,10 @@ const RELEASE_PLUS: u8 = 1 << 3;
 const RELEASE_MIN: u8 = 1 << 4;
 /// [`Entry`] flag: steady with instances left — may be disturbed.
 const ELIGIBLE: u8 = 1 << 5;
+/// [`Entry`] flag: a zero-laxity grant candidate — waiting at the maximum
+/// wait, or eligible with a maximum wait of zero. Not granted this sample,
+/// it expires.
+const URGENT: u8 = 1 << 6;
 
 /// One application's sample step at one packed code. Successor codes
 /// include the sample's time advance; fields the location has no use for
@@ -554,6 +577,9 @@ impl ModelCtx {
         match cell {
             Cell::Steady if self.bound.is_none_or(|b| used < b) => {
                 entry.flags = ELIGIBLE;
+                if p.max_wait == 0 {
+                    entry.flags |= URGENT;
+                }
                 // The instance counter only exists in bounded mode.
                 let used = used + u32::from(self.bound.is_some());
                 entry.disturb = enc.encode(Cell::Waiting { waited: 0 }, used);
@@ -562,6 +588,9 @@ impl ModelCtx {
             Cell::Waiting { waited } if waited > p.max_wait => entry.flags = EXPIRED,
             Cell::Waiting { waited } => {
                 entry.flags = WAITING;
+                if waited == p.max_wait {
+                    entry.flags |= URGENT;
+                }
                 entry.laxity = p.max_wait - waited;
                 entry.advance = enc.encode(Cell::Waiting { waited: waited + 1 }, used);
                 let granted = Cell::Using {
@@ -656,8 +685,8 @@ enum Slot {
 
 /// One state loaded for stepping: the entries of its codes and the half of
 /// the sample step that no disturbance choice changes. Mirrors the oracle's
-/// `Explorer::step`: deadline check, occupant release, laxity-EDF
-/// grant/preemption, time advance.
+/// `Explorer::step`: occupant release, laxity-EDF grant/preemption, time
+/// advance.
 #[derive(Debug, Default)]
 struct Frame<W> {
     entries: Vec<Entry>,
@@ -668,8 +697,6 @@ struct Frame<W> {
     /// its grant code.
     waiter: Option<(u32, usize, u32)>,
     slot: Slot,
-    /// The first application past its maximum wait: every choice misses.
-    expired: Option<usize>,
 }
 
 impl<W: StateWord> Frame<W> {
@@ -677,13 +704,9 @@ impl<W: StateWord> Frame<W> {
         self.entries.clear();
         self.base.clear();
         self.waiter = None;
-        self.expired = None;
         let mut occupant = None;
         for (app, code) in codes.iter().enumerate() {
             let e = ctx.entry(app, code.unpack());
-            if e.flags & EXPIRED != 0 && self.expired.is_none() {
-                self.expired = Some(app);
-            }
             if e.flags & WAITING != 0 && self.waiter.is_none_or(|(laxity, ..)| e.laxity < laxity) {
                 self.waiter = Some((e.laxity, app, e.grant));
             }
@@ -708,10 +731,11 @@ impl<W: StateWord> Frame<W> {
     }
 
     /// Turns `succ`, a copy of `base`, into the successor under the
-    /// disturbance choice `mask` (one bit per disturbed position). The
-    /// loaded state must not have expired.
+    /// disturbance choice `mask` (one bit per disturbed position). No
+    /// application of the loaded state may wait past its maximum wait: the
+    /// search stops at the doomed parent of every such state.
     fn apply_choice(&self, ctx: &ModelCtx, mask: u32, succ: &mut [W]) {
-        debug_assert!(self.expired.is_none());
+        debug_assert!(self.entries.iter().all(|e| e.flags & EXPIRED == 0));
         let mut best = self.waiter;
         let mut rest = mask;
         while rest != 0 {
@@ -850,6 +874,27 @@ fn compare_ranks<W: StateWord>(a: &[W], b: &[W]) -> (bool, bool) {
     })
 }
 
+/// `true` when some disturbance choice leaves an application of `codes`
+/// past its maximum wait one sample later. The scheduler grants at most one
+/// waiter per sample, so that takes two zero-laxity grant candidates, or one
+/// while the occupant can be neither released nor preempted. The answer does
+/// not depend on the order of interchangeable applications, so canonical
+/// states test like concrete ones.
+fn doomed<W: StateWord>(ctx: &ModelCtx, codes: &[W]) -> bool {
+    let (mut urgent, mut held) = (0u32, false);
+    for (app, code) in codes.iter().enumerate() {
+        let flags = ctx.entry(app, code.unpack()).flags;
+        urgent += u32::from(flags & URGENT != 0);
+        held |= flags & (USING | RELEASE_MIN | RELEASE_PLUS) == USING;
+    }
+    urgent >= 2 || (urgent == 1 && held)
+}
+
+/// The first application of `codes` that waits past its maximum wait.
+fn expired<W: StateWord>(ctx: &ModelCtx, codes: &[W]) -> Option<usize> {
+    (0..ctx.n).find(|&app| ctx.entry(app, codes[app].unpack()).flags & EXPIRED != 0)
+}
+
 /// Sorts the packed codes of every symmetry run into canonical order (see
 /// [`ModelCtx::order_key`]), mapping a state to its orbit representative.
 fn canonicalize<W: StateWord>(ctx: &ModelCtx, words: &mut [W]) {
@@ -899,7 +944,7 @@ struct SuccRecord {
     hash: u64,
     /// Slots whose projected canonical code differs from the canonical
     /// parent's — the incremental hash work, folded into the stats when the
-    /// merge consumes the record (discarded post-miss records never count).
+    /// merge consumes the record (records staged for a witness never count).
     diffs: u32,
 }
 
@@ -910,9 +955,10 @@ struct Stage<W> {
     records: Vec<SuccRecord>,
     /// `records.len() * n` packed words, record-major.
     words: Vec<W>,
-    /// The first deadline miss in the staged range: `(parent id, mask)`.
-    /// Staging stops there — in serial order nothing after it is observed.
-    miss: Option<(u32, u32)>,
+    /// Staging stopped at the last record, the first successor the `stop`
+    /// test of [`Stage::fill`] accepted: in serial order nothing after it is
+    /// observed.
+    stopped: bool,
     frame: Frame<W>,
     /// Groups of interchangeable eligible positions: `(start, len)`.
     groups: Vec<(u32, u32)>,
@@ -922,9 +968,16 @@ struct Stage<W> {
 
 impl<W: StateWord> Stage<W> {
     /// Stages the successors of the interned states `states`, in serial
-    /// order. Reads only the arena and hashes of states interned before the
-    /// chunk.
-    fn fill(&mut self, ctx: &ModelCtx, arena: &[W], hashes: &[u64], states: Range<usize>) {
+    /// order, up to and including the first that `stop` accepts. Reads only
+    /// the arena and hashes of states interned before the chunk.
+    fn fill(
+        &mut self,
+        ctx: &ModelCtx,
+        arena: &[W],
+        hashes: &[u64],
+        states: Range<usize>,
+        stop: impl Fn(&ModelCtx, &[W]) -> bool,
+    ) {
         let n = ctx.n;
         self.records.clear();
         self.words.clear();
@@ -933,16 +986,10 @@ impl<W: StateWord> Stage<W> {
         // steps fragment the allocator's heap.
         self.records.reserve(2 * CHUNK_STATES);
         self.words.reserve(2 * CHUNK_STATES * n);
-        self.miss = None;
+        self.stopped = false;
         for id in states {
             let row = &arena[id * n..(id + 1) * n];
             self.frame.load(ctx, row);
-            if self.frame.expired.is_some() {
-                // The deadline check fails whatever is disturbed, so the
-                // first choice — nobody disturbed — is the miss.
-                self.miss = Some((id as u32, 0));
-                return;
-            }
             scan_groups(&ctx.runs, row, &self.frame.entries, &mut self.groups);
             self.counts.clear();
             self.counts.resize(self.groups.len(), 0);
@@ -996,6 +1043,10 @@ impl<W: StateWord> Stage<W> {
                     hash,
                     diffs,
                 });
+                if stop(ctx, succ) {
+                    self.stopped = true;
+                    return;
+                }
 
                 let mut g = 0;
                 while g < self.groups.len() && self.counts[g] == self.groups[g].1 {
@@ -1072,10 +1123,17 @@ impl<W: StateWord> Core<W> {
         // words under every layout and is its own canonical representative
         // and busy projection. Its fingerprint is the one from-scratch hash
         // of the whole run.
+        let initial = vec![W::pack(0); n];
         let init_hash = ctx.keys.fingerprint(std::iter::repeat_n(0, n));
         *slot_updates += n;
-        let fresh = store.insert(ctx, &vec![W::pack(0); n], init_hash, NO_PARENT, 0);
+        let fresh = store.insert(ctx, &initial, init_hash, NO_PARENT, 0);
         debug_assert!(fresh, "a reset store holds no state");
+        if stages.is_empty() {
+            stages.push(Stage::default());
+        }
+        if doomed(ctx, &initial) {
+            return Ok(reject(ctx, store, &mut stages[0], 0, 0));
+        }
 
         // `head` is the next state to pop; the chunk `[head, end)` is staged
         // whole, and the merge pops its states as their records come up.
@@ -1092,9 +1150,10 @@ impl<W: StateWord> Core<W> {
             pool.map_mut(&mut stages[..workers], |w, stage| {
                 let start = (head + w * per_worker).min(end);
                 let states = start..(start + per_worker).min(end);
-                stage.fill(ctx, frozen, frozen_hashes, states);
+                stage.fill(ctx, frozen, frozen_hashes, states, doomed);
             });
 
+            let mut first_doomed = None;
             for stage in &stages[..workers] {
                 for rec in stage.records.iter().take(PREFETCH_DISTANCE) {
                     store.index.prefetch(rec.hash);
@@ -1111,14 +1170,19 @@ impl<W: StateWord> Core<W> {
                     }
                     *slot_updates += rec.diffs as usize;
                     let words = &stage.words[r * n..(r + 1) * n];
-                    store.insert(ctx, words, rec.hash, rec.parent, rec.mask);
+                    let fresh = store.insert(ctx, words, rec.hash, rec.parent, rec.mask);
+                    debug_assert!(
+                        fresh || !stage.stopped || r + 1 < stage.records.len(),
+                        "an interned state that dominates a doomed state is doomed itself"
+                    );
                 }
-                if let Some((parent, mask)) = stage.miss {
-                    debug_assert_eq!(parent as usize, head, "a missing state stages no record");
-                    ctx.charge_pop(&mut explored)?;
-                    let witness = build_witness(ctx, &store.arena, &store.meta, parent, mask);
-                    return Ok(VerificationOutcome::new(false, explored, Some(witness)));
+                if stage.stopped {
+                    first_doomed = Some(store.meta.len() - 1);
+                    break;
                 }
+            }
+            if let Some(id) = first_doomed {
+                return Ok(reject(ctx, store, &mut stages[0], id, explored));
             }
             debug_assert_eq!(head, end, "every staged state is popped");
         }
@@ -1127,7 +1191,27 @@ impl<W: StateWord> Core<W> {
     }
 }
 
-/// Reconstructs a concrete counterexample from the canonical parent chain.
+/// The verdict once the doomed state `id` is interned. Its first expiring
+/// choice, staged alone in the usual choice order, ends the witness: the
+/// miss follows one sample later. `explored` counts the states popped so
+/// far, 0 when the initial state is doomed.
+fn reject<W: StateWord>(
+    ctx: &ModelCtx,
+    store: &Store<W>,
+    stage: &mut Stage<W>,
+    id: usize,
+    explored: usize,
+) -> VerificationOutcome {
+    let expiring = |ctx: &ModelCtx, codes: &[W]| expired(ctx, codes).is_some();
+    stage.fill(ctx, &store.arena, &store.hashes, id..id + 1, expiring);
+    assert!(stage.stopped, "a doomed state has an expiring choice");
+    let mask = stage.records[stage.records.len() - 1].mask;
+    let witness = build_witness(ctx, &store.arena, &store.meta, id as u32, mask);
+    VerificationOutcome::new(false, explored, Some(witness))
+}
+
+/// Reconstructs a concrete counterexample from the canonical parent chain of
+/// the doomed state `doomed` and its expiring choice `final_mask`.
 ///
 /// The recorded masks are expressed in canonical coordinates, so the chain is
 /// replayed from the initial state while tracking the permutation between
@@ -1139,12 +1223,12 @@ fn build_witness<W: StateWord>(
     ctx: &ModelCtx,
     arena: &[W],
     meta: &[NodeMeta],
-    failing_parent: u32,
+    doomed: u32,
     final_mask: u32,
 ) -> Witness {
     let n = ctx.n;
     let mut path = Vec::new();
-    let mut cursor = failing_parent;
+    let mut cursor = doomed;
     loop {
         path.push(cursor);
         let parent = meta[cursor as usize].parent;
@@ -1170,7 +1254,6 @@ fn build_witness<W: StateWord>(
     let mut events = Vec::new();
 
     for (sample, &mask) in masks.iter().enumerate() {
-        let last = sample + 1 == masks.len();
         let mut concrete = 0u32;
         for (bit, &app) in perm.iter().enumerate() {
             if mask & (1 << bit) != 0 {
@@ -1178,19 +1261,11 @@ fn build_witness<W: StateWord>(
                 events.push(TraceEvent::Disturbance { app, sample });
             }
         }
-        frame.load(ctx, &codes);
-        if let Some(app) = frame.expired {
-            assert!(
-                last,
-                "engine witness: premature deadline miss while replaying the parent chain"
-            );
-            events.push(TraceEvent::DeadlineMissed { app, sample });
-            return Witness::new(events, app, sample);
-        }
         assert!(
-            !last,
-            "engine witness: the failing step replayed without a deadline miss"
+            expired(ctx, &codes).is_none(),
+            "engine witness: premature deadline miss while replaying the parent chain"
         );
+        frame.load(ctx, &codes);
         codes.copy_from_slice(&frame.base);
         frame.apply_choice(ctx, concrete, &mut codes);
         for &(start, end) in &ctx.runs {
@@ -1206,13 +1281,16 @@ fn build_witness<W: StateWord>(
         }
         // The permuted concrete state must reproduce the stored canonical
         // successor — the soundness invariant of the symmetry reduction.
-        debug_assert!({
-            let node = path[sample + 1] as usize;
-            let words = &arena[node * n..(node + 1) * n];
+        debug_assert!(path.get(sample + 1).is_none_or(|&node| {
+            let words = &arena[node as usize * n..(node as usize + 1) * n];
             (0..n).all(|j| words[j].unpack() == codes[perm[j]])
-        });
+        }));
     }
-    unreachable!("the final mask always replays to the recorded deadline miss")
+    let app = expired(ctx, &codes)
+        .expect("engine witness: the expiring choice replayed without a deadline miss");
+    let sample = masks.len();
+    events.push(TraceEvent::DeadlineMissed { app, sample });
+    Witness::new(events, app, sample)
 }
 
 /// Reusable interned-state verification engine.
@@ -1570,6 +1648,28 @@ mod tests {
     }
 
     #[test]
+    fn a_miss_one_sample_ahead_is_decided_within_a_one_state_budget() {
+        // C cannot wait at all and A holds the slot for three samples once
+        // granted: disturbing A first makes the next state doomed. That
+        // state is a successor of the initial one, so the first pop decides
+        // the reject, on the engine and on the oracle alike.
+        let model =
+            SlotSharingModel::new(vec![profile("A", 10, 3, 5, 30), profile("C", 0, 5, 5, 30)])
+                .unwrap();
+        for bound in [None, Some(1)] {
+            let config = VerificationConfig {
+                max_disturbances_per_app: bound,
+                state_budget: 1,
+            };
+            let fast = SlotVerifyEngine::new().verify(&model, &config).unwrap();
+            assert!(!fast.schedulable());
+            assert_eq!(fast.states_explored(), 1);
+            validate_witness(&model, fast.witness().unwrap()).unwrap();
+            assert_eq!(checker::verify(&model, &config).unwrap(), fast);
+        }
+    }
+
+    #[test]
     fn canceled_token_stops_the_exploration() {
         use crate::CancelToken;
         let model =
@@ -1768,6 +1868,52 @@ mod tests {
                     }
                     assert_eq!(serial.stats(), par.stats(), "stats at t={threads}");
                 }
+            }
+        }
+    }
+
+    /// 1–4 applications drawn from a pool of 1–3 random constant-dwell
+    /// profiles (waits up to 3, so zero-wait applications are common).
+    fn random_model(seed: u64) -> SlotSharingModel {
+        let mut rng = proptest::TestRng::new(seed);
+        let distinct = 1 + rng.next_below(3);
+        let pool: Vec<AppTimingProfile> = (0..distinct)
+            .map(|i| {
+                let max_wait = rng.next_below(4) as usize;
+                let dwell_min = 1 + rng.next_below(3) as usize;
+                let dwell_plus = dwell_min + rng.next_below(3) as usize;
+                let r = rng.next_below(16) as usize;
+                profile(&format!("P{i}"), max_wait, dwell_min, dwell_plus, r)
+            })
+            .collect();
+        let n = 1 + rng.next_below(4);
+        let apps = (0..n).map(|_| pool[rng.next_below(distinct) as usize].clone());
+        SlotSharingModel::new(apps.collect()).unwrap()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn doomed_states_are_those_with_an_expiring_choice(seed in 0u64..1_000_000) {
+            let model = random_model(seed);
+            for config in [VerificationConfig::unbounded(), VerificationConfig::bounded(2)] {
+                let ctx = ModelCtx::new(&model, &config).unwrap();
+                let mut core = Core::<u32>::default();
+                let outcome = core.run(&ctx, &cps_par::Pool::serial()).unwrap();
+                let Store { arena, hashes, .. } = &core.store;
+                let mut stage = Stage::default();
+                let mut doomed_ids = Vec::new();
+                for (id, row) in arena.chunks(ctx.n).enumerate() {
+                    let expiring = |ctx: &ModelCtx, codes: &[u32]| expired(ctx, codes).is_some();
+                    stage.fill(&ctx, arena, hashes, id..id + 1, expiring);
+                    proptest::prop_assert_eq!(doomed(&ctx, row), stage.stopped, "state {}", id);
+                    if stage.stopped {
+                        doomed_ids.push(id);
+                    }
+                }
+                // Only the last state interned by a rejecting run is doomed.
+                let last = hashes.len() - 1;
+                let expected = if outcome.schedulable() { vec![] } else { vec![last] };
+                proptest::prop_assert_eq!(doomed_ids, expected);
             }
         }
     }

@@ -17,8 +17,10 @@
 //!   their [`cps_core::AppTimingProfile`]s.
 //! * [`engine`] — the interned-state exploration engine
 //!   ([`SlotVerifyEngine`]): packed state words in a flat arena, hash-index
-//!   deduplication with dominance pruning, bitmask disturbance enumeration
-//!   and a symmetry reduction over interchangeable applications. This is the
+//!   deduplication with dominance pruning, a one-sample lookahead that
+//!   decides a deadline miss when the state leading to it is interned,
+//!   bitmask disturbance enumeration and a symmetry reduction over
+//!   interchangeable applications. This is the
 //!   production path, used by [`SlotSharingModel::verify`] and the mapping
 //!   oracle of `cps-map`.
 //! * [`checker`] — the naive breadth-first exploration over all sporadic
@@ -26,7 +28,9 @@
 //!   scheduler and the dwell-time strategy applied deterministically in
 //!   every state. It skips every state that a visited state dominates: one
 //!   whose scheduler-visible cells are equal and whose idle applications are
-//!   each at least as close to their next possible disturbance. Retained as
+//!   each at least as close to their next possible disturbance. It steps
+//!   each newly visited state's choices at once and stops at the first
+//!   state with a deadline miss one sample ahead. Retained as
 //!   the semantic oracle (re-exported as [`mod@reference`]); engine and
 //!   oracle verdicts, budget semantics and witness validity are asserted
 //!   equivalent in tests and on every `bench_verify` run.

@@ -2,20 +2,21 @@
 //! exactly the search of its oracle.
 //!
 //! `SlotVerifyEngine` (packed states, compiled transitions, staged merge with
-//! dominance pruning) and the naive `cps_verify::reference` checker answer
-//! the same question. On models without interchangeable applications, such
-//! as every subset of the published C1–C6 rows, they pop the same states in
-//! the same order, so verdicts, explored-state counts and the sample of the
-//! first deadline miss are equal. The test covers the 56 subsets with at
-//! most four members, which include every schedulable subset. The five- and
-//! six-member subsets explore 0.4–6.9 million states even pruned, too many
-//! for the naive oracle in a debug build.
+//! dominance pruning and lookahead) and the naive `cps_verify::reference`
+//! checker answer the same question. On models without interchangeable
+//! applications, such as every subset of the published C1–C6 rows, they pop
+//! the same states in the same order and stop at the same doomed state, so
+//! verdicts, explored-state counts and whole witnesses — every disturbance,
+//! the failing application and the miss sample — are equal. The test covers
+//! the 56 subsets with at most four members, which include every
+//! schedulable subset. The five- and six-member subsets pop 0.2–3.0 million
+//! states even pruned, too many for the naive oracle in a debug build.
 
 use cps_apps::case_study;
 use cps_core::AppTimingProfile;
 use cps_verify::{
     has_interchangeable_neighbors, reference, validate_witness, SlotSharingModel, SlotVerifyEngine,
-    VerificationConfig, Witness,
+    VerificationConfig,
 };
 
 #[test]
@@ -45,11 +46,7 @@ fn engine_matches_the_pruned_oracle_on_every_small_published_subset() {
             oracle.states_explored(),
             "{names:?}"
         );
-        assert_eq!(
-            fast.witness().map(Witness::missed_at_sample),
-            oracle.witness().map(Witness::missed_at_sample),
-            "{names:?}"
-        );
+        assert_eq!(fast.witness(), oracle.witness(), "{names:?}");
         for witness in [fast.witness(), oracle.witness()].into_iter().flatten() {
             validate_witness(&model, witness).unwrap_or_else(|e| panic!("{names:?}: {e}"));
         }

@@ -13,8 +13,13 @@
 //! skipped when an interned state with the same busy cells has every idle
 //! cell at least as far along. An unpruned search explores all 1,250,000 =
 //! 25·25·40·50 cooldown phase combinations of `{C1,C5,C4,C3}` and pops
-//! 49,993 states of `{C1,C5,C4,C6}` before its miss. The bounded pin prunes
+//! 28,091 states of `{C1,C5,C4,C6}` before its miss. The bounded pin prunes
 //! nothing: its instance counters differ, so it has no idle cells.
+//!
+//! The rejected pin counts the lookahead search: it stops when it interns
+//! the first state with a deadline miss one sample ahead, so it pops
+//! 19,318 states where popping up to the expired state took 29,628. The
+//! witness is the same either way.
 
 use cps_apps::case_study;
 use cps_core::AppTimingProfile;
@@ -38,12 +43,14 @@ fn published(names: &[&str]) -> SlotSharingModel {
 }
 
 /// Verifies `names` on a fresh engine at widths 1 and 2 and checks the
-/// verdict, the explored count, the witness and every work counter.
+/// verdict, the explored count, the witness — its miss sample and failing
+/// application, `None` for a schedulable model — and every work counter.
 fn assert_work(
     names: &[&str],
     config: VerificationConfig,
     schedulable: bool,
     explored: usize,
+    miss: Option<(usize, usize)>,
     expected: VerifyStats,
 ) {
     let model = published(names);
@@ -61,7 +68,13 @@ fn assert_work(
             explored,
             "{names:?} width {width}"
         );
-        assert_eq!(outcome.witness().is_some(), !schedulable);
+        assert_eq!(
+            outcome
+                .witness()
+                .map(|w| (w.missed_at_sample(), w.failing_app())),
+            miss,
+            "{names:?} width {width}"
+        );
         if let Some(witness) = outcome.witness() {
             validate_witness(&model, witness).unwrap();
         }
@@ -76,6 +89,7 @@ fn hardest_published_slot_explores_the_recorded_states() {
         VerificationConfig::unbounded(),
         true,
         35_822,
+        None,
         VerifyStats {
             intern_probes: 41_865,
             hash_hits: 6_043,
@@ -95,16 +109,17 @@ fn rejected_published_slot_misses_at_the_recorded_state() {
         &["C1", "C5", "C4", "C6"],
         VerificationConfig::unbounded(),
         false,
-        29_628,
+        19_318,
+        Some((14, 2)),
         VerifyStats {
-            intern_probes: 36_959,
-            hash_hits: 1_558,
-            hash_skips: 64_369,
-            deep_compares: 24_756,
+            intern_probes: 25_143,
+            hash_hits: 891,
+            hash_skips: 37_686,
+            deep_compares: 13_828,
             rehashes: 4,
             rehashed_entries: 11_520,
-            hash_slot_updates: 82_431,
-            full_hash_words: 193_916,
+            hash_slot_updates: 61_415,
+            full_hash_words: 146_652,
         },
     );
 }
@@ -116,6 +131,7 @@ fn bounded_second_slot_explores_the_recorded_states() {
         VerificationConfig::bounded(2),
         true,
         40_401,
+        None,
         VerifyStats {
             intern_probes: 41_210,
             hash_hits: 809,
