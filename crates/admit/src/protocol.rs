@@ -104,8 +104,8 @@ pub struct ServiceStats {
     /// Admission checks performed by every repair so far, across
     /// restarts.
     pub oracle_calls: usize,
-    /// Lifetime cascade statistics (memo hits, exact verifies, ...), across
-    /// restarts.
+    /// Lifetime cascade statistics (memo hits, exact verifies, falsified
+    /// rejects and walk samples, ...), across restarts.
     pub tier: TierStats,
     /// Worker restarts the supervisor performed after panics.
     pub restarts: usize,

@@ -12,7 +12,10 @@
 //! count must equal the naive reference search's, with every multi-member
 //! slot re-validated by the exact oracle. Any mismatch aborts with a
 //! non-zero exit code, which the CI bench-smoke job turns into a failure.
-//! Writes `BENCH_map.json` at the repository root.
+//! Writes `BENCH_map.json` at the repository root. Each family, and the
+//! total, reports the cascade's `falsified_rejects` and `walk_samples`: the
+//! exact rejects that the verifier's seeded walks decided, and the walk
+//! samples that took.
 //!
 //! Run with `cargo run --release -p cps-bench --bin bench_map` (append
 //! `-- --quick` for the reduced CI smoke sizes).
@@ -427,6 +430,12 @@ fn render_json(
     let _ = writeln!(json, "  \"tt_evictions\": {},", sum(&|t| t.tt_evictions));
     let _ = writeln!(
         json,
+        "  \"falsified_rejects\": {},",
+        sum(&|t| t.falsified_rejects)
+    );
+    let _ = writeln!(json, "  \"walk_samples\": {},", sum(&|t| t.walk_samples));
+    let _ = writeln!(
+        json,
         "  \"verify_intern_probes\": {},",
         sum(&|t| t.verify.intern_probes)
     );
@@ -447,7 +456,8 @@ fn render_json(
             "    {{\"name\": \"{}\", \"fleets\": {}, \"cascade_ms\": {:.3}, \
              \"plain_ms\": {:.3}, \"cascade_exact_calls\": {}, \"plain_exact_calls\": {}, \
              \"speedup\": {:.1}, \"exact_call_ratio\": {:.1}, \
-             \"memo_hits\": {}, \"tt_evictions\": {}, \"verify_intern_probes\": {}, \
+             \"memo_hits\": {}, \"tt_evictions\": {}, \"falsified_rejects\": {}, \
+             \"walk_samples\": {}, \"verify_intern_probes\": {}, \
              \"verify_hash_hits\": {}, \"verify_rehashes\": {}}}{}",
             r.name,
             r.models,
@@ -459,6 +469,8 @@ fn render_json(
             r.exact_call_ratio(),
             r.tiers.memo_hits,
             r.tiers.tt_evictions,
+            r.tiers.falsified_rejects,
+            r.tiers.walk_samples,
             r.tiers.verify.intern_probes,
             r.tiers.verify.hash_hits,
             r.tiers.verify.rehashes,
@@ -474,8 +486,8 @@ fn render_json(
         json,
         "  \"minimize\": {{\"name\": \"{}\", \"fleets\": {}, \"engine_ms\": {:.3}, \
          \"reference_ms\": {:.3}, \"speedup\": {:.1}, \"memo_hits\": {}, \
-         \"tt_evictions\": {}, \"verify_intern_probes\": {}, \"verify_hash_hits\": {}, \
-         \"verify_rehashes\": {}}},",
+         \"tt_evictions\": {}, \"falsified_rejects\": {}, \"walk_samples\": {}, \
+         \"verify_intern_probes\": {}, \"verify_hash_hits\": {}, \"verify_rehashes\": {}}},",
         minimize_report.name,
         minimize_report.models,
         minimize_report.engine_ms,
@@ -483,6 +495,8 @@ fn render_json(
         minimize_report.speedup(),
         minimize_report.tiers.memo_hits,
         minimize_report.tiers.tt_evictions,
+        minimize_report.tiers.falsified_rejects,
+        minimize_report.tiers.walk_samples,
         minimize_report.tiers.verify.intern_probes,
         minimize_report.tiers.verify.hash_hits,
         minimize_report.tiers.verify.rehashes,

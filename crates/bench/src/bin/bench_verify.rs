@@ -14,7 +14,11 @@
 //! [`cps_verify::validate_witness`]. Any mismatch aborts with a non-zero
 //! exit code, which the CI bench-smoke job turns into a failure. Writes
 //! `BENCH_verify.json` at the repository root; its top-level
-//! `engine_states` sums the popped states of every family.
+//! `engine_states` sums the popped states of every family. Each family
+//! reports its engine time per popped state (`engine_ns_per_state`) and
+//! per intern probe (`engine_ns_per_probe`): a miss probes about three
+//! times per pop, so the second compares the families by the engine's
+//! work.
 //!
 //! Run with `cargo run --release -p cps-bench --bin bench_verify`. The
 //! bench has one size, the one the CI bench-smoke job runs. The engine's
@@ -81,6 +85,13 @@ impl FamilyReport {
     /// how many states the family has.
     fn engine_ns_per_state(&self) -> f64 {
         self.engine_ms * 1e6 / self.engine_states.max(1) as f64
+    }
+
+    /// Engine wall time per intern probe. A popped state probes once per
+    /// successor, and a search that misses generates more successors per
+    /// pop, so this compares families by the work the engine did.
+    fn engine_ns_per_probe(&self) -> f64 {
+        self.engine_ms * 1e6 / self.verify.intern_probes.max(1) as f64
     }
 }
 
@@ -195,7 +206,7 @@ fn bench_family(name: &str, cases: &[ModelCase]) -> FamilyReport {
         verify: verify_stats,
     };
     println!(
-        "{:<22} {:>2} models | {:>9.2} ms vs {:>9.2} ms | {:>7} vs {:>8} states | {:>6.1}x | {:>6.1} ns/state",
+        "{:<22} {:>2} models | {:>9.2} ms vs {:>9.2} ms | {:>7} vs {:>8} states | {:>6.1}x | {:>6.1} ns/state, {:>6.1} ns/probe",
         report.name,
         report.models,
         report.engine_ms,
@@ -204,6 +215,7 @@ fn bench_family(name: &str, cases: &[ModelCase]) -> FamilyReport {
         report.oracle_states,
         report.speedup(),
         report.engine_ns_per_state(),
+        report.engine_ns_per_probe(),
     );
     println!(
         "  hashing: {} probes ({:.1}% hash-hit, {} skips, {} deep-compares), \
@@ -385,7 +397,8 @@ fn render_json(reports: &[FamilyReport]) -> String {
             json,
             "    {{\"name\": \"{}\", \"models\": {}, \"engine_ms\": {:.3}, \
              \"oracle_ms\": {:.3}, \"engine_states\": {}, \"oracle_states\": {}, \
-             \"engine_ns_per_state\": {:.1}, \"speedup\": {:.1}, \
+             \"engine_ns_per_state\": {:.1}, \"engine_ns_per_probe\": {:.1}, \
+             \"speedup\": {:.1}, \
              \"intern_probes\": {}, \"hash_hits\": {}, \"hash_skips\": {}, \
              \"deep_compares\": {}, \"rehashes\": {}, \"rehashed_entries\": {}, \
              \"hash_words_incremental\": {}, \"hash_words_full_equiv\": {}, \
@@ -397,6 +410,7 @@ fn render_json(reports: &[FamilyReport]) -> String {
             r.engine_states,
             r.oracle_states,
             r.engine_ns_per_state(),
+            r.engine_ns_per_probe(),
             r.speedup(),
             r.verify.intern_probes,
             r.verify.hash_hits,

@@ -433,8 +433,10 @@ impl CascadeCore {
         }
 
         // Tier 6: the exact verifier, under the squeezed budget when one is
-        // given. The exploration time is accounted whether or not the tier
-        // reaches a verdict.
+        // given. A search that outlives its first chunk also runs seeded
+        // falsifying walks, which may decide a reject early. The
+        // exploration time is accounted whether or not the tier reaches a
+        // verdict.
         let effective = VerificationConfig {
             state_budget: squeeze.map_or(self.config.state_budget, |b| {
                 b.min(self.config.state_budget)
@@ -442,9 +444,13 @@ impl CascadeCore {
             ..self.config
         };
         let start = Instant::now();
-        let outcome = self.verifier.verify_selected(profiles, members, &effective);
+        let outcome = self
+            .verifier
+            .falsify_selected(profiles, members, &effective);
         self.stats.exact_verify_time += start.elapsed();
         self.stats.verify = self.verifier.stats();
+        self.stats.falsified_rejects = self.verifier.falsified_rejects();
+        self.stats.walk_samples = self.verifier.walk_samples();
         match outcome {
             Ok(outcome) => {
                 self.stats.exact_verifies += 1;

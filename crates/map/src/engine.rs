@@ -62,9 +62,17 @@
 //!    gated accept is pinned against the exact oracle by property test.
 //! 6. **Exact verification** — the residue runs on one persistent
 //!    [`SlotVerifyEngine`](cps_verify::SlotVerifyEngine) through its
-//!    index-based `verify_selected` hook: no profile clones, no model
+//!    index-based `falsify_selected` hook: no profile clones, no model
 //!    construction, exploration buffers shared across every query the
-//!    engine ever makes. Verdicts are memoized; inadmissible sets feed the
+//!    engine ever makes. The hook runs the exhaustive search; once that
+//!    search has popped its first 2,048 states, seeded random disturbance
+//!    walks through the same compiled transitions try to reach a miss and
+//!    end it early with a concrete witness (about a tenth of the search's
+//!    time). A walk is one branch of the exhaustive search, so it only
+//!    ever proves a reject. Verdicts are those of `verify_selected`, the
+//!    walks are seeded from the model's content, and
+//!    [`TierStats::falsified_rejects`] and [`TierStats::walk_samples`]
+//!    count their work. Verdicts are memoized; inadmissible sets feed the
 //!    anti-monotone index.
 //!
 //! Every tier is exact — sound rejections above, sound accepts below — so

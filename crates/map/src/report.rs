@@ -31,6 +31,15 @@ pub struct TierStats {
     pub baseline_accepts: usize,
     /// Queries that reached the exact model-checking verifier.
     pub exact_verifies: usize,
+    /// Exact verifications a seeded falsifying walk decided as rejects
+    /// before the search reached its own miss (see
+    /// [`cps_verify::SlotVerifyEngine::falsify_selected`]); counted in
+    /// `exact_verifies` too. Only searches that outlive their first chunk
+    /// of popped states run walks.
+    pub falsified_rejects: usize,
+    /// Samples the falsifying walks stepped, over every exact verification;
+    /// their time is part of `exact_verify_time`.
+    pub walk_samples: usize,
     /// Deadline-bounded queries whose exact verification ran out of budget
     /// (or was canceled) and that the sound conservative worst-case-blocking
     /// screen then *accepted* — a degraded but sound accept.
@@ -54,37 +63,76 @@ impl TierStats {
     /// Component-wise accumulation of a per-operation delta into a running
     /// total — how the online admission service folds each incremental
     /// repair's work into its lifetime report.
+    ///
+    /// Both this and [`TierStats::since`] destructure every field, so a
+    /// counter added to the struct and left out of them fails to compile.
     pub fn accumulate(&mut self, delta: &TierStats) {
-        self.queries += delta.queries;
-        self.singleton_accepts += delta.singleton_accepts;
-        self.memo_hits += delta.memo_hits;
-        self.quick_rejects += delta.quick_rejects;
-        self.anti_monotone_rejects += delta.anti_monotone_rejects;
-        self.baseline_accepts += delta.baseline_accepts;
-        self.exact_verifies += delta.exact_verifies;
-        self.degraded_accepts += delta.degraded_accepts;
-        self.deferred += delta.deferred;
-        self.exact_verify_time += delta.exact_verify_time;
-        self.tt_evictions += delta.tt_evictions;
-        self.verify = self.verify.plus(&delta.verify);
+        let TierStats {
+            queries,
+            singleton_accepts,
+            memo_hits,
+            quick_rejects,
+            anti_monotone_rejects,
+            baseline_accepts,
+            exact_verifies,
+            falsified_rejects,
+            walk_samples,
+            degraded_accepts,
+            deferred,
+            exact_verify_time,
+            tt_evictions,
+            verify,
+        } = *delta;
+        self.queries += queries;
+        self.singleton_accepts += singleton_accepts;
+        self.memo_hits += memo_hits;
+        self.quick_rejects += quick_rejects;
+        self.anti_monotone_rejects += anti_monotone_rejects;
+        self.baseline_accepts += baseline_accepts;
+        self.exact_verifies += exact_verifies;
+        self.falsified_rejects += falsified_rejects;
+        self.walk_samples += walk_samples;
+        self.degraded_accepts += degraded_accepts;
+        self.deferred += deferred;
+        self.exact_verify_time += exact_verify_time;
+        self.tt_evictions += tt_evictions;
+        self.verify = self.verify.plus(&verify);
     }
 
     /// Per-query difference `self − earlier`: the statistics of the queries
     /// made between two snapshots of a long-lived engine.
     pub fn since(&self, earlier: &TierStats) -> TierStats {
+        let TierStats {
+            queries,
+            singleton_accepts,
+            memo_hits,
+            quick_rejects,
+            anti_monotone_rejects,
+            baseline_accepts,
+            exact_verifies,
+            falsified_rejects,
+            walk_samples,
+            degraded_accepts,
+            deferred,
+            exact_verify_time,
+            tt_evictions,
+            verify,
+        } = *earlier;
         TierStats {
-            queries: self.queries - earlier.queries,
-            singleton_accepts: self.singleton_accepts - earlier.singleton_accepts,
-            memo_hits: self.memo_hits - earlier.memo_hits,
-            quick_rejects: self.quick_rejects - earlier.quick_rejects,
-            anti_monotone_rejects: self.anti_monotone_rejects - earlier.anti_monotone_rejects,
-            baseline_accepts: self.baseline_accepts - earlier.baseline_accepts,
-            exact_verifies: self.exact_verifies - earlier.exact_verifies,
-            degraded_accepts: self.degraded_accepts - earlier.degraded_accepts,
-            deferred: self.deferred - earlier.deferred,
-            exact_verify_time: self.exact_verify_time - earlier.exact_verify_time,
-            tt_evictions: self.tt_evictions - earlier.tt_evictions,
-            verify: self.verify.since(&earlier.verify),
+            queries: self.queries - queries,
+            singleton_accepts: self.singleton_accepts - singleton_accepts,
+            memo_hits: self.memo_hits - memo_hits,
+            quick_rejects: self.quick_rejects - quick_rejects,
+            anti_monotone_rejects: self.anti_monotone_rejects - anti_monotone_rejects,
+            baseline_accepts: self.baseline_accepts - baseline_accepts,
+            exact_verifies: self.exact_verifies - exact_verifies,
+            falsified_rejects: self.falsified_rejects - falsified_rejects,
+            walk_samples: self.walk_samples - walk_samples,
+            degraded_accepts: self.degraded_accepts - degraded_accepts,
+            deferred: self.deferred - deferred,
+            exact_verify_time: self.exact_verify_time - exact_verify_time,
+            tt_evictions: self.tt_evictions - tt_evictions,
+            verify: self.verify.since(&verify),
         }
     }
 }
@@ -94,8 +142,8 @@ impl fmt::Display for TierStats {
         write!(
             f,
             "{} queries: {} singleton, {} memo-hit, {} quick-reject, \
-             {} anti-monotone, {} baseline-accept, {} exact-verify ({:.2} ms), \
-             {} degraded-accept, {} deferred; \
+             {} anti-monotone, {} baseline-accept, {} exact-verify ({:.2} ms, \
+             {} falsified by {} walk samples), {} degraded-accept, {} deferred; \
              {} tt-evictions; verifier: {} probes, {} hash-hits, {} rehashes",
             self.queries,
             self.singleton_accepts,
@@ -105,6 +153,8 @@ impl fmt::Display for TierStats {
             self.baseline_accepts,
             self.exact_verifies,
             self.exact_verify_time.as_secs_f64() * 1e3,
+            self.falsified_rejects,
+            self.walk_samples,
             self.degraded_accepts,
             self.deferred,
             self.tt_evictions,
@@ -372,6 +422,8 @@ mod tests {
             anti_monotone_rejects: 1,
             baseline_accepts: 1,
             exact_verifies: 2,
+            falsified_rejects: 1,
+            walk_samples: 300,
             degraded_accepts: 2,
             deferred: 1,
             exact_verify_time: Duration::from_millis(8),
@@ -390,6 +442,8 @@ mod tests {
             anti_monotone_rejects: 0,
             baseline_accepts: 0,
             exact_verifies: 1,
+            falsified_rejects: 0,
+            walk_samples: 120,
             degraded_accepts: 1,
             deferred: 0,
             exact_verify_time: Duration::from_millis(3),
@@ -405,6 +459,8 @@ mod tests {
         assert_eq!(delta.memo_hits, 2);
         assert_eq!(delta.degraded_accepts, 1);
         assert_eq!(delta.deferred, 1);
+        assert_eq!(delta.falsified_rejects, 1);
+        assert_eq!(delta.walk_samples, 180);
         assert_eq!(delta.exact_verify_time, Duration::from_millis(5));
         assert_eq!(delta.tt_evictions, 3);
         assert_eq!(delta.verify.intern_probes, 70);
@@ -422,6 +478,15 @@ mod tests {
         assert!(rendered.contains("exact-verify"), "{rendered}");
         assert!(rendered.contains("degraded-accept"), "{rendered}");
         assert!(rendered.contains("deferred"), "{rendered}");
+        assert!(
+            rendered.contains("1 falsified by 300 walk samples"),
+            "{rendered}"
+        );
+
+        // Accumulating the delta onto the earlier snapshot restores it.
+        let mut total = earlier;
+        total.accumulate(&delta);
+        assert_eq!(total, stats);
     }
 
     #[test]

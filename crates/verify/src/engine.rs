@@ -81,6 +81,34 @@
 //!   states of a run with the same busy cells line their idle cells up slot
 //!   for slot and the dominance check compares like with like. Bounded mode
 //!   sorts by code.
+//! * **Falsifying walks** ([`SlotVerifyEngine::falsify_selected`], the
+//!   `cps-map` cascade's exact tier) — a breadth-first search reaches a
+//!   miss only after every shallower state, so a big reject costs nearly
+//!   as much as an accept. Once a search has popped its first chunk
+//!   (`CHUNK_STATES`, 2,048 states), every further pop earns a third of a
+//!   walk sample, and every 192nd pop is a checkpoint that spends the
+//!   credit on walks. A walk steps concrete codes from the all-steady state
+//!   through the compiled entries (`Frame::load`, `apply_choice`, the
+//!   doomed test), disturbing each eligible application with probability
+//!   ½ per sample, and gives up after the model's longest minimum
+//!   inter-arrival time. The first walk that reaches a doomed state ends
+//!   the search as a reject. Its witness lists the walk's disturbances,
+//!   then every eligible zero-laxity candidate disturbed at once, and the
+//!   miss a sample later. The walks draw from one splitmix64 stream seeded
+//!   with the fingerprint of the model's scheduling parameters and its
+//!   disturbance bound, and checkpoints fall at popped-state counts inside
+//!   the serial merge, so the outcome is the same on every engine, pool
+//!   width and query order. The walks are sound because a walk is a valid
+//!   concrete disturbance schedule: it disturbs only eligible applications,
+//!   so it stays within the bound, and a doomed state it reaches is
+//!   reachable. They never accept, so verdicts never change, and a search
+//!   that ends inside its first chunk runs no walk. The constants were
+//!   chosen on the 63 subsets of the published rows and `bench_verify`'s
+//!   models before any end-to-end run. There the walks decide 21 of the 34
+//!   rejects, whose pops fall from 4,738,926 to 116,814, and add about 9%
+//!   to the accepts. One sample per pop added 27% to the accepts, one per
+//!   four pops left the rejects 123,277 pops, and horizons of 2 and 4 times
+//!   the longest inter-arrival time needed more samples and pops.
 //!
 //! Restricting the reduction to runs of **adjacent** identical profiles keeps
 //! it sound with respect to the scheduler's lowest-index tie-break: permuting
@@ -121,24 +149,26 @@
 //!    staging it shares. Staging reads only states interned before the
 //!    chunk, so the workers share nothing mutable.
 //! 2. **Merge.** The staged records are interned in serial order, buffer by
-//!    buffer, replaying pop accounting, the state budget, cancellation and
-//!    the first doomed state exactly as a pop-one-state loop interleaves
-//!    them. Once it interns a doomed state it stages that state alone and
-//!    replays the witness through its first expiring choice, in the usual
-//!    choice order. Each record's index bucket is prefetched
-//!    ([`cps_intern::CachedHashIndex::prefetch`]) a fixed distance ahead, so
-//!    the probes into a large index overlap their cache misses.
+//!    buffer, replaying pop accounting, the state budget, cancellation, the
+//!    walk checkpoints and the first doomed state exactly as a
+//!    pop-one-state loop interleaves them. Once it interns a doomed state it
+//!    stages that state alone and replays the witness through its first
+//!    expiring choice, in the usual choice order. Each record's index bucket
+//!    is prefetched ([`cps_intern::CachedHashIndex::prefetch`]) a fixed
+//!    distance ahead, so the probes into a large index overlap their cache
+//!    misses.
 //!
-//! Because ids, hashes, stats counters and the first doomed state are all
-//! decided by the in-order merge, verdicts, witnesses, interned ids and
-//! [`VerifyStats`] are **bit-identical under any thread count** (asserted by
-//! the cross-thread-count property tests at pool widths 2, 4 and 8).
+//! Because ids, hashes, stats counters, walk checkpoints and the first
+//! doomed state are all decided by the in-order merge, verdicts, witnesses,
+//! interned ids and [`VerifyStats`] are **bit-identical under any thread
+//! count** (asserted by the cross-thread-count property tests at pool
+//! widths 2, 4 and 8).
 //! Staging memory is bounded by the chunk, not by the BFS frontier.
 
 use std::ops::Range;
 
 use cps_core::AppTimingProfile;
-use cps_intern::{CachedHashIndex, ZobristKeys};
+use cps_intern::{seq_fingerprint, zobrist_key, CachedHashIndex, ZobristKeys};
 
 use crate::cancel::CancelToken;
 use crate::checker::{VerificationConfig, VerificationOutcome};
@@ -158,6 +188,13 @@ const ENTRY_CAP: usize = 1024;
 const CHUNK_STATES: usize = 2048;
 /// Staged records between an index prefetch and the probe it prepares.
 const PREFETCH_DISTANCE: usize = 8;
+/// Popped states between two checkpoints of the falsifying walks, counted
+/// from the end of the first chunk (see the module docs).
+const WALK_CHECKPOINT_POPS: usize = 192;
+/// Popped states that earn one walk sample past the first chunk. A sample
+/// costs about a third of a pop (40–50 ns against 130–160 ns on the case
+/// study), so the walks add about a tenth to the search's own time.
+const POPS_PER_WALK_SAMPLE: usize = 3;
 
 /// Hash/probe work counters of a [`SlotVerifyEngine`], cumulative over the
 /// engine's lifetime (benches and the mapping cascade report deltas between
@@ -881,9 +918,14 @@ fn compare_ranks<W: StateWord>(a: &[W], b: &[W]) -> (bool, bool) {
 /// not depend on the order of interchangeable applications, so canonical
 /// states test like concrete ones.
 fn doomed<W: StateWord>(ctx: &ModelCtx, codes: &[W]) -> bool {
+    let flags = codes.iter().enumerate();
+    doomed_flags(flags.map(|(app, code)| ctx.entry(app, code.unpack()).flags))
+}
+
+/// [`doomed`] over the entry flags of a state's applications.
+fn doomed_flags(flags: impl Iterator<Item = u8>) -> bool {
     let (mut urgent, mut held) = (0u32, false);
-    for (app, code) in codes.iter().enumerate() {
-        let flags = ctx.entry(app, code.unpack()).flags;
+    for flags in flags {
         urgent += u32::from(flags & URGENT != 0);
         held |= flags & (USING | RELEASE_MIN | RELEASE_PLUS) == USING;
     }
@@ -1083,10 +1125,11 @@ impl<W: StateWord> Core<W> {
         &mut self,
         ctx: &ModelCtx,
         pool: &cps_par::Pool,
+        walker: Option<&mut Walker>,
     ) -> Result<VerificationOutcome, VerifyError> {
         let before = *self.store.index.stats();
         self.slot_updates = 0;
-        let result = self.explore(ctx, pool);
+        let result = self.explore(ctx, pool, walker);
         let delta = self.store.index.stats().since(&before);
         self.stats.intern_probes += delta.probes;
         // Every probe interns its state or discards it as equal or dominated.
@@ -1104,11 +1147,13 @@ impl<W: StateWord> Core<W> {
     }
 
     /// The exploration loop (see the module docs): stage a chunk of queued
-    /// states, then intern its successors in serial order.
+    /// states, then intern its successors in serial order. With a `walker`,
+    /// every pop is also a potential walk checkpoint.
     fn explore(
         &mut self,
         ctx: &ModelCtx,
         pool: &cps_par::Pool,
+        mut walker: Option<&mut Walker>,
     ) -> Result<VerificationOutcome, VerifyError> {
         let n = ctx.n;
         let Core {
@@ -1167,6 +1212,12 @@ impl<W: StateWord> Core<W> {
                     if rec.parent as usize == head {
                         ctx.charge_pop(&mut explored)?;
                         head += 1;
+                        if let Some(witness) = walker
+                            .as_deref_mut()
+                            .and_then(|walker| walker.checkpoint(ctx, explored))
+                        {
+                            return Ok(VerificationOutcome::new(false, explored, Some(witness)));
+                        }
                     }
                     *slot_updates += rec.diffs as usize;
                     let words = &stage.words[r * n..(r + 1) * n];
@@ -1293,6 +1344,158 @@ fn build_witness<W: StateWord>(
     Witness::new(events, app, sample)
 }
 
+/// Seeded random disturbance walks through the compiled entries — the
+/// falsifying half of [`SlotVerifyEngine::falsify_selected`]. A walk steps
+/// concrete codes from the all-steady state, disturbing each eligible
+/// application with probability ½ per sample, and stops at the first
+/// doomed state or after `horizon` samples. The walks of one search draw
+/// from one stream seeded by the model's content, so what they find does
+/// not depend on the engine, the pool width or the order of queries.
+#[derive(Debug, Default)]
+struct Walker {
+    /// The counter of the current search's stream.
+    rng: u64,
+    /// Walk samples earned and not yet spent. The walk that spends the last
+    /// of it runs to its end, and the overdraft is paid from the next
+    /// checkpoint's earnings.
+    credit: isize,
+    /// Samples a walk steps before it gives up: the model's longest minimum
+    /// inter-arrival time.
+    horizon: usize,
+    /// Concrete codes of the walked state, and its successor's.
+    codes: Vec<u32>,
+    succ: Vec<u32>,
+    frame: Frame<u32>,
+    /// The current walk's disturbance masks, one per sample.
+    masks: Vec<u32>,
+    /// Samples stepped over the engine's lifetime.
+    samples: usize,
+    /// Searches a walk decided over the engine's lifetime.
+    falsified: usize,
+}
+
+impl Walker {
+    /// Observes the popped-state count `explored` of the current search.
+    /// Past the first chunk, every [`WALK_CHECKPOINT_POPS`]-th pop is a
+    /// checkpoint: the pops since the last one earn their walk samples,
+    /// and walks run until the credit is spent. Returns the witness of the
+    /// first walk that reaches a doomed state.
+    fn checkpoint(&mut self, ctx: &ModelCtx, explored: usize) -> Option<Witness> {
+        let past = explored.checked_sub(CHUNK_STATES)?;
+        if past == 0 || past % WALK_CHECKPOINT_POPS != 0 {
+            return None;
+        }
+        if past == WALK_CHECKPOINT_POPS {
+            self.start(ctx);
+        }
+        self.credit += (WALK_CHECKPOINT_POPS / POPS_PER_WALK_SAMPLE) as isize;
+        while self.credit > 0 {
+            if self.walk(ctx) {
+                self.falsified += 1;
+                return Some(self.witness(ctx));
+            }
+        }
+        None
+    }
+
+    /// Seeds the stream with the [`seq_fingerprint`] of everything the
+    /// scheduling rules read — the disturbance bound, then each
+    /// application's maximum wait, minimum inter-arrival time and dwell
+    /// arrays, in model order.
+    fn start(&mut self, ctx: &ModelCtx) {
+        let mut content = vec![ctx.bound.map_or(0, |b| b.saturating_add(1))];
+        for p in &ctx.params {
+            content.extend([p.max_wait, p.min_inter_arrival]);
+            content.extend(p.t_dw_min.iter().chain(&p.t_dw_plus));
+        }
+        self.rng = seq_fingerprint(&content);
+        self.credit = 0;
+        self.horizon = ctx
+            .params
+            .iter()
+            .map(|p| p.min_inter_arrival as usize)
+            .max()
+            .unwrap_or(0);
+    }
+
+    /// The next 64 bits of the stream: the splitmix64 finalizer
+    /// ([`zobrist_key`]) of a counter that starts at the seed.
+    fn next_bits(&mut self) -> u64 {
+        self.rng = self.rng.wrapping_add(1);
+        zobrist_key((self.rng >> 32) as usize, self.rng as u32)
+    }
+
+    /// Runs one walk and charges its samples. `true` when it stopped at a
+    /// doomed state, which `codes` then holds, reached by `masks`.
+    fn walk(&mut self, ctx: &ModelCtx) -> bool {
+        self.codes.clear();
+        self.codes.resize(ctx.n, 0);
+        self.masks.clear();
+        let found = loop {
+            self.frame.load(ctx, &self.codes);
+            if doomed_flags(self.frame.entries.iter().map(|e| e.flags)) {
+                break true;
+            }
+            if self.masks.len() == self.horizon {
+                break false;
+            }
+            let eligible = self
+                .frame
+                .entries
+                .iter()
+                .enumerate()
+                .fold(0u32, |mask, (app, e)| {
+                    mask | u32::from(e.flags & ELIGIBLE != 0) << app
+                });
+            let mask = self.next_bits() as u32 & eligible;
+            self.succ.clone_from(&self.frame.base);
+            self.frame.apply_choice(ctx, mask, &mut self.succ);
+            std::mem::swap(&mut self.codes, &mut self.succ);
+            self.masks.push(mask);
+        };
+        self.samples += self.masks.len();
+        // At least one sample is charged, so an empty horizon cannot stall
+        // the checkpoint loop.
+        self.credit -= self.masks.len().max(1) as isize;
+        found
+    }
+
+    /// The witness of the walk that stopped at a doomed state: its
+    /// disturbances, then every eligible zero-laxity candidate disturbed at
+    /// once. That choice leaves at least two zero-laxity bidders for one
+    /// grant, or one bidder against an occupant that stays, so one of them
+    /// misses a sample later.
+    fn witness(&mut self, ctx: &ModelCtx) -> Witness {
+        self.frame.load(ctx, &self.codes);
+        let last = self
+            .frame
+            .entries
+            .iter()
+            .enumerate()
+            .fold(0u32, |mask, (app, e)| {
+                let urgent = e.flags & (ELIGIBLE | URGENT) == ELIGIBLE | URGENT;
+                mask | u32::from(urgent) << app
+            });
+        self.succ.clone_from(&self.frame.base);
+        self.frame.apply_choice(ctx, last, &mut self.succ);
+        let app = expired(ctx, &self.succ)
+            .expect("walk witness: a doomed state misses under its urgent choice");
+        self.masks.push(last);
+        let mut events = Vec::new();
+        for (sample, &mask) in self.masks.iter().enumerate() {
+            let mut rest = mask;
+            while rest != 0 {
+                let app = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                events.push(TraceEvent::Disturbance { app, sample });
+            }
+        }
+        let sample = self.masks.len();
+        events.push(TraceEvent::DeadlineMissed { app, sample });
+        Witness::new(events, app, sample)
+    }
+}
+
 /// Reusable interned-state verification engine.
 ///
 /// Construction is cheap; all exploration buffers (state arena, hash index,
@@ -1325,6 +1528,8 @@ pub struct SlotVerifyEngine {
     /// Cancellation observed by every verification until replaced; see
     /// [`SlotVerifyEngine::set_cancel_token`].
     cancel: Option<CancelToken>,
+    /// The falsifying walks of [`SlotVerifyEngine::falsify_selected`].
+    walker: Walker,
 }
 
 impl SlotVerifyEngine {
@@ -1384,7 +1589,7 @@ impl SlotVerifyEngine {
         Self::validate_config(config)?;
         let mut ctx = ModelCtx::new(model, config)?;
         ctx.cancel = self.cancel.clone();
-        self.run(&ctx)
+        self.run(&ctx, false)
     }
 
     /// Verifies the sub-model selecting `members` (indices into `profiles`)
@@ -1410,13 +1615,50 @@ impl SlotVerifyEngine {
         members: &[usize],
         config: &VerificationConfig,
     ) -> Result<VerificationOutcome, VerifyError> {
+        self.run_selected(profiles, members, config, false)
+    }
+
+    /// [`SlotVerifyEngine::verify_selected`] that also tries to falsify a
+    /// search which outlives its first chunk of `CHUNK_STATES` (2,048)
+    /// popped states, with seeded random disturbance walks (see the module
+    /// docs). The first walk that reaches a doomed state ends the search
+    /// as a reject; its witness is the walk's concrete disturbances. Walks
+    /// never accept, so the verdict is always `verify_selected`'s. A search
+    /// that ends inside its first chunk, every accept's `states_explored`
+    /// and the witness and count of a reject the search reaches first are
+    /// `verify_selected`'s too; a walk-decided reject reports the states
+    /// popped when the walk found it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SlotVerifyEngine::verify_selected`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member index is out of bounds for `profiles`.
+    pub fn falsify_selected(
+        &mut self,
+        profiles: &[AppTimingProfile],
+        members: &[usize],
+        config: &VerificationConfig,
+    ) -> Result<VerificationOutcome, VerifyError> {
+        self.run_selected(profiles, members, config, true)
+    }
+
+    fn run_selected(
+        &mut self,
+        profiles: &[AppTimingProfile],
+        members: &[usize],
+        config: &VerificationConfig,
+        walks: bool,
+    ) -> Result<VerificationOutcome, VerifyError> {
         if members.is_empty() {
             return Err(VerifyError::EmptyModel);
         }
         Self::validate_config(config)?;
         let mut ctx = ModelCtx::from_profiles(members.iter().map(|&i| &profiles[i]), config)?;
         ctx.cancel = self.cancel.clone();
-        self.run(&ctx)
+        self.run(&ctx, walks)
     }
 
     /// Checks a configuration the way every engine entry point does: the
@@ -1450,11 +1692,24 @@ impl SlotVerifyEngine {
         self.narrow.stats.plus(&self.wide.stats)
     }
 
-    fn run(&mut self, ctx: &ModelCtx) -> Result<VerificationOutcome, VerifyError> {
+    /// Walk samples [`SlotVerifyEngine::falsify_selected`] has stepped over
+    /// the engine's lifetime.
+    pub fn walk_samples(&self) -> usize {
+        self.walker.samples
+    }
+
+    /// Rejects a walk of [`SlotVerifyEngine::falsify_selected`] decided over
+    /// the engine's lifetime.
+    pub fn falsified_rejects(&self) -> usize {
+        self.walker.falsified
+    }
+
+    fn run(&mut self, ctx: &ModelCtx, walks: bool) -> Result<VerificationOutcome, VerifyError> {
+        let walker = walks.then_some(&mut self.walker);
         if ctx.max_code_space <= <u16 as StateWord>::LIMIT {
-            self.narrow.run(ctx, &self.pool)
+            self.narrow.run(ctx, &self.pool, walker)
         } else {
-            self.wide.run(ctx, &self.pool)
+            self.wide.run(ctx, &self.pool, walker)
         }
     }
 }
@@ -1666,6 +1921,32 @@ mod tests {
             assert_eq!(fast.states_explored(), 1);
             validate_witness(&model, fast.witness().unwrap()).unwrap();
             assert_eq!(checker::verify(&model, &config).unwrap(), fast);
+        }
+    }
+
+    #[test]
+    fn a_walk_witness_disturbs_the_zero_wait_candidate_last() {
+        // The same pair with C first: a walk that disturbs A at sample 0
+        // stops at a doomed state where only C's disturbance expires, so the
+        // witness must add it at sample 1 for C to miss at sample 2.
+        let model =
+            SlotSharingModel::new(vec![profile("C", 0, 5, 5, 30), profile("A", 10, 3, 5, 30)])
+                .unwrap();
+        for config in [
+            VerificationConfig::unbounded(),
+            VerificationConfig::bounded(1),
+        ] {
+            let ctx = ModelCtx::new(&model, &config).unwrap();
+            let mut walker = Walker::default();
+            walker.frame.load(&ctx, &[0, 0]);
+            walker.codes.clone_from(&walker.frame.base);
+            walker.frame.apply_choice(&ctx, 0b10, &mut walker.codes);
+            walker.masks.push(0b10);
+            assert!(doomed(&ctx, &walker.codes));
+            let witness = walker.witness(&ctx);
+            validate_witness(&model, &witness).unwrap();
+            assert_eq!(witness.disturbance_times(2), [vec![1], vec![0]]);
+            assert_eq!((witness.failing_app(), witness.missed_at_sample()), (0, 2));
         }
     }
 
@@ -1898,7 +2179,7 @@ mod tests {
             for config in [VerificationConfig::unbounded(), VerificationConfig::bounded(2)] {
                 let ctx = ModelCtx::new(&model, &config).unwrap();
                 let mut core = Core::<u32>::default();
-                let outcome = core.run(&ctx, &cps_par::Pool::serial()).unwrap();
+                let outcome = core.run(&ctx, &cps_par::Pool::serial(), None).unwrap();
                 let Store { arena, hashes, .. } = &core.store;
                 let mut stage = Stage::default();
                 let mut doomed_ids = Vec::new();
