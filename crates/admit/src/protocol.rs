@@ -139,8 +139,10 @@ pub enum ServiceError {
     /// (the rebuilt state never contains a half-applied mutation), so
     /// retrying it is safe — [`crate::RetryingClient`] does exactly that.
     WorkerRestarted,
-    /// A non-blocking call found the service's bound of callers in flight
-    /// reached (see [`crate::ServiceOptions::queue_capacity`]).
+    /// The call was refused before it touched the state. Only the retrying
+    /// client's injected faults raise it ([`cps_fault::FaultSite::QueueFull`],
+    /// see [`crate::RetryingClient::with_faults`]); the service itself lets
+    /// every caller wait on its lock.
     QueueFull,
     /// An internal invariant did not hold while answering; the service
     /// survives and keeps serving. Never expected in practice.
@@ -171,7 +173,7 @@ impl fmt::Display for ServiceError {
                  the request was not applied and may be retried"
             ),
             ServiceError::QueueFull => {
-                write!(f, "admission service has too many callers in flight")
+                write!(f, "admission call refused before it reached the service")
             }
             ServiceError::Internal { reason } => {
                 write!(f, "admission service internal invariant violated: {reason}")

@@ -1,8 +1,7 @@
 //! A client wrapper that retries transient service failures.
 //!
 //! Two [`ServiceError`]s are *transient by contract*: [`ServiceError::QueueFull`]
-//! (the service's bound of callers in flight was reached at the instant of
-//! a non-blocking call — the state was not touched) and
+//! (the call was refused before it touched the state) and
 //! [`ServiceError::WorkerRestarted`] (the supervisor rebuilt the state from
 //! its last good snapshot and the request was **not** applied). Both leave
 //! the service's state exactly as if the request had never been sent, so
@@ -12,10 +11,10 @@
 //! failures, protocol violations, disconnection) is permanent and surfaces
 //! immediately.
 //!
-//! For the fault soak the wrapper can also carry its own
-//! [`cps_fault::FaultPlan`] that injects [`ServiceError::QueueFull`] on the
-//! client side before a call, exercising the retry path deterministically
-//! without having to race the real in-flight bound.
+//! The service itself never refuses a call: a caller waits on the state's
+//! lock. [`ServiceError::QueueFull`] comes from the wrapper's own
+//! [`cps_fault::FaultPlan`], which, for the fault soak, injects it on the
+//! client side before a call, exercising the retry path deterministically.
 
 use std::thread;
 use std::time::Duration;
@@ -116,7 +115,7 @@ impl RetryingClient {
             let outcome = if self.faults.trip(FaultSite::QueueFull) {
                 Err(ServiceError::QueueFull)
             } else {
-                self.client.try_call(request.clone())
+                self.client.call(request.clone())
             };
             match outcome {
                 Err(e @ (ServiceError::QueueFull | ServiceError::WorkerRestarted)) => {

@@ -5,11 +5,8 @@
 //! the cascade — sits behind a lock that the service and every
 //! [`AdmissionClient`] share. A client serves its [`Request`] on its own
 //! thread under that lock, so a round trip costs one uncontended lock and
-//! no thread switch. Concurrent callers are served in lock order, not
-//! FIFO. [`ServiceOptions::queue_capacity`] bounds the callers in flight: a
-//! blocking call waits on the lock, and the retrying client's non-blocking
-//! call is refused with [`ServiceError::QueueFull`], without touching the
-//! state, when that many are already in flight.
+//! no thread switch. Concurrent callers wait on the lock and are served in
+//! lock order, not FIFO.
 //!
 //! [`AdmissionService::shutdown`] waits, up to a deadline, until every
 //! client has dropped, then hands back the final [`AdmissionState`] so a
@@ -40,7 +37,6 @@
 //! what the first one's replay verified.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -55,33 +51,6 @@ use crate::protocol::{
     AdmitOutcome, AdmitVerdict, EvictOutcome, Request, Response, ServiceError, ServiceStats,
 };
 
-/// What the service and its clients share: the supervised state behind its
-/// lock, and the callers in flight.
-struct Shared {
-    supervisor: Mutex<Supervisor>,
-    in_flight: AtomicUsize,
-    /// [`ServiceOptions::queue_capacity`], at least one.
-    capacity: usize,
-}
-
-impl Shared {
-    /// Runs `serve` under the lock for a caller counted in flight, then counts
-    /// it out. A panic escaping `serve` poisons the lock for good.
-    fn serve(
-        &self,
-        serve: impl FnOnce(&mut Supervisor) -> Result<Response, ServiceError>,
-    ) -> Result<Response, ServiceError> {
-        let answer = panic::catch_unwind(AssertUnwindSafe(|| {
-            self.supervisor
-                .lock()
-                .map_or(Err(ServiceError::Disconnected), |mut s| serve(&mut s))
-        }))
-        .unwrap_or(Err(ServiceError::Disconnected));
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        answer
-    }
-}
-
 /// A cloneable, blocking handle to a running [`AdmissionService`].
 ///
 /// Every live handle (clones included) holds up
@@ -89,26 +58,30 @@ impl Shared {
 /// same scope as the shutdown must be `drop`ped explicitly first.
 #[derive(Clone)]
 pub struct AdmissionClient {
-    shared: Arc<Shared>,
+    /// The supervised state, behind the lock the service and every client
+    /// share.
+    shared: Arc<Mutex<Supervisor>>,
 }
 
 impl AdmissionClient {
     /// Answers one request on the calling thread, waiting for the lock
-    /// while other callers hold it.
-    fn call(&self, request: Request) -> Result<Response, ServiceError> {
-        self.shared.in_flight.fetch_add(1, Ordering::Relaxed);
-        self.shared.serve(|supervisor| supervisor.serve(request))
+    /// while other callers hold it. The retrying client is built on this.
+    pub(crate) fn call(&self, request: Request) -> Result<Response, ServiceError> {
+        self.serve(|supervisor| supervisor.serve(request))
     }
 
-    /// Like [`AdmissionClient::call`], but fails fast with
-    /// [`ServiceError::QueueFull`] when [`ServiceOptions::queue_capacity`]
-    /// callers are already in flight. The retrying client is built on this.
-    pub(crate) fn try_call(&self, request: Request) -> Result<Response, ServiceError> {
-        if self.shared.in_flight.fetch_add(1, Ordering::Relaxed) >= self.shared.capacity {
-            self.shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-            return Err(ServiceError::QueueFull);
-        }
-        self.shared.serve(|supervisor| supervisor.serve(request))
+    /// Runs `serve` under the lock. A panic escaping `serve` poisons the
+    /// lock for good.
+    fn serve(
+        &self,
+        serve: impl FnOnce(&mut Supervisor) -> Result<Response, ServiceError>,
+    ) -> Result<Response, ServiceError> {
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            self.shared
+                .lock()
+                .map_or(Err(ServiceError::Disconnected), |mut s| serve(&mut s))
+        }))
+        .unwrap_or(Err(ServiceError::Disconnected))
     }
 
     /// Admits an arriving application; returns once the partition is
@@ -196,8 +169,8 @@ impl AdmissionClient {
 }
 
 /// A running admission service: one supervised [`AdmissionState`] that its
-/// clients serve requests on. See the module docs for the in-flight bound
-/// and the shutdown contract.
+/// clients serve requests on. See the module docs for the shutdown
+/// contract.
 ///
 /// # Example
 ///
@@ -228,9 +201,6 @@ pub struct AdmissionService {
 /// Construction-time knobs of an [`AdmissionService`].
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
-    /// Bound on the callers in flight (the service's backpressure); the
-    /// retrying client's calls beyond it fail fast. Zero counts as one.
-    pub queue_capacity: usize,
     /// Take a recovery snapshot of the cascade caches after this many
     /// successful mutating requests; caches unchanged since the last
     /// snapshot are not re-encoded, as the last one already holds their
@@ -247,7 +217,6 @@ pub struct ServiceOptions {
 impl Default for ServiceOptions {
     fn default() -> Self {
         ServiceOptions {
-            queue_capacity: AdmissionService::DEFAULT_QUEUE_CAPACITY,
             snapshot_interval: 8,
             faults: FaultPlan::none(),
         }
@@ -255,10 +224,6 @@ impl Default for ServiceOptions {
 }
 
 impl AdmissionService {
-    /// In-flight bound used by [`AdmissionService::spawn`] and
-    /// [`AdmissionService::spawn_warm`].
-    pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
-
     /// Deadline of [`AdmissionService::shutdown`]: long enough for any client
     /// to finish, finite so a forgotten handle surfaces as an error.
     pub const DEFAULT_SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(30);
@@ -285,26 +250,11 @@ impl AdmissionService {
     }
 
     /// Starts a service over an explicit state (e.g. a custom verification
-    /// configuration or bounded memo) and in-flight bound.
-    pub fn spawn_with(state: AdmissionState, queue_capacity: usize) -> Self {
-        Self::spawn_with_options(
-            state,
-            ServiceOptions {
-                queue_capacity,
-                ..ServiceOptions::default()
-            },
-        )
-    }
-
-    /// Starts a service with explicit [`ServiceOptions`] — in-flight bound,
-    /// recovery snapshot cadence, and (for tests and the fault soak) a
+    /// configuration or bounded memo) with explicit [`ServiceOptions`] —
+    /// recovery snapshot cadence and (for tests and the fault soak) a
     /// deterministic fault plan.
     pub fn spawn_with_options(state: AdmissionState, options: ServiceOptions) -> Self {
-        let shared = Arc::new(Shared {
-            capacity: options.queue_capacity.max(1),
-            in_flight: AtomicUsize::new(0),
-            supervisor: Mutex::new(Supervisor::new(state, options)),
-        });
+        let shared = Arc::new(Mutex::new(Supervisor::new(state, options)));
         AdmissionService {
             client: AdmissionClient { shared },
         }
@@ -401,7 +351,7 @@ impl std::error::Error for ShutdownError {
 /// [`ShutdownTimeout::wait`] completes the shutdown.
 pub struct ShutdownTimeout {
     timeout: Duration,
-    shared: Arc<Shared>,
+    shared: Arc<Mutex<Supervisor>>,
 }
 
 impl ShutdownTimeout {
@@ -443,7 +393,7 @@ impl ShutdownTimeout {
             thread::sleep(deadline.map_or(backoff, |deadline| backoff.min(deadline - now)));
             backoff = (backoff * 2).min(Duration::from_millis(10));
         };
-        let state = alone.supervisor.into_inner().map(|s| s.state);
+        let state = alone.into_inner().map(|s| s.state);
         state.map_err(|_| ShutdownError::WorkerPanicked)
     }
 }
@@ -713,7 +663,6 @@ mod tests {
     use super::*;
     use cps_core::{AppTimingProfile, DwellTimeTable};
     use cps_verify::{VerificationConfig, VerifyError};
-    use std::sync::mpsc;
 
     fn profile(name: &str, max_wait: usize, dwell: usize) -> AppTimingProfile {
         let len = max_wait + 1;
@@ -765,7 +714,7 @@ mod tests {
             state_budget: 1,
             ..VerificationConfig::default()
         });
-        let service = AdmissionService::spawn_with(state, 4);
+        let service = AdmissionService::spawn_with_options(state, ServiceOptions::default());
         let client = service.client();
         client.admit(profile("A", 10, 3)).unwrap();
         let err = client.admit(profile("B", 10, 3)).unwrap_err();
@@ -781,7 +730,7 @@ mod tests {
 
     #[test]
     fn every_request_of_a_dropped_client_lands_before_shutdown() {
-        let service = AdmissionService::spawn_with(AdmissionState::new(), 16);
+        let service = AdmissionService::spawn();
         // Admissions from a second thread that ignores the answers and
         // drops its handle: shutdown returns the state they all changed.
         let client = service.client();
@@ -892,7 +841,6 @@ mod tests {
             ServiceOptions {
                 snapshot_interval: 2,
                 faults: plan,
-                ..ServiceOptions::default()
             },
         );
         let client = service.client();
@@ -929,7 +877,6 @@ mod tests {
         let options = ServiceOptions {
             snapshot_interval: 2,
             faults: plan,
-            ..ServiceOptions::default()
         };
         let mut supervisor = Supervisor::new(AdmissionState::new(), options);
         let (mut cadence_points, mut skipped, mut restarts) = (0, 0, 0);
@@ -1014,65 +961,17 @@ mod tests {
     }
 
     #[test]
-    fn try_calls_beyond_the_in_flight_bound_are_refused_untouched() {
-        let service = AdmissionService::spawn_with(AdmissionState::new(), 1);
-        let client = service.client();
-        // Hold the state as a caller mid-request would.
-        let held = service.client.shared.supervisor.lock().unwrap();
-        let blocked = {
-            let client = client.clone();
-            thread::spawn(move || client.admit(profile("A", 10, 3)))
-        };
-        while service.client.shared.in_flight.load(Ordering::Relaxed) == 0 {
-            thread::yield_now();
-        }
-        // Answered at once, from another thread so that a call that waited
-        // instead fails the test rather than hanging it.
-        let (answer, refused) = mpsc::channel();
-        let eager = client.clone();
-        thread::spawn(move || {
-            answer
-                .send(eager.try_call(Request::Admit(profile("B", 10, 3))))
-                .ok()
-        });
-        assert!(matches!(
-            refused.recv_timeout(Duration::from_secs(10)),
-            Ok(Err(ServiceError::QueueFull))
-        ));
-        // The blocking caller waited on the lock and is served once freed.
-        drop(held);
-        assert_eq!(blocked.join().unwrap().unwrap().index, 0);
-        assert_eq!(service.client.shared.in_flight.load(Ordering::Relaxed), 0);
-        let stats = client.try_call(Request::Stats).unwrap();
-        assert!(matches!(
-            stats,
-            Response::Stats(ServiceStats { fleet_len: 1, .. })
-        ));
-        drop(client);
-        let state = service.shutdown().unwrap();
-        assert_eq!(
-            state.fleet()[0].name(),
-            "A",
-            "the refused call changed nothing"
-        );
-    }
-
-    #[test]
     fn a_panic_escaping_the_supervisor_leaves_the_service_dead() {
         let service = AdmissionService::spawn();
         let client = service.client();
         client.admit(profile("A", 10, 3)).unwrap();
-        client.shared.in_flight.fetch_add(1, Ordering::Relaxed);
-        let escaped = client
-            .shared
-            .serve(|_| panic!("a bug outside any request handler"));
+        let escaped = client.serve(|_| panic!("a bug outside any request handler"));
         assert!(matches!(escaped, Err(ServiceError::Disconnected)));
         assert!(matches!(
             client.admit(profile("B", 10, 3)),
             Err(ServiceError::Disconnected)
         ));
         assert!(matches!(client.stats(), Err(ServiceError::Disconnected)));
-        assert_eq!(service.client.shared.in_flight.load(Ordering::Relaxed), 0);
         drop(client);
         assert!(matches!(
             service.shutdown(),

@@ -83,7 +83,6 @@ fn fault_storm_loses_nothing_and_matches_the_batch_rebuild() {
         ServiceOptions {
             snapshot_interval: 2,
             faults: service_plan,
-            ..ServiceOptions::default()
         },
     );
     let mut client =
@@ -183,7 +182,6 @@ fn lifetime_counters_survive_worker_restarts() {
         ServiceOptions {
             snapshot_interval: 2,
             faults: FaultPlan::seeded(42).with_rate(FaultSite::WorkerPanicPost, 300),
-            ..ServiceOptions::default()
         },
     );
     let mut client = RetryingClient::with_policy(service.client(), patient());

@@ -194,7 +194,6 @@ fn main() {
         ServiceOptions {
             snapshot_interval: 4,
             faults: service_plan,
-            ..ServiceOptions::default()
         },
     );
     let mut client = RetryingClient::with_policy(

@@ -26,10 +26,8 @@ use std::time::Instant;
 use cps_core::AppTimingProfile;
 use cps_intern::snapshot::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
 use cps_intern::{seq_fingerprint, TwoWayTranspositionTable};
-use cps_verify::{
-    replay_first_miss_selected, verify_conservative_selected, SlotVerifyEngine, VerificationConfig,
-    VerifyError,
-};
+use cps_sched::first_miss;
+use cps_verify::{verify_conservative_selected, SlotVerifyEngine, VerificationConfig, VerifyError};
 
 use crate::baseline::{slot_schedulable_profiles, Strategy};
 use crate::report::TierStats;
@@ -375,8 +373,8 @@ impl CascadeCore {
         // Reject invalid configurations up front, before any tier can decide
         // the query — the cascade must error exactly where the plain oracle
         // does (same validation, shared with the verifier), and the screen's
-        // scenario replay assumes the disturbance bound (if any) allows at
-        // least one instance.
+        // all-disturbed-at-once run assumes the disturbance bound (if any)
+        // allows at least one instance.
         SlotVerifyEngine::validate_config(&self.config)?;
         self.stats.queries += 1;
         // Tier 1: singletons (and the trivial empty set) are admissible by
@@ -562,12 +560,12 @@ impl CascadeCore {
             }
         }
 
-        // All-disturbed-at-once replay: every application is hit at sample
+        // All-disturbed-at-once run: every application is hit at sample
         // zero and never again — one concrete branch of the exact
         // exploration (admissible for any validated disturbance bound),
-        // replayed through the deterministic scheduler semantics shared with
-        // the witness validator. A miss is a sound rejection.
-        replay_first_miss_selected(profiles, members, schedule)
+        // run through the concrete scheduler that also validates witnesses.
+        // A miss is a sound rejection.
+        first_miss(profiles, members, schedule)
             .expect("the all-disturbed-at-once schedule is always valid")
             .is_none()
     }

@@ -39,13 +39,13 @@
 //!    loses no hits in practice.
 //! 3. **Quick necessary-condition screen** — two sound rejections: the
 //!    all-disturbed-at-once scenario (every application hit at sample zero,
-//!    no further disturbances) is replayed through the deterministic
-//!    scheduler semantics in `O(Σ T_dw^+)` — if it misses a deadline the
-//!    exact verifier is guaranteed to reject, since that scenario is one of
-//!    the branches it explores; and, in the unbounded sporadic model, a
-//!    minimum-demand utilisation bound (`Σ max(1, min_w T_dw^-) / r > 1`
-//!    means backlog grows without bound, so some deadline is eventually
-//!    missed).
+//!    no further disturbances) is run through `cps-sched`'s concrete
+//!    scheduler ([`cps_sched::first_miss`]) in `O(Σ T_dw^+)` — if it misses
+//!    a deadline the exact verifier is guaranteed to reject, since that
+//!    scenario is one of the branches it explores; and, in the unbounded
+//!    sporadic model, a minimum-demand utilisation bound
+//!    (`Σ max(1, min_w T_dw^-) / r > 1` means backlog grows without bound,
+//!    so some deadline is eventually missed).
 //! 4. **Anti-monotone index** — admission is anti-monotone: a candidate set
 //!    into which a known-inadmissible set embeds (same fingerprints, order
 //!    preserved) is inadmissible, because the witness scenario extends with

@@ -32,12 +32,6 @@ pub fn select_by_laxity(waiting: impl Iterator<Item = (usize, usize, usize)>) ->
         .map(|(_, index)| index)
 }
 
-/// Computes the remaining laxity `D = T_w^* − T_w`, or `None` when the wait
-/// has already exceeded the maximum.
-pub fn laxity(waited: usize, max_wait: usize) -> Option<usize> {
-    max_wait.checked_sub(waited)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,12 +59,5 @@ mod tests {
     #[test]
     fn empty_input_selects_nobody() {
         assert_eq!(select_by_laxity(std::iter::empty()), None);
-    }
-
-    #[test]
-    fn laxity_computation() {
-        assert_eq!(laxity(3, 11), Some(8));
-        assert_eq!(laxity(11, 11), Some(0));
-        assert_eq!(laxity(12, 11), None);
     }
 }

@@ -1,15 +1,20 @@
 //! Laxity-based slot arbitration and scheduler/plant co-simulation.
 //!
 //! The verification layer (`cps-verify`) explores *all* disturbance scenarios
-//! symbolically; this crate executes *one concrete scenario* at a time:
+//! symbolically; this crate executes *one concrete scenario* at a time, and
+//! holds the repository's only concrete scheduler:
 //!
 //! * [`arbiter`] — the paper's EDF-like policy: among the waiting
 //!   applications, the one with the smallest remaining laxity
 //!   `D = T_w^* − T_w` gets the slot.
 //! * [`slot_scheduler`] — the discrete-time scheduler that applies the
 //!   switching strategy (grant, minimum-dwell preemption, maximum-dwell
-//!   release) to a given pattern of disturbance arrivals and records who owns
-//!   the slot at every sample.
+//!   release) to a given pattern of disturbance arrivals. One stepping loop
+//!   serves two entries: [`SlotScheduler::schedule`] records who owns the
+//!   slot at every sample, and [`first_miss`] reports only the first
+//!   deadline miss, over borrowed profiles. `cps-verify` validates its
+//!   witnesses with [`first_miss`], and the `cps-map` admission cascade
+//!   screens candidates with it.
 //! * [`cosim`] — closes the loop: the scheduler's slot ownership is turned
 //!   into per-application mode schedules and the switched closed loops are
 //!   simulated, producing the response curves of the paper's Figs. 8 and 9
@@ -36,7 +41,7 @@ pub mod trace;
 pub use arbiter::select_by_laxity;
 pub use cosim::{CosimApp, CosimResult, CosimScenario};
 pub use error::SchedError;
-pub use slot_scheduler::{ScheduleOutcome, SlotScheduler};
+pub use slot_scheduler::{first_miss, ScheduleOutcome, SlotScheduler};
 pub use trace::{AppScheduleTrace, GrantRecord};
 
 #[cfg(test)]

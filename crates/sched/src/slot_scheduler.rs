@@ -6,6 +6,12 @@
 //! occupants that have served their minimum dwell `T_dw^-` when someone is
 //! waiting, and grants the slot to the waiting application with the smallest
 //! laxity.
+//!
+//! One stepping loop serves two entries. [`SlotScheduler::schedule`] records
+//! who owns the slot at every sample, for the co-simulation.
+//! [`first_miss`] only reports the first deadline miss, over borrowed
+//! profiles: `cps-verify` validates its counterexample witnesses with it, and
+//! the `cps-map` admission cascade screens candidates with it.
 
 use cps_core::AppTimingProfile;
 
@@ -39,6 +45,25 @@ impl ScheduleOutcome {
     /// Total number of TT samples handed out across all applications.
     pub fn total_tt_samples(&self) -> usize {
         self.traces.iter().map(|t| t.total_tt_samples()).sum()
+    }
+
+    /// Accounts the occupation `state` of `app`, which ends at this sample;
+    /// any other state holds no occupation.
+    fn close(&mut self, app: usize, state: AppState, preempted: bool) {
+        if let AppState::Using {
+            waited,
+            received,
+            start,
+        } = state
+        {
+            self.grants.push(GrantRecord {
+                app,
+                start_sample: start,
+                tt_samples: received,
+                waited,
+                preempted,
+            });
+        }
     }
 }
 
@@ -103,7 +128,12 @@ impl SlotScheduler {
     /// Schedules the slot for the given disturbance pattern.
     ///
     /// `disturbances[i]` lists the samples at which application `i` is
-    /// disturbed (sorted ascending).
+    /// disturbed (sorted ascending). A disturbance always supersedes
+    /// whatever its application was doing, because the response window (and
+    /// hence the laxity clock) is measured from the *latest* disturbance: an
+    /// occupant leaves the slot, its occupation is closed and accounted in
+    /// [`ScheduleOutcome::grants`], and a waiter's clock restarts at zero. A
+    /// missed request is abandoned, and the schedule goes on.
     ///
     /// # Errors
     ///
@@ -116,245 +146,291 @@ impl SlotScheduler {
         disturbances: &[Vec<usize>],
         horizon: usize,
     ) -> Result<ScheduleOutcome, SchedError> {
-        self.validate(disturbances, horizon)?;
-        let n = self.profiles.len();
-        let mut states = vec![AppState::Idle; n];
-        let mut traces: Vec<AppScheduleTrace> = disturbances
-            .iter()
-            .map(|times| AppScheduleTrace {
-                disturbance_samples: times.clone(),
-                ..Default::default()
-            })
-            .collect();
-        let mut grants: Vec<GrantRecord> = Vec::new();
-        // The slot has at most one occupant; tracking its index avoids an
-        // O(n) scan per step.
-        let mut occupant: Option<usize> = None;
-        // Cursor into each application's (sorted, validated) disturbance
-        // list: O(1) arrival sensing per sample.
-        let mut next_disturbance = vec![0usize; n];
-        // Number of non-Idle applications. While it is zero nothing can
-        // happen until the next disturbance, so the loop fast-forwards —
-        // the cost is bounded by the *active* span, not the horizon.
-        let mut active = 0usize;
-
-        let mut sample = 0;
-        while sample < horizon {
-            if active == 0 {
-                match disturbances
-                    .iter()
-                    .zip(next_disturbance.iter())
-                    .filter_map(|(times, &cursor)| times.get(cursor))
-                    .min()
-                {
-                    // Idle forever: every remaining sample is a no-op.
-                    None => break,
-                    Some(&next) => sample = next,
-                }
-            }
-            // 1. Newly sensed disturbances. Re-disturbance semantics: a new
-            //    disturbance always supersedes whatever the application was
-            //    doing, because the response window (and hence the laxity
-            //    clock) is measured from the *latest* disturbance.
-            //    * `Using`: the occupation ends here — the occupant leaves
-            //      the slot to wait for a fresh grant, and the open
-            //      occupation is closed and accounted in `grants()` (it was
-            //      previously dropped on the floor, making `grants()`
-            //      disagree with `traces()`).
-            //    * `Waiting`: the pending request is replaced and the wait
-            //      clock restarts at zero.
-            for (app, times) in disturbances.iter().enumerate() {
-                let cursor = &mut next_disturbance[app];
-                if *cursor < times.len() && times[*cursor] == sample {
-                    *cursor += 1;
-                    match states[app] {
-                        AppState::Using {
-                            waited,
-                            received,
-                            start,
-                        } => {
-                            grants.push(GrantRecord {
-                                app,
-                                start_sample: start,
-                                tt_samples: received,
-                                waited,
-                                preempted: false,
-                            });
-                            occupant = None;
-                        }
-                        AppState::Waiting { .. } => {}
-                        AppState::Idle => active += 1,
-                    }
-                    states[app] = AppState::Waiting { waited: 0 };
-                }
-            }
-
-            // 2. Deadline misses: the request is abandoned (the application
-            //    can no longer meet its requirement) but the rest of the
-            //    schedule continues.
-            for (app, state) in states.iter_mut().enumerate() {
-                if let AppState::Waiting { waited } = state {
-                    if *waited > self.profiles[app].max_wait() {
-                        traces[app].missed_deadline = true;
-                        *state = AppState::Idle;
-                        active -= 1;
-                    }
-                }
-            }
-
-            // 3. Release occupants that reached their maximum useful dwell.
-            if let Some(app) = occupant {
-                if let AppState::Using {
-                    waited,
-                    received,
-                    start,
-                } = states[app]
-                {
-                    let t_plus = self.profiles[app].t_dw_plus(waited).unwrap_or(0);
-                    if received >= t_plus {
-                        grants.push(GrantRecord {
-                            app,
-                            start_sample: start,
-                            tt_samples: received,
-                            waited,
-                            preempted: false,
-                        });
-                        states[app] = AppState::Idle;
-                        occupant = None;
-                        active -= 1;
-                    }
-                }
-            }
-
-            // 4. Grant (possibly preempting) by smallest laxity.
-            let best = select_by_laxity(states.iter().enumerate().filter_map(|(i, s)| match s {
-                AppState::Waiting { waited } => Some((i, *waited, self.profiles[i].max_wait())),
-                _ => None,
-            }));
-            if let Some(winner) = best {
-                match occupant {
-                    None => {
-                        if let AppState::Waiting { waited } = states[winner] {
-                            traces[winner].waits.push(waited);
-                            states[winner] = AppState::Using {
-                                waited,
-                                received: 0,
-                                start: sample,
-                            };
-                            occupant = Some(winner);
-                        }
-                    }
-                    Some(app) => {
-                        if let AppState::Using {
-                            waited,
-                            received,
-                            start,
-                        } = states[app]
-                        {
-                            let t_min = self.profiles[app].t_dw_min(waited).unwrap_or(0);
-                            if received >= t_min {
-                                grants.push(GrantRecord {
-                                    app,
-                                    start_sample: start,
-                                    tt_samples: received,
-                                    waited,
-                                    preempted: true,
-                                });
-                                states[app] = AppState::Idle;
-                                active -= 1;
-                                if let AppState::Waiting { waited } = states[winner] {
-                                    traces[winner].waits.push(waited);
-                                    states[winner] = AppState::Using {
-                                        waited,
-                                        received: 0,
-                                        start: sample,
-                                    };
-                                    occupant = Some(winner);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-
-            // 5. The current occupant uses this sample; waiting times advance.
-            for (app, state) in states.iter_mut().enumerate() {
-                match state {
-                    AppState::Using { received, .. } => {
-                        traces[app].tt_samples.push(sample);
-                        *received += 1;
-                    }
-                    AppState::Waiting { waited } => *waited += 1,
-                    AppState::Idle => {}
-                }
-            }
-
-            sample += 1;
-        }
-
-        // Close the final occupation, if any.
-        if let Some(app) = occupant {
-            if let AppState::Using {
-                waited,
-                received,
-                start,
-            } = states[app]
-            {
-                grants.push(GrantRecord {
-                    app,
-                    start_sample: start,
-                    tt_samples: received,
-                    waited,
-                    preempted: false,
-                });
-            }
-        }
-
-        Ok(ScheduleOutcome { traces, grants })
-    }
-
-    fn validate(&self, disturbances: &[Vec<usize>], horizon: usize) -> Result<(), SchedError> {
-        if disturbances.len() != self.profiles.len() {
-            return Err(SchedError::InvalidScenario {
-                reason: format!(
-                    "expected disturbance times for {} applications, got {}",
-                    self.profiles.len(),
-                    disturbances.len()
-                ),
-            });
-        }
+        let profile = move |i: usize| &self.profiles[i];
+        check_schedule(profile, self.profiles.len(), disturbances)?;
         if horizon == 0 {
             return Err(SchedError::InvalidScenario {
                 reason: "horizon must be at least one sample".to_string(),
             });
         }
         for (app, times) in disturbances.iter().enumerate() {
-            for window in times.windows(2) {
-                if window[1] <= window[0] {
-                    return Err(SchedError::InvalidScenario {
-                        reason: format!("application {app}: disturbance times must be increasing"),
-                    });
-                }
-                if window[1] - window[0] < self.profiles[app].min_inter_arrival() {
-                    return Err(SchedError::InterArrivalViolation {
-                        app,
-                        samples: (window[0], window[1]),
-                        min_inter_arrival: self.profiles[app].min_inter_arrival(),
-                    });
-                }
+            if let Some(&last) = times.last().filter(|&&last| last >= horizon) {
+                return Err(SchedError::InvalidScenario {
+                    reason: format!(
+                        "application {app}: disturbance at sample {last} is beyond the horizon {horizon}"
+                    ),
+                });
             }
-            if let Some(&last) = times.last() {
-                if last >= horizon {
+        }
+        let mut outcome = ScheduleOutcome {
+            traces: disturbances
+                .iter()
+                .map(|times| AppScheduleTrace {
+                    disturbance_samples: times.clone(),
+                    ..Default::default()
+                })
+                .collect(),
+            grants: Vec::new(),
+        };
+        run(profile, disturbances, horizon, Some(&mut outcome))?;
+        Ok(outcome)
+    }
+}
+
+/// Runs the scheduler over the line-up `members` (indices into `profiles`,
+/// in that order) until every application is idle and no disturbance is
+/// pending, and returns the applications missing their maximum wait at the
+/// first miss sample (positions in `members`), with that sample; `None`
+/// when every request is granted in time. `disturbances[i]` schedules the
+/// application at `members[i]`, as for [`SlotScheduler::schedule`].
+///
+/// It borrows the profiles and records no trace. Unlike
+/// [`SlotScheduler::schedule`], it follows the sporadic model of the
+/// verifier: an application is disturbed again only once it is idle, so a
+/// disturbance that finds it still waiting or using the slot is refused.
+///
+/// # Errors
+///
+/// * [`SchedError::InvalidScenario`] when the pattern has the wrong number
+///   of applications or unsorted times, or disturbs an application that is
+///   not idle.
+/// * [`SchedError::InterArrivalViolation`] when two disturbances of the
+///   same application are closer than its minimum inter-arrival time.
+///
+/// # Panics
+///
+/// Panics if a member index is out of bounds for `profiles`.
+///
+/// # Example
+///
+/// ```
+/// use cps_core::{AppTimingProfile, DwellTimeTable};
+/// use cps_sched::first_miss;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// // Waits of at most one sample, and six-sample dwells.
+/// let table = DwellTimeTable::from_arrays(8, vec![6; 2], vec![6; 2])?;
+/// let a = AppTimingProfile::new("A", 6, 18, 8, 20, table.clone())?;
+/// let b = AppTimingProfile::new("B", 6, 18, 8, 20, table)?;
+/// let fleet = [a, b];
+/// // Disturbed together, B cannot wait out A's six-sample dwell.
+/// assert_eq!(first_miss(&fleet, &[0, 1], &[vec![0], vec![0]])?, Some((vec![1], 2)));
+/// // Far enough apart, both are served in time.
+/// assert_eq!(first_miss(&fleet, &[0, 1], &[vec![0], vec![6]])?, None);
+/// # Ok(())
+/// # }
+/// ```
+pub fn first_miss(
+    profiles: &[AppTimingProfile],
+    members: &[usize],
+    disturbances: &[Vec<usize>],
+) -> Result<Option<(Vec<usize>, usize)>, SchedError> {
+    let profile = move |i: usize| &profiles[members[i]];
+    check_schedule(profile, members.len(), disturbances)?;
+    run(profile, disturbances, usize::MAX, None)
+}
+
+/// Checks what both entries require of a disturbance pattern: one list per
+/// application, each strictly increasing and spaced by at least the
+/// application's minimum inter-arrival time. `profile(i)` resolves
+/// application `i` of the line-up.
+fn check_schedule<'p>(
+    profile: impl Fn(usize) -> &'p AppTimingProfile,
+    apps: usize,
+    disturbances: &[Vec<usize>],
+) -> Result<(), SchedError> {
+    if disturbances.len() != apps {
+        return Err(SchedError::InvalidScenario {
+            reason: format!(
+                "expected disturbance times for {apps} applications, got {}",
+                disturbances.len()
+            ),
+        });
+    }
+    for (app, times) in disturbances.iter().enumerate() {
+        let min_inter_arrival = profile(app).min_inter_arrival();
+        for window in times.windows(2) {
+            if window[1] <= window[0] {
+                return Err(SchedError::InvalidScenario {
+                    reason: format!("application {app}: disturbance times must be increasing"),
+                });
+            }
+            if window[1] - window[0] < min_inter_arrival {
+                return Err(SchedError::InterArrivalViolation {
+                    app,
+                    samples: (window[0], window[1]),
+                    min_inter_arrival,
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The one per-sample stepping loop behind [`SlotScheduler::schedule`] and
+/// [`first_miss`], over a checked pattern; `profile(i)` resolves
+/// application `i` of the line-up. While every application is idle it
+/// skips to the next disturbance, and with none left it stops.
+///
+/// With a `record`, it records every trace and grant there until `horizon`,
+/// lets a disturbance supersede a busy application, abandons a missed
+/// request and returns `None`. Without one, it refuses a disturbance of a
+/// busy application and returns the first miss.
+fn run<'p>(
+    profile: impl Fn(usize) -> &'p AppTimingProfile,
+    disturbances: &[Vec<usize>],
+    horizon: usize,
+    mut record: Option<&mut ScheduleOutcome>,
+) -> Result<Option<(Vec<usize>, usize)>, SchedError> {
+    let n = disturbances.len();
+    let mut states = vec![AppState::Idle; n];
+    // The slot has at most one occupant; tracking its index avoids an
+    // O(n) scan per step.
+    let mut occupant: Option<usize> = None;
+    // Cursor into each application's (sorted, checked) disturbance list:
+    // O(1) arrival sensing per sample.
+    let mut next_disturbance = vec![0usize; n];
+    // Number of non-Idle applications. While it is zero nothing can happen
+    // until the next disturbance, so the loop fast-forwards — the cost is
+    // bounded by the *active* span, not the horizon.
+    let mut active = 0usize;
+    let mut missing = Vec::new();
+
+    let mut sample = 0;
+    while sample < horizon {
+        if active == 0 {
+            match disturbances
+                .iter()
+                .zip(next_disturbance.iter())
+                .filter_map(|(times, &cursor)| times.get(cursor))
+                .min()
+            {
+                // Idle forever: every remaining sample is a no-op.
+                None => break,
+                Some(&next) => sample = next,
+            }
+        }
+        // 1. Newly sensed disturbances.
+        for (app, times) in disturbances.iter().enumerate() {
+            let cursor = &mut next_disturbance[app];
+            if times.get(*cursor) != Some(&sample) {
+                continue;
+            }
+            *cursor += 1;
+            match (states[app], record.as_deref_mut()) {
+                (AppState::Idle, _) => active += 1,
+                (_, None) => {
                     return Err(SchedError::InvalidScenario {
                         reason: format!(
-                            "application {app}: disturbance at sample {last} is beyond the horizon {horizon}"
+                            "application {app} is disturbed at sample {sample} while not idle"
                         ),
-                    });
+                    })
+                }
+                (busy, Some(record)) => {
+                    record.close(app, busy, false);
+                    if occupant == Some(app) {
+                        occupant = None;
+                    }
+                }
+            }
+            states[app] = AppState::Waiting { waited: 0 };
+        }
+
+        // 2. Deadline misses: the request is abandoned (the application can
+        //    no longer meet its requirement).
+        for (app, state) in states.iter_mut().enumerate() {
+            if matches!(*state, AppState::Waiting { waited } if waited > profile(app).max_wait()) {
+                missing.push(app);
+                *state = AppState::Idle;
+                active -= 1;
+            }
+        }
+        if !missing.is_empty() {
+            let Some(record) = record.as_deref_mut() else {
+                return Ok(Some((missing, sample)));
+            };
+            for app in missing.drain(..) {
+                record.traces[app].missed_deadline = true;
+            }
+        }
+
+        // 3. Release the occupant that reached its maximum useful dwell.
+        if let Some(app) = occupant {
+            if let AppState::Using {
+                waited, received, ..
+            } = states[app]
+            {
+                if received >= profile(app).t_dw_plus(waited).unwrap_or(0) {
+                    if let Some(record) = record.as_deref_mut() {
+                        record.close(app, states[app], false);
+                    }
+                    states[app] = AppState::Idle;
+                    occupant = None;
+                    active -= 1;
                 }
             }
         }
-        Ok(())
+
+        // 4. Grant by smallest laxity, preempting an occupant that has
+        //    served its minimum dwell.
+        let best = select_by_laxity(states.iter().enumerate().filter_map(|(i, s)| match s {
+            AppState::Waiting { waited } => Some((i, *waited, profile(i).max_wait())),
+            _ => None,
+        }));
+        if let Some(winner) = best {
+            let free = match occupant {
+                None => true,
+                Some(app) => match states[app] {
+                    AppState::Using {
+                        waited, received, ..
+                    } if received >= profile(app).t_dw_min(waited).unwrap_or(0) => {
+                        if let Some(record) = record.as_deref_mut() {
+                            record.close(app, states[app], true);
+                        }
+                        states[app] = AppState::Idle;
+                        active -= 1;
+                        true
+                    }
+                    _ => false,
+                },
+            };
+            if free {
+                if let AppState::Waiting { waited } = states[winner] {
+                    if let Some(record) = record.as_deref_mut() {
+                        record.traces[winner].waits.push(waited);
+                    }
+                    states[winner] = AppState::Using {
+                        waited,
+                        received: 0,
+                        start: sample,
+                    };
+                    occupant = Some(winner);
+                }
+            }
+        }
+
+        // 5. The current occupant uses this sample; waiting times advance.
+        for (app, state) in states.iter_mut().enumerate() {
+            match state {
+                AppState::Using { received, .. } => {
+                    if let Some(record) = record.as_deref_mut() {
+                        record.traces[app].tt_samples.push(sample);
+                    }
+                    *received += 1;
+                }
+                AppState::Waiting { waited } => *waited += 1,
+                AppState::Idle => {}
+            }
+        }
+
+        sample += 1;
     }
+
+    // Close the final occupation, if any.
+    if let (Some(app), Some(record)) = (occupant, record) {
+        record.close(app, states[app], false);
+    }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -546,5 +622,96 @@ mod tests {
             Err(SchedError::InterArrivalViolation { .. })
         ));
         assert!(SlotScheduler::new(vec![]).is_err());
+        // `first_miss` checks the same pattern rules, with no horizon.
+        assert!(first_miss(s.profiles(), &[0, 1], &[vec![0]]).is_err());
+        assert!(first_miss(s.profiles(), &[0, 1], &[vec![5, 3], vec![]]).is_err());
+        assert_eq!(
+            first_miss(s.profiles(), &[0, 1], &[vec![0], vec![50]]),
+            Ok(None)
+        );
+    }
+
+    #[test]
+    fn first_miss_stops_at_the_first_miss() {
+        let fleet = [
+            profile("A", 7, 6, 6),
+            profile("B", 7, 6, 6),
+            profile("C", 7, 6, 6),
+        ];
+        let schedule = [vec![0], vec![0], vec![0]];
+        // A holds the slot for samples 0-5 and B for 6-11, so C, waiting
+        // since sample 0, misses at sample 8.
+        assert_eq!(
+            first_miss(&fleet, &[0, 1, 2], &schedule),
+            Ok(Some((vec![2], 8)))
+        );
+        let outcome = SlotScheduler::new(fleet.to_vec())
+            .unwrap()
+            .schedule(&schedule, 40)
+            .unwrap();
+        let missed: Vec<bool> = outcome.traces().iter().map(|t| t.missed_deadline).collect();
+        assert_eq!(missed, [false, false, true]);
+        // Idle stretches cost nothing, however long.
+        assert_eq!(
+            first_miss(&fleet, &[0, 1, 2], &[vec![0], vec![1_000_000], vec![]]),
+            Ok(None)
+        );
+    }
+
+    #[test]
+    fn selected_first_miss_matches_the_cloned_submodel() {
+        let fleet = [
+            profile("A", 0, 5, 5),
+            profile("B", 10, 3, 3),
+            profile("C", 0, 5, 5),
+        ];
+        let selections: &[&[usize]] = &[&[0, 2], &[1, 0], &[2, 1, 0]];
+        for members in selections {
+            let schedule: Vec<Vec<usize>> = members.iter().map(|_| vec![0]).collect();
+            let selected = first_miss(&fleet, members, &schedule).unwrap();
+            let cloned: Vec<AppTimingProfile> = members.iter().map(|&i| fleet[i].clone()).collect();
+            let identity: Vec<usize> = (0..members.len()).collect();
+            let direct = first_miss(&cloned, &identity, &schedule).unwrap();
+            assert_eq!(selected, direct, "selection {members:?}");
+            // The recording entry marks every application that misses first.
+            let outcome = SlotScheduler::new(cloned)
+                .unwrap()
+                .schedule(&schedule, 40)
+                .unwrap();
+            assert_eq!(selected.is_some(), !outcome.all_deadlines_met());
+            for app in selected.map_or(Vec::new(), |(apps, _)| apps) {
+                assert!(outcome.traces()[app].missed_deadline, "{members:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_steady_disturbances_are_rejected() {
+        // Re-disturbing A one sample after its first arrival violates the
+        // sporadic model's minimum inter-arrival time.
+        let lone = [profile("A", 5, 3, 3)];
+        assert!(matches!(
+            first_miss(&lone, &[0], &[vec![0, 1]]),
+            Err(SchedError::InterArrivalViolation { .. })
+        ));
+        // With waits and dwells longer than `r`, a pattern spaced by `r` can
+        // still find B busy: using the slot (granted at 5, as in
+        // `redisturbed_occupant_closes_its_grant`), or waiting (as in
+        // `redisturbed_waiter_restarts_its_wait_clock`). `first_miss`
+        // refuses both; `schedule` lets the new disturbance supersede.
+        let using = [
+            tight_profile("A", 2, 5, 5, 9, 10),
+            tight_profile("B", 8, 8, 8, 9, 10),
+        ];
+        let waiting = [
+            tight_profile("A", 0, 12, 12, 13, 14),
+            tight_profile("B", 20, 3, 3, 9, 10),
+        ];
+        for fleet in [using, waiting] {
+            assert!(matches!(
+                first_miss(&fleet, &[0, 1], &[vec![0], vec![0, 10]]),
+                Err(SchedError::InvalidScenario { .. })
+            ));
+        }
     }
 }

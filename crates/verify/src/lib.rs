@@ -47,8 +47,9 @@
 //!   [`checker`] whose accepts imply exact accepts, used as the admission
 //!   cascade's degraded screen.
 //! * [`witness`] — counterexample traces when a deadline can be missed, and
-//!   the replay validator ([`witness::validate_witness`]) that re-runs the
-//!   scheduler under a witness's disturbance schedule.
+//!   the validator ([`witness::validate_witness`]) that runs a witness's
+//!   disturbance schedule through `cps-sched`'s concrete scheduler
+//!   ([`cps_sched::first_miss`]), independent of both explorations.
 //!
 //! # Example
 //!
@@ -88,9 +89,7 @@ pub use engine::{
 };
 pub use error::VerifyError;
 pub use model::SlotSharingModel;
-pub use witness::{
-    replay_first_miss, replay_first_miss_selected, validate_witness, TraceEvent, Witness,
-};
+pub use witness::{validate_witness, TraceEvent, Witness};
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,9 @@
-//! Counterexample witnesses for failed verifications, and the replay
-//! validator that checks them against the deterministic scheduler semantics.
+//! Counterexample witnesses for failed verifications, and the validator
+//! that runs each one through the concrete scheduler of `cps-sched`.
 
 use std::fmt;
+
+use cps_sched::first_miss;
 
 use crate::{SlotSharingModel, VerifyError};
 
@@ -40,8 +42,9 @@ impl fmt::Display for TraceEvent {
 
 /// A counterexample: the disturbance scenario that leads to a deadline miss.
 ///
-/// The scenario is replayable — feeding the same disturbance arrival times to
-/// the co-simulator of `cps-sched` reproduces the failing schedule.
+/// The scenario is replayable: feeding the same disturbance arrival times to
+/// the scheduler of `cps-sched` reproduces the failing schedule, which is
+/// what [`validate_witness`] checks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Witness {
     events: Vec<TraceEvent>,
@@ -90,274 +93,71 @@ impl Witness {
     }
 }
 
-/// Per-application location of the replay simulation. Mirrors the discrete
-/// transition semantics of [`crate::checker`] (and of the interned-state
-/// engine), re-implemented independently so the validator is a third voice
-/// rather than a re-export of either exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReplayCell {
-    Steady,
-    Waiting {
-        waited: usize,
-    },
-    Using {
-        wait_at_grant: usize,
-        received: usize,
-    },
-    Cooldown {
-        since: usize,
-    },
-}
-
-/// Deterministically re-runs the laxity scheduler under a concrete
-/// disturbance schedule (`disturbances[i]` lists the samples at which
-/// application `i` is disturbed) and returns the first deadline miss as
-/// `(missing applications, sample)`, or `None` when every application is
-/// granted the slot in time.
-///
-/// The simulation follows the checker's sample semantics exactly: at every
-/// sample the scheduled disturbances are sensed first, then any application
-/// that has waited beyond its maximum wait `T_w^*` misses, then the scheduler
-/// releases/preempts/grants, then one sample of time passes.
+/// Validates a witness against the model it was produced for: its trace
+/// must name only applications of the model and end with its claimed miss,
+/// and its disturbance schedule, run through the concrete scheduler
+/// [`cps_sched::first_miss`], must make the claimed application miss its
+/// deadline at the claimed sample. The scheduler steps concrete samples
+/// and shares no code with the verifier's symbolic explorations, so it
+/// checks them independently.
 ///
 /// # Errors
 ///
-/// Returns [`VerifyError::InvalidWitness`] when the schedule disturbs an
-/// application that is not in its steady state (i.e. the schedule violates
-/// the minimum inter-arrival time or re-disturbs a waiting application).
-pub fn replay_first_miss(
-    model: &SlotSharingModel,
-    disturbances: &[Vec<usize>],
-) -> Result<Option<(Vec<usize>, usize)>, VerifyError> {
-    replay_core(|i| &model.profiles()[i], model.len(), disturbances)
-}
-
-/// [`replay_first_miss`] over a sub-model selected by `members` (indices
-/// into `profiles`, in that order), without cloning any profile — the same
-/// selection convention as [`crate::engine::SlotVerifyEngine::verify_selected`].
-/// `disturbances[i]` schedules the application at `members[i]`.
-///
-/// This is the replay the `cps-map` admission cascade uses for its
-/// necessary-condition screen, so the deterministic scheduler semantics
-/// live in one place per voice.
-///
-/// # Errors
-///
-/// As for [`replay_first_miss`].
-///
-/// # Panics
-///
-/// Panics if a member index is out of bounds for `profiles`.
-pub fn replay_first_miss_selected(
-    profiles: &[cps_core::AppTimingProfile],
-    members: &[usize],
-    disturbances: &[Vec<usize>],
-) -> Result<Option<(Vec<usize>, usize)>, VerifyError> {
-    replay_core(|i| &profiles[members[i]], members.len(), disturbances)
-}
-
-/// The shared replay simulation behind both entry points; `profile(i)`
-/// resolves position `i` of the replayed line-up.
-fn replay_core<'p>(
-    profile: impl Fn(usize) -> &'p cps_core::AppTimingProfile,
-    apps: usize,
-    disturbances: &[Vec<usize>],
-) -> Result<Option<(Vec<usize>, usize)>, VerifyError> {
-    if disturbances.len() != apps {
-        return Err(VerifyError::InvalidWitness {
-            reason: format!(
-                "schedule covers {} applications, model has {apps}",
-                disturbances.len()
-            ),
-        });
-    }
-    let mut events: Vec<(usize, usize)> = disturbances
-        .iter()
-        .enumerate()
-        .flat_map(|(app, times)| times.iter().map(move |&sample| (sample, app)))
-        .collect();
-    events.sort_unstable();
-    let last_event = events.last().map(|&(sample, _)| sample).unwrap_or(0);
-    // After the last disturbance, every outcome is decided within one wait
-    // plus one occupation of every application; pad by the longest cooldown
-    // so the quiescence check below is conservative.
-    let horizon = last_event
-        + (0..apps)
-            .map(|i| {
-                let p = profile(i);
-                p.max_wait() + p.dwell_table().max_t_dw_plus() + p.min_inter_arrival()
-            })
-            .max()
-            .unwrap_or(0)
-        + 2;
-
-    let mut cells = vec![ReplayCell::Steady; apps];
-    let mut cursor = 0usize;
-    for sample in 0..horizon {
-        // 1. Disturbances scheduled for this sample are sensed.
-        while cursor < events.len() && events[cursor].0 == sample {
-            let app = events[cursor].1;
-            cursor += 1;
-            if cells[app] != ReplayCell::Steady {
-                return Err(VerifyError::InvalidWitness {
-                    reason: format!(
-                        "application {app} is disturbed at sample {sample} while not steady"
-                    ),
-                });
-            }
-            cells[app] = ReplayCell::Waiting { waited: 0 };
-        }
-
-        // 2. Deadline check.
-        let missing: Vec<usize> = cells
-            .iter()
-            .enumerate()
-            .filter_map(|(app, cell)| match cell {
-                ReplayCell::Waiting { waited } if *waited > profile(app).max_wait() => Some(app),
-                _ => None,
-            })
-            .collect();
-        if !missing.is_empty() {
-            return Ok(Some((missing, sample)));
-        }
-
-        // 3. Scheduler decision: release an occupant past its useful dwell,
-        //    then grant the waiting application with the smallest laxity
-        //    (ties to the lowest index), preempting an occupant that has
-        //    served its minimum dwell.
-        let mut occupant = cells
-            .iter()
-            .position(|c| matches!(c, ReplayCell::Using { .. }));
-        if let Some(app) = occupant {
-            if let ReplayCell::Using {
-                wait_at_grant,
-                received,
-            } = cells[app]
-            {
-                if received
-                    >= profile(app)
-                        .t_dw_plus(wait_at_grant)
-                        .expect("wait in range")
-                {
-                    cells[app] = ReplayCell::Cooldown {
-                        since: wait_at_grant + received,
-                    };
-                    occupant = None;
-                }
-            }
-        }
-        let best_waiter = cells
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| match c {
-                ReplayCell::Waiting { waited } => Some((profile(i).max_wait() - waited, i)),
-                _ => None,
-            })
-            .min();
-        if let Some((_, waiter)) = best_waiter {
-            let granted = match occupant {
-                None => true,
-                Some(app) => {
-                    if let ReplayCell::Using {
-                        wait_at_grant,
-                        received,
-                    } = cells[app]
-                    {
-                        if received >= profile(app).t_dw_min(wait_at_grant).expect("wait in range")
-                        {
-                            cells[app] = ReplayCell::Cooldown {
-                                since: wait_at_grant + received,
-                            };
-                            true
-                        } else {
-                            false
-                        }
-                    } else {
-                        false
-                    }
-                }
-            };
-            if granted {
-                if let ReplayCell::Waiting { waited } = cells[waiter] {
-                    cells[waiter] = ReplayCell::Using {
-                        wait_at_grant: waited,
-                        received: 0,
-                    };
-                }
-            }
-        }
-
-        // 4. One sample of time passes.
-        for (app, cell) in cells.iter_mut().enumerate() {
-            *cell = match *cell {
-                ReplayCell::Steady => ReplayCell::Steady,
-                ReplayCell::Waiting { waited } => ReplayCell::Waiting { waited: waited + 1 },
-                ReplayCell::Using {
-                    wait_at_grant,
-                    received,
-                } => ReplayCell::Using {
-                    wait_at_grant,
-                    received: received + 1,
-                },
-                ReplayCell::Cooldown { since } => {
-                    if since + 1 >= profile(app).min_inter_arrival() {
-                        ReplayCell::Steady
-                    } else {
-                        ReplayCell::Cooldown { since: since + 1 }
-                    }
-                }
-            };
-        }
-
-        // Quiescence: no pending disturbances and every application steady
-        // means no miss can occur any more.
-        if cursor == events.len() && cells.iter().all(|c| *c == ReplayCell::Steady) {
-            return Ok(None);
-        }
-    }
-    Ok(None)
-}
-
-/// Validates a witness against the model it was produced for: the witness's
-/// disturbance schedule is replayed through the deterministic scheduler and
-/// the claimed application must miss its deadline at the claimed sample.
-///
-/// # Errors
-///
-/// Returns [`VerifyError::InvalidWitness`] when the replay disagrees with the
-/// witness — no miss at all, a miss at a different sample, or a miss of
+/// Returns [`VerifyError::InvalidWitness`] when the trace names an
+/// application outside the model, does not end with its claimed miss or
+/// names another one, or when the scheduler disagrees with the witness: it
+/// refuses the schedule (unsorted times, disturbances closer than the
+/// minimum inter-arrival time, or a disturbance of an application that is
+/// not idle), misses nothing, misses at a different sample, or misses
 /// different applications.
 pub fn validate_witness(model: &SlotSharingModel, witness: &Witness) -> Result<(), VerifyError> {
-    let disturbances = witness.disturbance_times(model.len());
-    match replay_first_miss(model, &disturbances)? {
-        None => Err(VerifyError::InvalidWitness {
-            reason: format!(
-                "replaying the witness schedule produces no deadline miss \
-                 (claimed: application {} at sample {})",
-                witness.failing_app(),
-                witness.missed_at_sample()
-            ),
-        }),
-        Some((missing, sample)) => {
-            if sample != witness.missed_at_sample() {
-                return Err(VerifyError::InvalidWitness {
-                    reason: format!(
-                        "replay misses at sample {sample}, witness claims sample {}",
-                        witness.missed_at_sample()
-                    ),
-                });
-            }
-            if !missing.contains(&witness.failing_app()) {
-                return Err(VerifyError::InvalidWitness {
-                    reason: format!(
-                        "replay misses applications {missing:?} at sample {sample}, \
-                         witness claims application {}",
-                        witness.failing_app()
-                    ),
-                });
-            }
-            Ok(())
+    let invalid = |reason: String| VerifyError::InvalidWitness { reason };
+    for event in witness.events() {
+        let (TraceEvent::Disturbance { app, .. } | TraceEvent::DeadlineMissed { app, .. }) = event;
+        if *app >= model.len() {
+            return Err(invalid(format!(
+                "event \"{event}\" names an application outside the model's {} applications",
+                model.len()
+            )));
         }
+    }
+    let claim = TraceEvent::DeadlineMissed {
+        app: witness.failing_app(),
+        sample: witness.missed_at_sample(),
+    };
+    let misses = witness
+        .events()
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::DeadlineMissed { .. }))
+        .count();
+    if misses != 1 || witness.events().last() != Some(&claim) {
+        return Err(invalid(format!(
+            "the trace must end with its claimed miss \"{claim}\" and record no other"
+        )));
+    }
+    let members: Vec<usize> = (0..model.len()).collect();
+    let disturbances = witness.disturbance_times(model.len());
+    match first_miss(model.profiles(), &members, &disturbances)
+        .map_err(|e| invalid(e.to_string()))?
+    {
+        None => Err(invalid(format!(
+            "the witness schedule produces no deadline miss \
+             (claimed: application {} at sample {})",
+            witness.failing_app(),
+            witness.missed_at_sample()
+        ))),
+        Some((_, sample)) if sample != witness.missed_at_sample() => Err(invalid(format!(
+            "the schedule misses at sample {sample}, witness claims sample {}",
+            witness.missed_at_sample()
+        ))),
+        Some((missing, sample)) if !missing.contains(&witness.failing_app()) => {
+            Err(invalid(format!(
+                "the schedule misses applications {missing:?} at sample {sample}, \
+                 witness claims application {}",
+                witness.failing_app()
+            )))
+        }
+        Some(_) => Ok(()),
     }
 }
 
@@ -447,7 +247,7 @@ mod tests {
                     .unwrap();
             // Simultaneous disturbance of both: the second waits ~3 samples,
             // well within its 10-sample tolerance.
-            let miss = replay_first_miss(&model, &[vec![0], vec![0]]).unwrap();
+            let miss = first_miss(model.profiles(), &[0, 1], &[vec![0], vec![0]]).unwrap();
             assert_eq!(miss, None);
             // A fabricated witness over that schedule must fail validation.
             let fake = Witness::new(
@@ -480,36 +280,60 @@ mod tests {
                 validate_witness(&model, &shifted),
                 Err(VerifyError::InvalidWitness { .. })
             ));
+            // The same shift in the trace's own miss event: the claim is
+            // consistent, and the scheduler still misses a sample earlier.
+            let mut events = witness.events().to_vec();
+            events.pop();
+            events.push(TraceEvent::DeadlineMissed {
+                app: witness.failing_app(),
+                sample: witness.missed_at_sample() + 1,
+            });
+            let consistent = Witness::new(
+                events,
+                witness.failing_app(),
+                witness.missed_at_sample() + 1,
+            );
+            let err = validate_witness(&model, &consistent).unwrap_err();
+            assert!(err.to_string().contains("misses at sample"), "{err}");
+        }
+
+        /// The oracle witness of two zero-wait applications disturbed
+        /// together, and its model: B misses at sample 1.
+        fn rejected_pair() -> (SlotSharingModel, Witness) {
+            let model = SlotSharingModel::new(vec![profile("A", 0, 5, 30), profile("B", 0, 5, 30)])
+                .unwrap();
+            let outcome = verify(&model, &VerificationConfig::default()).unwrap();
+            let witness = outcome.witness().unwrap().clone();
+            assert_eq!((witness.failing_app(), witness.missed_at_sample()), (1, 1));
+            (model, witness)
         }
 
         #[test]
-        fn selected_replay_matches_the_cloned_submodel() {
-            let fleet = [
-                profile("A", 0, 5, 30),
-                profile("B", 10, 3, 30),
-                profile("C", 0, 5, 30),
-            ];
-            let selections: &[&[usize]] = &[&[0, 2], &[1, 0], &[2, 1, 0]];
-            for members in selections {
-                let schedule: Vec<Vec<usize>> = members.iter().map(|_| vec![0]).collect();
-                let selected = replay_first_miss_selected(&fleet, members, &schedule).unwrap();
-                let cloned: Vec<AppTimingProfile> =
-                    members.iter().map(|&i| fleet[i].clone()).collect();
-                let model = SlotSharingModel::new(cloned).unwrap();
-                let direct = replay_first_miss(&model, &schedule).unwrap();
-                assert_eq!(selected, direct, "selection {members:?}");
-            }
-        }
-
-        #[test]
-        fn non_steady_disturbances_are_rejected() {
-            let model = SlotSharingModel::new(vec![profile("A", 5, 3, 30)]).unwrap();
-            // Re-disturbing A one sample after its first arrival violates the
-            // sporadic model (it is still waiting or using the slot).
+        fn events_outside_the_model_are_rejected() {
+            let (model, witness) = rejected_pair();
+            let mut events = witness.events().to_vec();
+            events.insert(0, TraceEvent::Disturbance { app: 7, sample: 0 });
+            let stray = Witness::new(events, 1, 1);
             assert!(matches!(
-                replay_first_miss(&model, &[vec![0, 1]]),
+                validate_witness(&model, &stray),
                 Err(VerifyError::InvalidWitness { .. })
             ));
+        }
+
+        #[test]
+        fn misses_contradicting_the_claim_are_rejected() {
+            let (model, witness) = rejected_pair();
+            let mut appended = witness.events().to_vec();
+            appended.push(TraceEvent::DeadlineMissed { app: 0, sample: 99 });
+            let mut doubled = witness.events().to_vec();
+            doubled.insert(0, TraceEvent::DeadlineMissed { app: 0, sample: 99 });
+            for events in [appended, doubled] {
+                let contradicted = Witness::new(events, 1, 1);
+                assert!(matches!(
+                    validate_witness(&model, &contradicted),
+                    Err(VerifyError::InvalidWitness { .. })
+                ));
+            }
         }
     }
 }
