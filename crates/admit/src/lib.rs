@@ -8,15 +8,18 @@
 //! *service*: one long-lived `AdmissionState` — and through it the
 //! persistent verdict memo, anti-monotone index, interned fingerprints, and
 //! the exact verifier — sits behind a lock shared by any number of client
-//! handles. Each client serves its own requests on its own thread, one
-//! lock holder at a time, so a request costs no thread switch.
+//! handles. Each client serves its own calls on its own thread, one lock
+//! holder at a time, so a call costs no thread switch.
 //!
-//! The crate splits along the usual lines of a service front end:
+//! Every service call is a typed method of [`AdmissionClient`] that runs
+//! under the supervisor directly. The crate has three modules:
 //!
-//! * [`protocol`] — the message types ([`Request`], [`Response`],
-//!   [`ServiceError`]) and nothing else;
+//! * [`protocol`] — what the calls answer ([`AdmitOutcome`],
+//!   [`AdmitVerdict`], [`EvictOutcome`], [`ServiceStats`]) and how they fail
+//!   ([`ServiceError`]);
 //! * [`service`] — the shared state, its supervisor, and the
-//!   [`AdmissionClient`] / [`AdmissionService`] handles.
+//!   [`AdmissionClient`] / [`AdmissionService`] handles;
+//! * [`retry`] — a client wrapper that retries transient failures.
 //!
 //! Warm starts close the loop with `cps-intern`'s snapshot format:
 //! [`AdmissionClient::snapshot`] serializes the service's caches, and
@@ -26,10 +29,10 @@
 //!
 //! The service is *fault tolerant*: its state is supervised (a panic
 //! rebuilds the state from the last good snapshot and the supervisor's
-//! fleet mirror, and the interrupted request is answered with the retryable
+//! fleet mirror, and the interrupted call is answered with the retryable
 //! [`ServiceError::WorkerRestarted`]), deadline-bounded admissions degrade
 //! onto a sound conservative screen instead of missing their budget (see
-//! [`AdmitVerdict`]), and [`retry`] wraps a client with bounded
+//! [`AdmitVerdict`]), and [`RetryingClient`] wraps a client with bounded
 //! deterministic backoff over the transient errors. Faults are injected —
 //! never random — through the [`cps_fault::FaultPlan`] carried by
 //! [`ServiceOptions`], so every crash/recovery scenario replays bit-exactly
@@ -39,9 +42,7 @@ pub mod protocol;
 pub mod retry;
 pub mod service;
 
-pub use protocol::{
-    AdmitOutcome, AdmitVerdict, EvictOutcome, Request, Response, ServiceError, ServiceStats,
-};
+pub use protocol::{AdmitOutcome, AdmitVerdict, EvictOutcome, ServiceError, ServiceStats};
 pub use retry::{RetryPolicy, RetryingClient};
 pub use service::{
     AdmissionClient, AdmissionService, ServiceOptions, ShutdownError, ShutdownTimeout,
@@ -57,8 +58,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<AdmissionClient>();
         assert_send::<AdmissionService>();
-        assert_send::<Request>();
-        assert_send::<Response>();
         assert_send::<ServiceError>();
         assert_send::<RetryingClient>();
         assert_send::<ShutdownError>();

@@ -1,61 +1,16 @@
-//! Message types of the admission service.
+//! What the admission service's calls answer and how they fail.
 //!
-//! The service speaks a small request/response protocol: every [`Request`]
-//! a client sends is answered with exactly one `Result<Response,
-//! ServiceError>`, and requests and responses pair up by kind (an
-//! [`Request::Admit`] is answered by [`Response::Admitted`], and so on).
-//! Keeping the message types separate from the locking and supervision
-//! mechanics mirrors the usual protocol/transport layering of a networked
-//! service front end, even though this in-process service serves each
-//! request on its caller's thread.
+//! Each call of [`crate::AdmissionClient`] is a typed method: an admission
+//! answers an [`AdmitOutcome`] (or, under a deadline, an [`AdmitVerdict`]),
+//! an eviction an [`EvictOutcome`], a stats call a [`ServiceStats`], and
+//! every call fails with a [`ServiceError`]. A reply carries the placement
+//! it made, not the partition; [`ServiceStats::slots`] reports that.
 
 use std::error::Error;
 use std::fmt;
 
-use cps_core::AppTimingProfile;
 use cps_map::{AdmissionError, TierStats};
 use cps_verify::VerifyError;
-
-/// A client request to the admission service.
-#[derive(Debug, Clone)]
-pub enum Request {
-    /// Admit an arriving application into the resident fleet.
-    Admit(AppTimingProfile),
-    /// Admit an arriving application under a per-request deadline: every
-    /// exact verification is capped at `state_budget` explored states, and
-    /// probes the exact tier cannot decide in budget degrade onto the sound
-    /// conservative screen (see
-    /// [`cps_map::AdmissionState::add_app_within`]).
-    AdmitWithin {
-        /// The arriving application.
-        profile: AppTimingProfile,
-        /// Exact-verification state budget per probe (the cooperative
-        /// deadline).
-        state_budget: usize,
-    },
-    /// Evict the application at this fleet index (later indices renumber
-    /// down by one, as in [`cps_map::AdmissionState::remove_app`]).
-    Evict(usize),
-    /// Serialize the cascade caches as a versioned warm-start snapshot.
-    Snapshot,
-    /// Report the current fleet, partition, and cascade statistics.
-    Stats,
-}
-
-/// The service's answer to one [`Request`], paired by kind.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
-    /// Answer to [`Request::Admit`].
-    Admitted(AdmitOutcome),
-    /// Answer to [`Request::AdmitWithin`].
-    AdmittedWithin(AdmitVerdict),
-    /// Answer to [`Request::Evict`].
-    Evicted(EvictOutcome),
-    /// Answer to [`Request::Snapshot`]: the snapshot bytes.
-    Snapshot(Vec<u8>),
-    /// Answer to [`Request::Stats`].
-    Stats(ServiceStats),
-}
 
 /// The verdict of one deadline-bounded admission. Both accept variants are
 /// *sound*: the placement is bit-identical to the one unbounded exact
@@ -81,8 +36,6 @@ pub struct AdmitOutcome {
     pub index: usize,
     /// Slot the arrival was placed in.
     pub slot: usize,
-    /// The repaired partition (slots list fleet indices).
-    pub slots: Vec<Vec<usize>>,
 }
 
 /// A successful eviction.
@@ -90,8 +43,6 @@ pub struct AdmitOutcome {
 pub struct EvictOutcome {
     /// Name of the departed application.
     pub name: String,
-    /// The repaired partition over the renumbered fleet.
-    pub slots: Vec<Vec<usize>>,
 }
 
 /// A point-in-time view of the service's state and lifetime cascade work.
@@ -150,12 +101,6 @@ pub enum ServiceError {
         /// What was violated.
         reason: &'static str,
     },
-    /// The service answered with a response of the wrong kind — a protocol
-    /// bug, never expected in practice.
-    Protocol {
-        /// The response kind the client was waiting for.
-        expected: &'static str,
-    },
 }
 
 impl fmt::Display for ServiceError {
@@ -177,9 +122,6 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::Internal { reason } => {
                 write!(f, "admission service internal invariant violated: {reason}")
-            }
-            ServiceError::Protocol { expected } => {
-                write!(f, "protocol violation: expected a {expected} response")
             }
         }
     }

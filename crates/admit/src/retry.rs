@@ -4,12 +4,12 @@
 //! (the call was refused before it touched the state) and
 //! [`ServiceError::WorkerRestarted`] (the supervisor rebuilt the state from
 //! its last good snapshot and the request was **not** applied). Both leave
-//! the service's state exactly as if the request had never been sent, so
-//! repeating the identical request is always safe — no admission can be
+//! the service's state exactly as if the call had never been made, so
+//! repeating the identical call is always safe — no admission can be
 //! applied twice. [`RetryingClient`] automates that repeat with a bounded,
 //! deterministic exponential backoff; every other error (verification
-//! failures, protocol violations, disconnection) is permanent and surfaces
-//! immediately.
+//! failures, out-of-range evictions, disconnection) is permanent and
+//! surfaces immediately.
 //!
 //! The service itself never refuses a call: a caller waits on the state's
 //! lock. [`ServiceError::QueueFull`] comes from the wrapper's own
@@ -22,9 +22,7 @@ use std::time::Duration;
 use cps_core::AppTimingProfile;
 use cps_fault::{FaultPlan, FaultSite};
 
-use crate::protocol::{
-    AdmitOutcome, AdmitVerdict, EvictOutcome, Request, Response, ServiceError, ServiceStats,
-};
+use crate::protocol::{AdmitOutcome, AdmitVerdict, EvictOutcome, ServiceError, ServiceStats};
 use crate::service::AdmissionClient;
 
 /// How often and how patiently [`RetryingClient`] repeats a transient
@@ -108,14 +106,18 @@ impl RetryingClient {
         self.faults.stats().total_injected()
     }
 
-    /// Sends one request, retrying transient failures per the policy.
-    fn call(&mut self, request: Request) -> Result<Response, ServiceError> {
+    /// Makes one call, retrying transient failures per the policy. Each
+    /// attempt that reaches the service runs `call` afresh.
+    fn call<T>(
+        &mut self,
+        mut call: impl FnMut(&AdmissionClient) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
         let mut attempt = 0;
         loop {
             let outcome = if self.faults.trip(FaultSite::QueueFull) {
                 Err(ServiceError::QueueFull)
             } else {
-                self.client.call(request.clone())
+                call(&self.client)
             };
             match outcome {
                 Err(e @ (ServiceError::QueueFull | ServiceError::WorkerRestarted)) => {
@@ -138,12 +140,7 @@ impl RetryingClient {
     /// The errors of [`AdmissionClient::admit`], plus a transient error that
     /// survived [`RetryPolicy::max_attempts`] attempts.
     pub fn admit(&mut self, profile: AppTimingProfile) -> Result<AdmitOutcome, ServiceError> {
-        match self.call(Request::Admit(profile))? {
-            Response::Admitted(outcome) => Ok(outcome),
-            _ => Err(ServiceError::Protocol {
-                expected: "Admitted",
-            }),
-        }
+        self.call(|client| client.admit(profile.clone()))
     }
 
     /// [`AdmissionClient::admit_within`] with retries.
@@ -156,15 +153,7 @@ impl RetryingClient {
         profile: AppTimingProfile,
         state_budget: usize,
     ) -> Result<AdmitVerdict, ServiceError> {
-        match self.call(Request::AdmitWithin {
-            profile,
-            state_budget,
-        })? {
-            Response::AdmittedWithin(verdict) => Ok(verdict),
-            _ => Err(ServiceError::Protocol {
-                expected: "AdmittedWithin",
-            }),
-        }
+        self.call(|client| client.admit_within(profile.clone(), state_budget))
     }
 
     /// [`AdmissionClient::evict`] with retries.
@@ -173,12 +162,7 @@ impl RetryingClient {
     ///
     /// As [`RetryingClient::admit`].
     pub fn evict(&mut self, index: usize) -> Result<EvictOutcome, ServiceError> {
-        match self.call(Request::Evict(index))? {
-            Response::Evicted(outcome) => Ok(outcome),
-            _ => Err(ServiceError::Protocol {
-                expected: "Evicted",
-            }),
-        }
+        self.call(|client| client.evict(index))
     }
 
     /// [`AdmissionClient::snapshot`] with retries.
@@ -187,12 +171,7 @@ impl RetryingClient {
     ///
     /// As [`RetryingClient::admit`].
     pub fn snapshot(&mut self) -> Result<Vec<u8>, ServiceError> {
-        match self.call(Request::Snapshot)? {
-            Response::Snapshot(bytes) => Ok(bytes),
-            _ => Err(ServiceError::Protocol {
-                expected: "Snapshot",
-            }),
-        }
+        self.call(AdmissionClient::snapshot)
     }
 
     /// [`AdmissionClient::stats`] with retries.
@@ -201,10 +180,7 @@ impl RetryingClient {
     ///
     /// As [`RetryingClient::admit`].
     pub fn stats(&mut self) -> Result<ServiceStats, ServiceError> {
-        match self.call(Request::Stats)? {
-            Response::Stats(stats) => Ok(stats),
-            _ => Err(ServiceError::Protocol { expected: "Stats" }),
-        }
+        self.call(AdmissionClient::stats)
     }
 }
 

@@ -3,10 +3,10 @@
 //! One [`AdmissionState`] — and with it the persistent memo, anti-monotone
 //! index, interned fingerprints, and the exact [`cps_verify`] engine behind
 //! the cascade — sits behind a lock that the service and every
-//! [`AdmissionClient`] share. A client serves its [`Request`] on its own
-//! thread under that lock, so a round trip costs one uncontended lock and
-//! no thread switch. Concurrent callers wait on the lock and are served in
-//! lock order, not FIFO.
+//! [`AdmissionClient`] share. Each client call is a typed method that runs
+//! on its caller's thread under that lock, so a call costs one uncontended
+//! lock and no thread switch. Concurrent callers wait on the lock and are
+//! served in lock order, not FIFO.
 //!
 //! [`AdmissionService::shutdown`] waits, up to a deadline, until every
 //! client has dropped, then hands back the final [`AdmissionState`] so a
@@ -14,15 +14,16 @@
 //!
 //! # Supervision
 //!
-//! The state is *supervised*: every request is handled under
+//! The state is *supervised*: every call runs under
 //! [`std::panic::catch_unwind`], and a panic — whether a genuine bug or one
 //! injected through the [`cps_fault::FaultPlan`] of [`ServiceOptions`] —
 //! discards the possibly half-mutated state and rebuilds it from the last
 //! good snapshot plus a fleet mirror the supervisor keeps outside the
-//! blast radius. The interrupted request is answered with
+//! blast radius. The interrupted call is answered with
 //! [`ServiceError::WorkerRestarted`] and was **not** applied (the mirror
-//! only records mutations after their reply-worthy success), so clients can
-//! retry it safely — [`crate::RetryingClient`] automates exactly that.
+//! only records a mutation once its whole supervised call succeeded), so
+//! clients can retry it safely — [`crate::RetryingClient`] automates
+//! exactly that.
 //! Recovery replays the mirror against the restored warm caches, so it
 //! costs memo lookups, not exact verification. A panic that escapes the
 //! supervisor itself poisons the lock: that call and every later one are
@@ -47,9 +48,7 @@ use cps_intern::SnapshotError;
 use cps_map::{AdmissionState, AdmitQuality, DeadlineAdmit, TierStats};
 use cps_verify::VerificationConfig;
 
-use crate::protocol::{
-    AdmitOutcome, AdmitVerdict, EvictOutcome, Request, Response, ServiceError, ServiceStats,
-};
+use crate::protocol::{AdmitOutcome, AdmitVerdict, EvictOutcome, ServiceError, ServiceStats};
 
 /// A cloneable, blocking handle to a running [`AdmissionService`].
 ///
@@ -64,22 +63,17 @@ pub struct AdmissionClient {
 }
 
 impl AdmissionClient {
-    /// Answers one request on the calling thread, waiting for the lock
-    /// while other callers hold it. The retrying client is built on this.
-    pub(crate) fn call(&self, request: Request) -> Result<Response, ServiceError> {
-        self.serve(|supervisor| supervisor.serve(request))
-    }
-
-    /// Runs `serve` under the lock. A panic escaping `serve` poisons the
-    /// lock for good.
-    fn serve(
+    /// Runs `call` on the supervisor under the lock, on the calling thread,
+    /// waiting for the lock while other callers hold it. A panic escaping
+    /// `call` poisons the lock for good.
+    fn serve<T>(
         &self,
-        serve: impl FnOnce(&mut Supervisor) -> Result<Response, ServiceError>,
-    ) -> Result<Response, ServiceError> {
+        call: impl FnOnce(&mut Supervisor) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
         panic::catch_unwind(AssertUnwindSafe(|| {
             self.shared
                 .lock()
-                .map_or(Err(ServiceError::Disconnected), |mut s| serve(&mut s))
+                .map_or(Err(ServiceError::Disconnected), |mut s| call(&mut s))
         }))
         .unwrap_or(Err(ServiceError::Disconnected))
     }
@@ -90,81 +84,61 @@ impl AdmissionClient {
     /// # Errors
     ///
     /// [`ServiceError::Verify`] if the cascade's exact tier fails (the
-    /// service rolls the fleet back and keeps serving), or
-    /// [`ServiceError::Disconnected`] if a panic escaped the supervisor.
-    pub fn admit(&self, profile: cps_core::AppTimingProfile) -> Result<AdmitOutcome, ServiceError> {
-        match self.call(Request::Admit(profile))? {
-            Response::Admitted(outcome) => Ok(outcome),
-            _ => Err(ServiceError::Protocol {
-                expected: "Admitted",
-            }),
-        }
+    /// service rolls the fleet back and keeps serving),
+    /// [`ServiceError::WorkerRestarted`] if a panic interrupted the call (it
+    /// was not applied), or [`ServiceError::Disconnected`] if a panic
+    /// escaped the supervisor.
+    pub fn admit(&self, profile: AppTimingProfile) -> Result<AdmitOutcome, ServiceError> {
+        self.serve(|s| s.admit(profile))
     }
 
     /// Admits an arriving application under a per-request deadline: every
     /// exact verification is capped at `state_budget` explored states, with
-    /// graceful degradation onto the sound conservative screen. See
-    /// [`AdmitVerdict`] for the three possible sound answers.
+    /// graceful degradation onto the sound conservative screen (see
+    /// [`cps_map::AdmissionState::add_app_within`]). See [`AdmitVerdict`]
+    /// for the three possible sound answers.
     ///
     /// # Errors
     ///
     /// The errors of [`AdmissionClient::admit`].
     pub fn admit_within(
         &self,
-        profile: cps_core::AppTimingProfile,
+        profile: AppTimingProfile,
         state_budget: usize,
     ) -> Result<AdmitVerdict, ServiceError> {
-        match self.call(Request::AdmitWithin {
-            profile,
-            state_budget,
-        })? {
-            Response::AdmittedWithin(verdict) => Ok(verdict),
-            _ => Err(ServiceError::Protocol {
-                expected: "AdmittedWithin",
-            }),
-        }
+        self.serve(|s| s.admit_within(profile, state_budget))
     }
 
-    /// Evicts the application at `index` from the resident fleet.
+    /// Evicts the application at `index` from the resident fleet (later
+    /// indices renumber down by one, as in
+    /// [`cps_map::AdmissionState::remove_app`]).
     ///
     /// # Errors
     ///
     /// [`ServiceError::EvictOutOfRange`] for a bad index (checked by the
-    /// service — it never panics on malformed requests), plus the errors of
+    /// service — it never panics on malformed calls), plus the errors of
     /// [`AdmissionClient::admit`].
     pub fn evict(&self, index: usize) -> Result<EvictOutcome, ServiceError> {
-        match self.call(Request::Evict(index))? {
-            Response::Evicted(outcome) => Ok(outcome),
-            _ => Err(ServiceError::Protocol {
-                expected: "Evicted",
-            }),
-        }
+        self.serve(|s| s.evict(index))
     }
 
     /// Serializes the service's cascade caches as a warm-start snapshot.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Disconnected`] if a panic escaped the supervisor.
+    /// [`ServiceError::WorkerRestarted`] or [`ServiceError::Disconnected`],
+    /// as for [`AdmissionClient::admit`].
     pub fn snapshot(&self) -> Result<Vec<u8>, ServiceError> {
-        match self.call(Request::Snapshot)? {
-            Response::Snapshot(bytes) => Ok(bytes),
-            _ => Err(ServiceError::Protocol {
-                expected: "Snapshot",
-            }),
-        }
+        self.serve(|s| s.supervised(|state, _| Ok(state.snapshot())))
     }
 
     /// Reports the current fleet, partition, and lifetime cascade work.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Disconnected`] if a panic escaped the supervisor.
+    /// As [`AdmissionClient::snapshot`].
     pub fn stats(&self) -> Result<ServiceStats, ServiceError> {
-        match self.call(Request::Stats)? {
-            Response::Stats(stats) => Ok(stats),
-            _ => Err(ServiceError::Protocol { expected: "Stats" }),
-        }
+        self.serve(|s| s.supervised(|state, meta| Ok(meta.stats(state))))
     }
 }
 
@@ -428,6 +402,23 @@ struct ServiceMeta {
     retired_oracle_calls: usize,
 }
 
+impl ServiceMeta {
+    /// The stats answer over the live `state`.
+    fn stats(&self, state: &AdmissionState) -> ServiceStats {
+        let mut tier = self.retired_tier;
+        tier.accumulate(state.stats());
+        ServiceStats {
+            fleet_len: state.fleet().len(),
+            slots: state.report().slots().to_vec(),
+            oracle_calls: self.retired_oracle_calls + state.report().oracle_calls(),
+            tier,
+            restarts: self.restarts,
+            recovery_losses: self.recovery_losses,
+            faults_injected: self.faults_injected,
+        }
+    }
+}
+
 /// The service's crash containment: the live state, the last good snapshot
 /// of its caches, and a mirror of the resident fleet kept outside the
 /// panic blast radius. See the module docs.
@@ -440,9 +431,9 @@ struct Supervisor {
     /// The state's cache generation when `last_snapshot` was encoded.
     snapshot_generation: u64,
     /// The resident fleet as of the last *successful* mutation — the ground
-    /// truth recovery rebuilds from. Updated only after a request fully
-    /// succeeded, so a panic anywhere in a handler leaves it describing the
-    /// pre-request fleet.
+    /// truth recovery rebuilds from. Updated only after a call fully
+    /// succeeded, so a panic anywhere in a call leaves it describing the
+    /// fleet from before the call.
     mirror: Vec<AppTimingProfile>,
     meta: ServiceMeta,
     /// Cold-rebuild fallback configuration, should even the last good
@@ -465,105 +456,99 @@ impl Supervisor {
         }
     }
 
-    /// Answers one request under panic supervision.
-    fn serve(&mut self, request: Request) -> Result<Response, ServiceError> {
-        // Squeeze the deadline budget first so the fault is part of the
-        // request the handler (and a retry) actually sees.
-        let request = match request {
-            Request::AdmitWithin {
-                profile,
-                state_budget,
-            } => {
-                let state_budget = self
-                    .plan
-                    .squeeze_budget()
-                    .map_or(state_budget, |b| b.min(state_budget));
-                Request::AdmitWithin {
-                    profile,
-                    state_budget,
-                }
-            }
-            other => other,
-        };
-        // Bookkeeping the mirror needs after `handle` consumed the request.
-        let arriving = match &request {
-            Request::Admit(p) => Some(p.clone()),
-            Request::AdmitWithin { profile, .. } => Some(profile.clone()),
-            _ => None,
-        };
-        let evicting = match &request {
-            Request::Evict(i) => Some(*i),
-            _ => None,
-        };
+    /// Runs one call against the state under panic supervision, between
+    /// the two injected panic sites. A panic restarts the state and answers
+    /// [`ServiceError::WorkerRestarted`].
+    fn supervised<T>(
+        &mut self,
+        call: impl FnOnce(&mut AdmissionState, &ServiceMeta) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
         self.meta.faults_injected = self.plan.stats().total_injected();
-        let meta = &self.meta;
-        let state = &mut self.state;
-        let plan = &mut self.plan;
+        let (state, plan, meta) = (&mut self.state, &mut self.plan, &self.meta);
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             if plan.trip(FaultSite::WorkerPanicPre) {
                 panic!("injected fault: admission service panic before handling");
             }
-            let answer = handle(state, request, meta);
+            let answer = call(state, meta);
             if answer.is_ok() && plan.trip(FaultSite::WorkerPanicPost) {
                 panic!("injected fault: admission service panic after handling");
             }
             answer
         }));
-        match outcome {
-            Ok(answer) => {
-                if let Ok(response) = &answer {
-                    self.note_success(response, arriving, evicting);
-                }
-                answer
-            }
-            Err(_) => {
-                self.restart();
-                Err(ServiceError::WorkerRestarted)
-            }
-        }
+        outcome.unwrap_or_else(|_| {
+            self.restart();
+            Err(ServiceError::WorkerRestarted)
+        })
     }
 
-    /// Mirrors a successful mutation and rolls the recovery snapshot
-    /// forward on cadence, re-encoding only when the caches changed since
-    /// the last encode.
-    fn note_success(
+    /// Supervised [`AdmissionState::add_app`]; the mirror takes the arrival
+    /// once the whole call succeeded.
+    fn admit(&mut self, profile: AppTimingProfile) -> Result<AdmitOutcome, ServiceError> {
+        let outcome = self.supervised(|state, _| {
+            let index = state.add_app(profile.clone())?;
+            placed(state, index)
+        })?;
+        self.mirror.push(profile);
+        self.note_mutation();
+        Ok(outcome)
+    }
+
+    /// Supervised [`AdmissionState::add_app_within`]; a deferral changed
+    /// nothing, so neither the mirror nor the cadence counts it.
+    fn admit_within(
         &mut self,
-        response: &Response,
-        arriving: Option<AppTimingProfile>,
-        evicting: Option<usize>,
-    ) {
-        let mutated = match response {
-            Response::Admitted(_)
-            | Response::AdmittedWithin(
-                AdmitVerdict::Admitted(_) | AdmitVerdict::AdmittedDegraded(_),
-            ) => {
-                if let Some(p) = arriving {
-                    self.mirror.push(p);
-                }
-                true
-            }
-            Response::Evicted(_) => {
-                if let Some(i) = evicting {
-                    if i < self.mirror.len() {
-                        self.mirror.remove(i);
+        profile: AppTimingProfile,
+        state_budget: usize,
+    ) -> Result<AdmitVerdict, ServiceError> {
+        // Squeeze the deadline budget first, so the fault is part of the
+        // call the state (and a retry) actually sees.
+        let state_budget = self
+            .plan
+            .squeeze_budget()
+            .map_or(state_budget, |b| b.min(state_budget));
+        let verdict = self.supervised(|state, _| {
+            Ok(match state.add_app_within(profile.clone(), state_budget)? {
+                DeadlineAdmit::Placed { index, quality } => {
+                    let outcome = placed(state, index)?;
+                    match quality {
+                        AdmitQuality::Exact => AdmitVerdict::Admitted(outcome),
+                        AdmitQuality::Degraded => AdmitVerdict::AdmittedDegraded(outcome),
                     }
                 }
-                true
+                DeadlineAdmit::Deferred => AdmitVerdict::Deferred,
+            })
+        })?;
+        if verdict != AdmitVerdict::Deferred {
+            self.mirror.push(profile);
+            self.note_mutation();
+        }
+        Ok(verdict)
+    }
+
+    /// Supervised [`AdmissionState::remove_app`]; the mirror, which holds
+    /// the state's fleet, drops the departure once the call succeeded.
+    fn evict(&mut self, index: usize) -> Result<EvictOutcome, ServiceError> {
+        let outcome = self.supervised(|state, _| {
+            let name = state.remove_app(index)?.name().to_string();
+            Ok(EvictOutcome { name })
+        })?;
+        self.mirror.remove(index);
+        self.note_mutation();
+        Ok(outcome)
+    }
+
+    /// Counts one applied mutation and rolls the recovery snapshot forward
+    /// on cadence, re-encoding only when the caches changed since the last
+    /// encode.
+    fn note_mutation(&mut self) {
+        self.ops_since_snapshot += 1;
+        if self.ops_since_snapshot >= self.snapshot_interval {
+            let generation = self.state.cache_generation();
+            if self.snapshot_generation != generation {
+                self.last_snapshot = self.state.snapshot();
+                self.snapshot_generation = generation;
             }
-            Response::AdmittedWithin(AdmitVerdict::Deferred)
-            | Response::Snapshot(_)
-            | Response::Stats(_) => false,
-        };
-        if mutated {
-            self.ops_since_snapshot += 1;
-            if self.ops_since_snapshot >= self.snapshot_interval {
-                let generation = self.state.cache_generation();
-                if self.snapshot_generation != generation {
-                    self.last_snapshot = self.state.snapshot();
-                    self.snapshot_generation = generation;
-                }
-                self.ops_since_snapshot = 0;
-            }
+            self.ops_since_snapshot = 0;
         }
     }
 
@@ -596,66 +581,14 @@ impl Supervisor {
 }
 
 /// Builds the [`AdmitOutcome`] for a placed application.
-fn placed_outcome(state: &AdmissionState, index: usize) -> Result<AdmitOutcome, ServiceError> {
+fn placed(state: &AdmissionState, index: usize) -> Result<AdmitOutcome, ServiceError> {
     let slot = state
         .report()
         .slot_of(index)
         .ok_or(ServiceError::Internal {
             reason: "an admitted application has no slot in the repaired partition",
         })?;
-    Ok(AdmitOutcome {
-        index,
-        slot,
-        slots: state.report().slots().to_vec(),
-    })
-}
-
-/// Answers one request against the persistent state.
-fn handle(
-    state: &mut AdmissionState,
-    request: Request,
-    meta: &ServiceMeta,
-) -> Result<Response, ServiceError> {
-    match request {
-        Request::Admit(profile) => {
-            let index = state.add_app(profile)?;
-            Ok(Response::Admitted(placed_outcome(state, index)?))
-        }
-        Request::AdmitWithin {
-            profile,
-            state_budget,
-        } => match state.add_app_within(profile, state_budget)? {
-            DeadlineAdmit::Placed { index, quality } => {
-                let outcome = placed_outcome(state, index)?;
-                Ok(Response::AdmittedWithin(match quality {
-                    AdmitQuality::Exact => AdmitVerdict::Admitted(outcome),
-                    AdmitQuality::Degraded => AdmitVerdict::AdmittedDegraded(outcome),
-                }))
-            }
-            DeadlineAdmit::Deferred => Ok(Response::AdmittedWithin(AdmitVerdict::Deferred)),
-        },
-        Request::Evict(index) => {
-            let profile = state.remove_app(index)?;
-            Ok(Response::Evicted(EvictOutcome {
-                name: profile.name().to_string(),
-                slots: state.report().slots().to_vec(),
-            }))
-        }
-        Request::Snapshot => Ok(Response::Snapshot(state.snapshot())),
-        Request::Stats => {
-            let mut tier = meta.retired_tier;
-            tier.accumulate(state.stats());
-            Ok(Response::Stats(ServiceStats {
-                fleet_len: state.fleet().len(),
-                slots: state.report().slots().to_vec(),
-                oracle_calls: meta.retired_oracle_calls + state.report().oracle_calls(),
-                tier,
-                restarts: meta.restarts,
-                recovery_losses: meta.recovery_losses,
-                faults_injected: meta.faults_injected,
-            }))
-        }
-    }
+    Ok(AdmitOutcome { index, slot })
 }
 
 #[cfg(test)]
@@ -737,7 +670,7 @@ mod tests {
         let producer = thread::spawn(move || {
             for i in 0..8 {
                 let name = format!("P{i}");
-                let _ = client.call(Request::Admit(profile(&name, 10, 3)));
+                let _ = client.admit(profile(&name, 10, 3));
             }
         });
         producer.join().unwrap();
@@ -883,12 +816,14 @@ mod tests {
         let mut encoded_at = supervisor.snapshot_generation;
         for i in 0..80 {
             let resident = supervisor.state.fleet().len();
-            let request = if resident < 4 || (resident < 8 && i % 3 != 0) {
-                Request::Admit(profile(&format!("P{i}"), 4 + i % 2 * 3, 2))
+            let answer = if resident < 4 || (resident < 8 && i % 3 != 0) {
+                supervisor
+                    .admit(profile(&format!("P{i}"), 4 + i % 2 * 3, 2))
+                    .map(drop)
             } else {
-                Request::Evict(i % resident)
+                supervisor.evict(i % resident).map(drop)
             };
-            match supervisor.serve(request) {
+            match answer {
                 Ok(_) if supervisor.ops_since_snapshot == 0 => {
                     cadence_points += 1;
                     let generation = supervisor.state.cache_generation();
@@ -942,13 +877,13 @@ mod tests {
                 .enumerate()
         {
             let p = wide_profile(&format!("P{i}"), wait, dwell_min, dwell_plus, r);
-            supervisor.serve(Request::Admit(p)).unwrap();
+            supervisor.admit(p).unwrap();
         }
         assert!(supervisor.state.stats().exact_verifies > 0);
         supervisor.plan = FaultPlan::seeded(1).with_rate(FaultSite::WorkerPanicPre, 1000);
         let mut replays = Vec::new();
         for _ in 0..2 {
-            let answer = supervisor.serve(Request::Stats);
+            let answer = supervisor.supervised(|state, meta| Ok(meta.stats(state)));
             assert!(matches!(answer, Err(ServiceError::WorkerRestarted)));
             assert_eq!(supervisor.state.fleet().len(), 4);
             replays.push(supervisor.state.stats().exact_verifies);
@@ -965,7 +900,7 @@ mod tests {
         let service = AdmissionService::spawn();
         let client = service.client();
         client.admit(profile("A", 10, 3)).unwrap();
-        let escaped = client.serve(|_| panic!("a bug outside any request handler"));
+        let escaped = client.serve::<()>(|_| panic!("a bug outside any request handler"));
         assert!(matches!(escaped, Err(ServiceError::Disconnected)));
         assert!(matches!(
             client.admit(profile("B", 10, 3)),

@@ -331,8 +331,8 @@ impl AdmissionState {
     ///
     /// # Errors
     ///
-    /// Propagates verification failures other than budget exhaustion and
-    /// cancellation; the fleet and partition are left unchanged on error.
+    /// Propagates verification failures other than budget exhaustion; the
+    /// fleet and partition are left unchanged on error.
     pub fn add_app_within(
         &mut self,
         profile: AppTimingProfile,
@@ -534,22 +534,18 @@ impl AdmissionState {
         let fleet_ids = &self.fleet_ids;
         let prior = Some((&mut self.prior, fleet_ids.as_slice()));
         let mut degraded = false;
-        let mut undecided = false;
+        // A probe fails with `None` when it is undecided: answering `false`
+        // could diverge from the exact first-fit partition, so the whole
+        // placement is abandoned instead and answered as deferred below.
         let placed = place_suffix(&mut slots, &self.order[cut..], prior, |members| {
-            match core.admit_query_bounded(fleet, fleet_ids, members, Some(state_budget))? {
+            let verdict = core.admit_query_bounded(fleet, fleet_ids, members, Some(state_budget));
+            match verdict.map_err(Some)? {
                 TierVerdict::Exact(verdict) => Ok(verdict),
                 TierVerdict::DegradedAccept => {
                     degraded = true;
                     Ok(true)
                 }
-                TierVerdict::Undecided => {
-                    // Answering `false` here could diverge from the exact
-                    // first-fit partition; abort the whole placement instead.
-                    // The error value is a private abort signal, replaced by
-                    // the deferred verdict below.
-                    undecided = true;
-                    Err(VerifyError::Canceled)
-                }
+                TierVerdict::Undecided => Err(None),
             }
         });
         match placed {
@@ -562,11 +558,11 @@ impl AdmissionState {
                     AdmitQuality::Exact
                 }))
             }
-            Err(_) if undecided => {
+            Err(None) => {
                 self.core.record_deferred();
                 Ok(None)
             }
-            Err(e) => Err(e),
+            Err(Some(e)) => Err(e),
         }
     }
 }

@@ -52,10 +52,10 @@ const SECTION_MEMO: [u8; 4] = *b"MEMO";
 ///
 /// The first two variants are *sound accepts/rejects* — they agree with what
 /// the exact verifier would answer given unlimited budget. `Undecided` is the
-/// honest third state: the exact tier ran out of (squeezed) budget or was
-/// canceled, and the conservative worst-case-blocking screen could not accept
-/// either. Callers must treat `Undecided` as "do not place" *without*
-/// recording a reject anywhere, because the exact verdict is unknown.
+/// honest third state: the exact tier ran out of (squeezed) budget, and the
+/// conservative worst-case-blocking screen could not accept either. Callers
+/// must treat `Undecided` as "do not place" *without* recording a reject
+/// anywhere, because the exact verdict is unknown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TierVerdict {
     /// The cascade reached a verdict with exact-tier fidelity (tiers 1–6).
@@ -354,15 +354,14 @@ impl CascadeCore {
     /// [`CascadeCore::admit_query`] with an optional *budget squeeze* for
     /// deadline-bounded admission: `squeeze = Some(b)` caps the exact tier's
     /// state budget at `min(b, config.state_budget)` and arms the degraded
-    /// ladder — when the exact verification runs out of that budget (or is
-    /// canceled through the verifier's [`cps_verify::CancelToken`]), the
+    /// ladder — when the exact verification runs out of that budget, the
     /// sound conservative worst-case-blocking screen
     /// ([`verify_conservative_selected`]) gets the final word. Its accept is
     /// memoized like an exact accept; anything else is [`TierVerdict::Undecided`]
     /// and leaves every cache untouched.
     ///
     /// With `squeeze = None` the behaviour is bit-identical to the historical
-    /// cascade: budget exhaustion and cancellation propagate as errors.
+    /// cascade: budget exhaustion propagates as an error.
     pub(crate) fn admit_query_bounded(
         &mut self,
         profiles: &[AppTimingProfile],
@@ -463,9 +462,7 @@ impl CascadeCore {
                 }
                 Ok(TierVerdict::Exact(verdict))
             }
-            Err(VerifyError::StateBudgetExhausted { .. }) | Err(VerifyError::Canceled)
-                if squeeze.is_some() =>
-            {
+            Err(VerifyError::StateBudgetExhausted { .. }) if squeeze.is_some() => {
                 // Degraded ladder: the sound conservative screen. An accept
                 // here implies an exact accept, so memoizing `true` keeps the
                 // memo exact-faithful. A conservative reject proves nothing

@@ -41,8 +41,8 @@ pub struct TierStats {
     /// their time is part of `exact_verify_time`.
     pub walk_samples: usize,
     /// Deadline-bounded queries whose exact verification ran out of budget
-    /// (or was canceled) and that the sound conservative worst-case-blocking
-    /// screen then *accepted* — a degraded but sound accept.
+    /// and that the sound conservative worst-case-blocking screen then
+    /// *accepted* — a degraded but sound accept.
     pub degraded_accepts: usize,
     /// Deadline-bounded queries left undecided: the exact verification ran
     /// out of budget and the conservative screen could not accept either.

@@ -79,7 +79,7 @@ pub fn verify_conservative(model: &SlotSharingModel) -> ConservativeOutcome {
 /// into `profiles`) as the slot's occupants — the borrow-only hook mirroring
 /// [`crate::SlotVerifyEngine::verify_selected`], used by the admission
 /// cascade as its sound degraded screen when the exact verification runs out
-/// of budget or is canceled.
+/// of budget.
 ///
 /// # Errors
 ///

@@ -149,11 +149,11 @@
 //!    staging it shares. Staging reads only states interned before the
 //!    chunk, so the workers share nothing mutable.
 //! 2. **Merge.** The staged records are interned in serial order, buffer by
-//!    buffer, replaying pop accounting, the state budget, cancellation, the
-//!    walk checkpoints and the first doomed state exactly as a
-//!    pop-one-state loop interleaves them. Once it interns a doomed state it
-//!    stages that state alone and replays the witness through its first
-//!    expiring choice, in the usual choice order. Each record's index bucket
+//!    buffer, replaying pop accounting, the state budget, the walk
+//!    checkpoints and the first doomed state exactly as a pop-one-state
+//!    loop interleaves them. Once it interns a doomed state it stages that
+//!    state alone and replays the witness through its first expiring
+//!    choice, in the usual choice order. Each record's index bucket
 //!    is prefetched ([`cps_intern::CachedHashIndex::prefetch`]) a fixed
 //!    distance ahead, so the probes into a large index overlap their cache
 //!    misses.
@@ -170,7 +170,6 @@ use std::ops::Range;
 use cps_core::AppTimingProfile;
 use cps_intern::{seq_fingerprint, zobrist_key, CachedHashIndex, ZobristKeys};
 
-use crate::cancel::CancelToken;
 use crate::checker::{VerificationConfig, VerificationOutcome};
 use crate::witness::{TraceEvent, Witness};
 use crate::{SlotSharingModel, VerifyError};
@@ -440,8 +439,6 @@ struct ModelCtx {
     max_code_space: u64,
     /// Zobrist key material, one key per `(application slot, packed code)`.
     keys: ZobristKeys,
-    /// Cooperative cancellation, polled at every budget checkpoint.
-    cancel: Option<CancelToken>,
 }
 
 impl ModelCtx {
@@ -538,7 +535,6 @@ impl ModelCtx {
             n,
             max_code_space,
             keys: ZobristKeys::new(code_spaces.iter().copied()),
-            cancel: None,
         };
         ctx.entries = code_spaces
             .iter()
@@ -660,17 +656,14 @@ impl ModelCtx {
         entry
     }
 
-    /// Charges one popped state: the checkpoint where the state budget and
-    /// cancellation are observed.
+    /// Charges one popped state: the checkpoint where the state budget is
+    /// observed.
     fn charge_pop(&self, explored: &mut usize) -> Result<(), VerifyError> {
         *explored += 1;
         if *explored > self.budget {
             return Err(VerifyError::StateBudgetExhausted {
                 budget: self.budget,
             });
-        }
-        if self.cancel.as_ref().is_some_and(CancelToken::is_canceled) {
-            return Err(VerifyError::Canceled);
         }
         Ok(())
     }
@@ -1525,9 +1518,6 @@ pub struct SlotVerifyEngine {
     narrow: Core<u16>,
     wide: Core<u32>,
     pool: cps_par::Pool,
-    /// Cancellation observed by every verification until replaced; see
-    /// [`SlotVerifyEngine::set_cancel_token`].
-    cancel: Option<CancelToken>,
     /// The falsifying walks of [`SlotVerifyEngine::falsify_selected`].
     walker: Walker,
 }
@@ -1556,14 +1546,6 @@ impl SlotVerifyEngine {
         self.pool = pool;
     }
 
-    /// Installs (or with `None` removes) the cancellation token every
-    /// subsequent verification polls at its budget checkpoints. A canceled
-    /// token makes the verification return [`VerifyError::Canceled`];
-    /// [`CancelToken::reset`] re-arms it without re-installing.
-    pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
-        self.cancel = token;
-    }
-
     /// Verifies that every application of the model meets its deadline in
     /// every admissible disturbance scenario.
     ///
@@ -1587,8 +1569,7 @@ impl SlotVerifyEngine {
         config: &VerificationConfig,
     ) -> Result<VerificationOutcome, VerifyError> {
         Self::validate_config(config)?;
-        let mut ctx = ModelCtx::new(model, config)?;
-        ctx.cancel = self.cancel.clone();
+        let ctx = ModelCtx::new(model, config)?;
         self.run(&ctx, false)
     }
 
@@ -1656,8 +1637,7 @@ impl SlotVerifyEngine {
             return Err(VerifyError::EmptyModel);
         }
         Self::validate_config(config)?;
-        let mut ctx = ModelCtx::from_profiles(members.iter().map(|&i| &profiles[i]), config)?;
-        ctx.cancel = self.cancel.clone();
+        let ctx = ModelCtx::from_profiles(members.iter().map(|&i| &profiles[i]), config)?;
         self.run(&ctx, walks)
     }
 
@@ -1948,45 +1928,6 @@ mod tests {
             assert_eq!(witness.disturbance_times(2), [vec![1], vec![0]]);
             assert_eq!((witness.failing_app(), witness.missed_at_sample()), (0, 2));
         }
-    }
-
-    #[test]
-    fn canceled_token_stops_the_exploration() {
-        use crate::CancelToken;
-        let model =
-            SlotSharingModel::new(vec![profile("A", 10, 3, 5, 60), profile("B", 10, 3, 5, 60)])
-                .unwrap();
-        let mut engine = SlotVerifyEngine::new();
-        let token = CancelToken::new();
-        engine.set_cancel_token(Some(token.clone()));
-
-        // Pre-canceled: the first budget checkpoint reports Canceled.
-        token.cancel();
-        assert_eq!(
-            engine.verify(&model, &VerificationConfig::default()),
-            Err(VerifyError::Canceled)
-        );
-        let fleet = [profile("A", 10, 3, 5, 60), profile("B", 10, 3, 5, 60)];
-        assert_eq!(
-            engine.verify_selected(&fleet, &[0, 1], &VerificationConfig::default()),
-            Err(VerifyError::Canceled)
-        );
-
-        // Reset re-arms the same token; the engine verifies normally again
-        // with the exact verdict.
-        token.reset();
-        assert!(engine
-            .verify(&model, &VerificationConfig::default())
-            .unwrap()
-            .schedulable());
-
-        // Removing the token detaches the engine from the (re-canceled) flag.
-        token.cancel();
-        engine.set_cancel_token(None);
-        assert!(engine
-            .verify(&model, &VerificationConfig::default())
-            .unwrap()
-            .schedulable());
     }
 
     #[test]

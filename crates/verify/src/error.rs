@@ -19,9 +19,6 @@ pub enum VerifyError {
         /// The number of states that was allowed.
         budget: usize,
     },
-    /// The exploration was canceled through a
-    /// [`crate::CancelToken`] before reaching a verdict.
-    Canceled,
     /// A counterexample witness failed its replay validation.
     InvalidWitness {
         /// Human readable description of the disagreement.
@@ -41,7 +38,6 @@ impl fmt::Display for VerifyError {
             VerifyError::StateBudgetExhausted { budget } => {
                 write!(f, "verification exceeded the state budget of {budget}")
             }
-            VerifyError::Canceled => write!(f, "verification canceled before a verdict"),
             VerifyError::InvalidWitness { reason } => {
                 write!(f, "witness failed replay validation: {reason}")
             }
@@ -80,7 +76,6 @@ mod tests {
         assert!(VerifyError::StateBudgetExhausted { budget: 5 }
             .to_string()
             .contains("5"));
-        assert!(VerifyError::Canceled.to_string().contains("canceled"));
     }
 
     #[test]

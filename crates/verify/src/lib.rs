@@ -70,7 +70,6 @@
 //! ```
 
 pub mod bounded;
-mod cancel;
 pub mod checker;
 pub mod conservative;
 pub mod engine;
@@ -81,7 +80,6 @@ pub mod witness;
 /// The retained naive checker — the semantic oracle the engine is pinned to.
 pub use checker as reference;
 
-pub use cancel::CancelToken;
 pub use checker::{VerificationConfig, VerificationOutcome};
 pub use conservative::{verify_conservative, verify_conservative_selected, ConservativeOutcome};
 pub use engine::{
@@ -103,6 +101,5 @@ mod tests {
         assert_send_sync::<VerificationOutcome>();
         assert_send_sync::<VerifyError>();
         assert_send_sync::<Witness>();
-        assert_send_sync::<CancelToken>();
     }
 }

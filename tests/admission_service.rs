@@ -117,16 +117,21 @@ fn a_seeded_churn_through_the_service_matches_batch_and_direct_work() {
                     let outcome = client.admit(p.clone()).unwrap();
                     assert_eq!(outcome.index, fleet.len(), "seed {seed} request {k}");
                     assert_eq!(direct.add_app(p.clone()).unwrap(), outcome.index);
-                    assert_eq!(outcome.slots, direct.report().slots());
+                    assert_eq!(
+                        Some(outcome.slot),
+                        direct.report().slot_of(outcome.index),
+                        "seed {seed} request {k}"
+                    );
                     fleet.push(p);
                 }
                 Request::Depart(index) => {
                     let outcome = client.evict(index).unwrap();
                     assert_eq!(outcome.name, fleet.remove(index).name());
                     direct.remove_app(index).unwrap();
-                    assert_eq!(outcome.slots, direct.report().slots());
                 }
             }
+            let slots = client.stats().unwrap().slots;
+            assert_eq!(slots, direct.report().slots(), "seed {seed} request {k}");
         }
         let stats = client.stats().unwrap();
         assert!(stats.tier.exact_verifies > 0, "seed {seed}");
