@@ -14,7 +14,7 @@
 //! state whose cooldowns a visited state dominates (see [`crate::checker`]).
 //! The bounded model cannot prune, because its instance counters differ, so
 //! here it is the *costlier* of the two: on `{C1,C5,C4,C3}` one instance per
-//! application explores 1,413,516 states and the exact model 35,822.
+//! application explores 1,413,516 states and the exact model 10,852.
 //!
 //! [`sufficient_instance_bound`] computes such a bound from the profiles;
 //! [`verify_accelerated`] runs the checker with it.

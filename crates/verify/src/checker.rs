@@ -33,6 +33,24 @@
 //! cells — the instance counters still differ — and keeps exact duplicate
 //! detection.
 //!
+//! # Superseded states
+//!
+//! A visited state that a state visited later on its own BFS level
+//! dominates is *superseded*: it stays visited, so it still prunes what it
+//! dominates, but the search never expands it and does not count it as
+//! popped. UPPAAL's unified passed/waiting list drops the waiting states a
+//! newly stored state covers the same way (Behrmann et al., "UPPAAL
+//! Implementation Secrets", FTRTFT 2002). Keeping the rule to one level
+//! keeps every miss at its sample. By induction on the depth, every state
+//! reachable at depth `k` is dominated by a visited state of depth at most
+//! `k` that is not superseded: a successor of the dominating state copies
+//! each step, a state that skips it was visited no deeper, and a chain of
+//! superseding states stays on its level and ends at one that is expanded.
+//! So the first state with a miss one sample ahead is as shallow as in the
+//! unpruned search. A rule that let any later state supersede would let a
+//! deeper state stand in for a shallower one and could push a miss later.
+//! Bounded mode supersedes nothing, since no state dominates another.
+//!
 //! # Lookahead
 //!
 //! The search steps every disturbance choice of each newly visited state at
@@ -388,7 +406,8 @@ fn subsets(items: &[usize]) -> Vec<Vec<usize>> {
 /// every admissible disturbance scenario.
 ///
 /// The breadth-first search skips every successor that an already-visited
-/// state equals or dominates, and stops at the first visited state with a
+/// state equals or dominates, never expands a state that a later state of
+/// its own level dominates, and stops at the first visited state with a
 /// deadline miss one sample ahead (see the module docs), so
 /// `states_explored` counts the states of the pruned search.
 ///
@@ -410,21 +429,25 @@ pub fn verify(
     explore(model, config, prune())
 }
 
-/// The visit rule of [`verify`]: records a reached state and returns `false`
-/// when an already-visited state equals or dominates it.
-fn prune() -> impl FnMut(&Explorer, &SystemState) -> bool {
-    // Busy projection → the idle-rank vectors of its visited states that no
-    // other visited state dominates (an antichain).
-    let mut visited: HashMap<SystemState, Vec<Vec<u32>>> = HashMap::new();
-    move |explorer, state| {
+/// The visit rule of [`verify`]: records a state reached as node `id`.
+/// Returns `None` when an already-visited state equals or dominates it,
+/// else the nodes it dominates, which leave their antichain.
+fn prune() -> impl FnMut(&Explorer, &SystemState, usize) -> Option<Vec<usize>> {
+    // Busy projection → the idle-rank vectors, with their node ids, of its
+    // visited states that no other visited state dominates (an antichain).
+    let mut visited: HashMap<SystemState, Vec<(Vec<u32>, usize)>> = HashMap::new();
+    move |explorer, state, id| {
         let (busy, ranks) = explorer.split(state);
         let kept = visited.entry(busy).or_default();
-        if kept.iter().any(|other| dominates(other, &ranks)) {
-            return false;
+        if kept.iter().any(|(other, _)| dominates(other, &ranks)) {
+            return None;
         }
-        kept.retain(|other| !dominates(&ranks, other));
-        kept.push(ranks);
-        true
+        let dominated = kept
+            .extract_if(.., |(other, _)| dominates(&ranks, other))
+            .map(|(_, node)| node)
+            .collect();
+        kept.push((ranks, id));
+        Some(dominated)
     }
 }
 
@@ -434,15 +457,15 @@ fn dominates(a: &[u32], b: &[u32]) -> bool {
 }
 
 /// The breadth-first search shared by [`verify`] and the unpruned search of
-/// the tests: `visit` records a reached state and returns `true` when it
-/// must be queued, `false` when the search skips it. Every queued state is
-/// stepped under each disturbance choice at once, and the search stops at
-/// the first one with a choice that leaves an application past its maximum
-/// wait.
+/// the tests: `visit` records a state reached as a new node and returns the
+/// nodes it dominates when it must be queued, `None` when the search skips
+/// it. Every queued state is stepped under each disturbance choice at once,
+/// and the search stops at the first one with a choice that leaves an
+/// application past its maximum wait.
 fn explore(
     model: &SlotSharingModel,
     config: &VerificationConfig,
-    mut visit: impl FnMut(&Explorer, &SystemState) -> bool,
+    mut visit: impl FnMut(&Explorer, &SystemState, usize) -> Option<Vec<usize>>,
 ) -> Result<VerificationOutcome, VerifyError> {
     if config.state_budget == 0 {
         return Err(VerifyError::InvalidConfig {
@@ -455,42 +478,33 @@ fn explore(
         });
     }
     let explorer = Explorer::new(model, config);
-    let initial = explorer.initial_state();
-    visit(&explorer, &initial);
-    let mut nodes: Vec<Node> = vec![Node {
-        state: initial,
-        parent: None,
-        disturbed: Vec::new(),
-        sample: 0,
-    }];
+    let mut nodes = vec![Node::initial(&explorer)];
+    visit(&explorer, &nodes[0].state, 0);
     if let Some(witness) = first_miss(&explorer, &nodes, 0) {
         return Ok(VerificationOutcome::new(false, 0, Some(witness)));
     }
 
     // Every visited state is queued, so `nodes` doubles as the queue. The
     // budget gates (and `states_explored` reports) states that are actually
-    // popped and expanded, not merely discovered and queued.
+    // popped and expanded, not merely discovered and queued, nor skipped as
+    // superseded.
     let mut explored = 0usize;
-    while explored < nodes.len() {
-        let index = explored;
+    for index in 0.. {
+        let Some(node) = nodes.get(index) else { break };
+        if node.superseded {
+            continue;
+        }
         explored += 1;
         if explored > config.state_budget {
             return Err(VerifyError::StateBudgetExhausted {
                 budget: config.state_budget,
             });
         }
-        let sample = nodes[index].sample;
         for subset in subsets(&explorer.eligible(&nodes[index].state)) {
             let next = explorer.step(&nodes[index].state, &subset);
-            if !visit(&explorer, &next) {
+            if !queue(&mut nodes, &mut visit, &explorer, next, index, subset) {
                 continue;
             }
-            nodes.push(Node {
-                state: next,
-                parent: Some(index),
-                disturbed: subset,
-                sample: sample + 1,
-            });
             if let Some(witness) = first_miss(&explorer, &nodes, nodes.len() - 1) {
                 return Ok(VerificationOutcome::new(false, explored, Some(witness)));
             }
@@ -498,6 +512,37 @@ fn explore(
     }
 
     Ok(VerificationOutcome::new(true, explored, None))
+}
+
+/// Visits `state`, reached from `nodes[parent]` under `disturbed`, and
+/// queues it unless `visit` skips it. Every queued node of its own level
+/// that it dominates is superseded: the search never expands it. Returns
+/// `true` when the state was queued.
+fn queue(
+    nodes: &mut Vec<Node>,
+    visit: &mut impl FnMut(&Explorer, &SystemState, usize) -> Option<Vec<usize>>,
+    explorer: &Explorer,
+    state: SystemState,
+    parent: usize,
+    disturbed: Vec<usize>,
+) -> bool {
+    let Some(dominated) = visit(explorer, &state, nodes.len()) else {
+        return false;
+    };
+    let sample = nodes[parent].sample + 1;
+    for id in dominated {
+        if nodes[id].sample == sample {
+            nodes[id].superseded = true;
+        }
+    }
+    nodes.push(Node {
+        state,
+        parent: Some(parent),
+        disturbed,
+        sample,
+        superseded: false,
+    });
+    true
 }
 
 /// Steps every disturbance choice of the visited state `nodes[index]` and
@@ -518,7 +563,22 @@ struct Node {
     state: SystemState,
     parent: Option<usize>,
     disturbed: Vec<usize>,
+    /// The node's BFS level: the sample it is reached at.
     sample: usize,
+    /// A node of the same level visited later dominates this one.
+    superseded: bool,
+}
+
+impl Node {
+    fn initial(explorer: &Explorer) -> Self {
+        Node {
+            state: explorer.initial_state(),
+            parent: None,
+            disturbed: Vec::new(),
+            sample: 0,
+            superseded: false,
+        }
+    }
 }
 
 /// The counterexample through the parent chain of `nodes[doomed]` and its
@@ -719,7 +779,9 @@ mod tests {
         config: &VerificationConfig,
     ) -> Result<VerificationOutcome, VerifyError> {
         let mut visited = HashSet::new();
-        explore(model, config, |_, state| visited.insert(state.clone()))
+        explore(model, config, |_, state, _| {
+            visited.insert(state.clone()).then(Vec::new)
+        })
     }
 
     /// The pruned search without lookahead: it reports a miss only when it
@@ -728,34 +790,22 @@ mod tests {
     fn verify_plain(model: &SlotSharingModel, config: &VerificationConfig) -> VerificationOutcome {
         let explorer = Explorer::new(model, config);
         let mut visit = prune();
-        let initial = explorer.initial_state();
-        visit(&explorer, &initial);
-        let mut nodes = vec![Node {
-            state: initial,
-            parent: None,
-            disturbed: Vec::new(),
-            sample: 0,
-        }];
+        let mut nodes = vec![Node::initial(&explorer)];
+        visit(&explorer, &nodes[0].state, 0);
         let mut explored = 0;
-        while explored < nodes.len() {
-            let index = explored;
+        for index in 0.. {
+            let Some(node) = nodes.get(index) else { break };
+            if node.superseded {
+                continue;
+            }
             explored += 1;
-            if let Some(app) = explorer.expired(&nodes[index].state) {
-                let node = &nodes[index];
+            if let Some(app) = explorer.expired(&node.state) {
                 let witness = build_witness(&nodes, node.parent.unwrap(), &node.disturbed, app);
                 return VerificationOutcome::new(false, explored, Some(witness));
             }
             for subset in subsets(&explorer.eligible(&nodes[index].state)) {
                 let next = explorer.step(&nodes[index].state, &subset);
-                if visit(&explorer, &next) {
-                    let sample = nodes[index].sample + 1;
-                    nodes.push(Node {
-                        state: next,
-                        parent: Some(index),
-                        disturbed: subset,
-                        sample,
-                    });
-                }
+                queue(&mut nodes, &mut visit, &explorer, next, index, subset);
             }
         }
         VerificationOutcome::new(true, explored, None)

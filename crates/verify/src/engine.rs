@@ -45,10 +45,19 @@
 //!   with its idle cells blanked to `Steady` — to the first state of an
 //!   antichain of its undominated states, linked through intrusive
 //!   per-state links. Equality is the degenerate case, so the same check
-//!   replaces exact deduplication. Bounded mode has no idle cells, because
-//!   the instance counters still differ: its projection is the whole state,
-//!   every antichain holds one state, and the same path deduplicates exact
-//!   states.
+//!   replaces exact deduplication. A state that a later state of its own
+//!   BFS level dominates is *superseded*: it stays interned but is never
+//!   expanded, the way UPPAAL's unified passed/waiting list drops waiting
+//!   states a newly stored state covers. The merge flags it when it
+//!   unlinks it from its antichain, and tells levels apart by id alone:
+//!   the level being interned starts at the store length the merge saw
+//!   when it popped the first state of the level before. Every reachable
+//!   state stays dominated by an interned state no deeper than itself
+//!   (see [`crate::checker`]), so verdicts and miss samples do not change.
+//!   Bounded mode has no idle cells, because the instance counters still
+//!   differ: its projection is the whole state, every antichain holds one
+//!   state, the same path deduplicates exact states, and nothing is
+//!   superseded.
 //! * **Lookahead miss detection** — a state is *doomed* when some
 //!   disturbance choice leaves an application past its maximum wait one
 //!   sample later: it has two zero-laxity grant candidates (waiters at their
@@ -98,17 +107,22 @@
 //!   with the fingerprint of the model's scheduling parameters and its
 //!   disturbance bound, and checkpoints fall at popped-state counts inside
 //!   the serial merge, so the outcome is the same on every engine, pool
-//!   width and query order. The walks are sound because a walk is a valid
-//!   concrete disturbance schedule: it disturbs only eligible applications,
-//!   so it stays within the bound, and a doomed state it reaches is
-//!   reachable. They never accept, so verdicts never change, and a search
-//!   that ends inside its first chunk runs no walk. The constants were
-//!   chosen on the 63 subsets of the published rows and `bench_verify`'s
-//!   models before any end-to-end run. There the walks decide 21 of the 34
-//!   rejects, whose pops fall from 4,738,926 to 116,814, and add about 9%
-//!   to the accepts. One sample per pop added 27% to the accepts, one per
-//!   four pops left the rejects 123,277 pops, and horizons of 2 and 4 times
-//!   the longest inter-arrival time needed more samples and pops.
+//!   width and query order. A pop's checkpoint runs once that pop's
+//!   successors are merged, so when the search interns a doomed state on
+//!   the same pop, the search's own reject wins the tie. The walks are
+//!   sound because a walk is a valid concrete disturbance schedule: it
+//!   disturbs only eligible applications, so it stays within the bound,
+//!   and a doomed state it reaches is reachable. They never accept, so
+//!   verdicts never change, and a search that ends inside its first chunk
+//!   runs no walk. The constants were chosen on the 63 subsets of the
+//!   published rows and `bench_verify`'s models before any end-to-end run,
+//!   and before superseded states were skipped. There the walks decided 21
+//!   of the 34 rejects, whose pops fell from 4,738,926 to 116,814, and
+//!   added about 9% to the accepts. One sample per pop added 27% to the
+//!   accepts, one per four pops left the rejects 123,277 pops, and horizons
+//!   of 2 and 4 times the longest inter-arrival time needed more samples
+//!   and pops. The case study's `{C1,C5,C4,C3}` accept spends 3,950
+//!   walk samples over its 13,897 pops.
 //!
 //! Restricting the reduction to runs of **adjacent** identical profiles keeps
 //! it sound with respect to the scheduler's lowest-index tie-break: permuting
@@ -122,13 +136,14 @@
 //! [`crate::witness::validate_witness`] in the test suite.
 //!
 //! `states_explored` counts states popped and expanded, with the same budget
-//! semantics as the oracle: a miss is decided when its doomed parent is
-//! interned, during the pop of that state's own parent, so a doomed initial
-//! state reports 0 popped states. On models without adjacent identical
-//! profiles the engine runs the oracle's pruned search with its lookahead:
-//! it pops the same states in the same order, makes the same skip
-//! decisions, stops at the same doomed state, and reports the identical
-//! count. With interchangeable neighbours it explores at most as many.
+//! semantics as the oracle: a superseded state is skipped uncounted, and a
+//! miss is decided when its doomed parent is interned, during the pop of
+//! that state's own parent, so a doomed initial state reports 0 popped
+//! states. On models without adjacent identical profiles the engine runs
+//! the oracle's pruned search with its lookahead: it pops the same states
+//! in the same order, makes the same skip and supersede decisions, stops
+//! at the same doomed state, and reports the identical count. With
+//! interchangeable neighbours it explores at most as many.
 //!
 //! # Exploration loop
 //!
@@ -141,28 +156,32 @@
 //! 1. **Stage.** Every state of the chunk is loaded once — its entries and
 //!    the half of the step no disturbance choice changes — and each choice's
 //!    successor is stepped, canonicalised, incrementally hashed and tested
-//!    for doom into a staging buffer the engine owns and reuses. A buffer
-//!    stops at its first doomed successor. On a pool wider than one
-//!    thread, a span of more than `CHUNK_STATES` queued states is split into
-//!    contiguous state ranges, one buffer per worker; a shorter span stages
-//!    on the calling thread, where a thread spawn would cost more than the
-//!    staging it shares. Staging reads only states interned before the
-//!    chunk, so the workers share nothing mutable.
+//!    for doom into a staging buffer the engine owns and reuses. Superseded
+//!    states are left out, and a buffer stops at its first doomed
+//!    successor. On a pool wider than one thread, a span of more than
+//!    `CHUNK_STATES` queued states is split into contiguous state ranges,
+//!    one buffer per worker; a shorter span stages on the calling thread,
+//!    where a thread spawn would cost more than the staging it shares.
+//!    Staging reads only states interned before the chunk, so the workers
+//!    share nothing mutable.
 //! 2. **Merge.** The staged records are interned in serial order, buffer by
 //!    buffer, replaying pop accounting, the state budget, the walk
 //!    checkpoints and the first doomed state exactly as a pop-one-state
-//!    loop interleaves them. Once it interns a doomed state it stages that
-//!    state alone and replays the witness through its first expiring
-//!    choice, in the usual choice order. Each record's index bucket
-//!    is prefetched ([`cps_intern::CachedHashIndex::prefetch`]) a fixed
-//!    distance ahead, so the probes into a large index overlap their cache
-//!    misses.
+//!    loop interleaves them. A chunk can straddle a level boundary, so a
+//!    state can be superseded after it was staged: the merge drops its
+//!    records uncharged, and when they held the doomed successor that
+//!    stopped a buffer, the loop stages again from the next state. Once
+//!    it interns a doomed state it stages that state alone and replays the
+//!    witness through its first expiring choice, in the usual choice
+//!    order. Each record's index bucket is prefetched
+//!    ([`cps_intern::CachedHashIndex::prefetch`]) a fixed distance ahead,
+//!    so the probes into a large index overlap their cache misses.
 //!
-//! Because ids, hashes, stats counters, walk checkpoints and the first
-//! doomed state are all decided by the in-order merge, verdicts, witnesses,
-//! interned ids and [`VerifyStats`] are **bit-identical under any thread
-//! count** (asserted by the cross-thread-count property tests at pool
-//! widths 2, 4 and 8).
+//! Because ids, hashes, stats counters, superseded flags, walk checkpoints
+//! and the first doomed state are all decided by the in-order merge,
+//! verdicts, witnesses, interned ids and [`VerifyStats`] are
+//! **bit-identical under any thread count** (asserted by the
+//! cross-thread-count property tests at pool widths 2, 4 and 8).
 //! Staging memory is bounded by the chunk, not by the BFS frontier.
 
 use std::ops::Range;
@@ -184,7 +203,9 @@ const ENTRY_CAP: usize = 1024;
 /// the staging memory; the cost per state is flat over a wide range. A
 /// worker is added only for queued states beyond a full chunk, so each
 /// worker stages more than half a chunk, enough to pay for its thread.
-const CHUNK_STATES: usize = 2048;
+/// This module's unit tests stage 256, so that their small models also
+/// spread over several workers and have chunks that straddle BFS levels.
+const CHUNK_STATES: usize = if cfg!(test) { 256 } else { 2048 };
 /// Staged records between an index prefetch and the probe it prepares.
 const PREFETCH_DISTANCE: usize = 8;
 /// Popped states between two checkpoints of the falsifying walks, counted
@@ -821,6 +842,14 @@ struct Store<W> {
     /// when a state joins a nonempty antichain, so bounded mode never fills
     /// it. Stale once the state leaves the antichain.
     next: Vec<u32>,
+    /// Per state id: a later state of its own BFS level dominates it, so
+    /// the search never expands it.
+    superseded: Vec<bool>,
+    /// The first id of the BFS level being interned, the store length when
+    /// the search popped the first state of the level before. A state a
+    /// new one unlinks from its antichain is superseded when its id is at
+    /// least this: it is on the new state's level and not yet popped.
+    level_first: usize,
 }
 
 impl<W: StateWord> Store<W> {
@@ -831,11 +860,15 @@ impl<W: StateWord> Store<W> {
         self.hashes.clear();
         self.index.reset();
         self.next.clear();
+        self.superseded.clear();
+        self.level_first = 0;
     }
 
     /// Interns the successor `words` under its index fingerprint `hash`:
     /// returns `true` after appending it as a new state, `false` when an
-    /// interned state equals it or, in unbounded mode, dominates it. The
+    /// interned state equals it or, in unbounded mode, dominates it. A new
+    /// state supersedes the antichain members of its own level it
+    /// dominates (see [`Store::level_first`]). The
     /// cached-hash index rejects almost every collision without touching the
     /// arena; word comparison stays the final test on every hash match, so a
     /// collision costs a compare, never a wrong verdict. Bounded mode takes
@@ -846,7 +879,12 @@ impl<W: StateWord> Store<W> {
         let n = ctx.n;
         let new_id = self.meta.len() as u32;
         let Store {
-            arena, index, next, ..
+            arena,
+            index,
+            next,
+            superseded,
+            level_first,
+            ..
         } = self;
         let row = |id: u32| &arena[id as usize * n..(id as usize + 1) * n];
         let busy_equal = |head: u32| {
@@ -859,8 +897,8 @@ impl<W: StateWord> Store<W> {
         if let Some(head) = index.intern(hash, busy_equal, new_id) {
             // The antichain holds no two comparable states, so once the new
             // state dominates one member none dominates it: dominated members
-            // are unlinked during the same walk. They stay interned and
-            // queued.
+            // are unlinked during the same walk. They stay interned, and
+            // those of the new state's level are never expanded.
             first = *head;
             let mut prev = CHAIN_END;
             let mut kept = first;
@@ -872,10 +910,15 @@ impl<W: StateWord> Store<W> {
                 let after = next.get(kept as usize).copied().unwrap_or(CHAIN_END);
                 if !new_dominates {
                     prev = kept;
-                } else if prev == CHAIN_END {
-                    first = after;
                 } else {
-                    next[prev as usize] = after;
+                    if kept as usize >= *level_first {
+                        superseded[kept as usize] = true;
+                    }
+                    if prev == CHAIN_END {
+                        first = after;
+                    } else {
+                        next[prev as usize] = after;
+                    }
                 }
                 kept = after;
             }
@@ -888,6 +931,7 @@ impl<W: StateWord> Store<W> {
         self.arena.extend_from_slice(words);
         self.meta.push(NodeMeta { parent, mask });
         self.hashes.push(hash);
+        self.superseded.push(false);
         true
     }
 }
@@ -1002,18 +1046,23 @@ struct Stage<W> {
 }
 
 impl<W: StateWord> Stage<W> {
-    /// Stages the successors of the interned states `states`, in serial
-    /// order, up to and including the first that `stop` accepts. Reads only
-    /// the arena and hashes of states interned before the chunk.
+    /// Stages the successors of the interned states `states` that are not
+    /// superseded, in serial order, up to and including the first that
+    /// `stop` accepts. Reads only states interned before the chunk.
     fn fill(
         &mut self,
         ctx: &ModelCtx,
-        arena: &[W],
-        hashes: &[u64],
+        store: &Store<W>,
         states: Range<usize>,
         stop: impl Fn(&ModelCtx, &[W]) -> bool,
     ) {
         let n = ctx.n;
+        let Store {
+            arena,
+            hashes,
+            superseded,
+            ..
+        } = store;
         self.records.clear();
         self.words.clear();
         // Take the working size at the first fill, while the arena is still
@@ -1022,7 +1071,7 @@ impl<W: StateWord> Stage<W> {
         self.records.reserve(2 * CHUNK_STATES);
         self.words.reserve(2 * CHUNK_STATES * n);
         self.stopped = false;
-        for id in states {
+        for id in states.filter(|&id| !superseded[id]) {
             let row = &arena[id * n..(id + 1) * n];
             self.frame.load(ctx, row);
             scan_groups(&ctx.runs, row, &self.frame.entries, &mut self.groups);
@@ -1177,6 +1226,13 @@ impl<W: StateWord> Core<W> {
         // whole, and the merge pops its states as their records come up.
         let mut head = 0usize;
         let mut explored = 0usize;
+        // A pop's walk checkpoint runs once its successors are merged, so
+        // a doomed state the search interns during that pop wins the tie.
+        let mut unchecked = None;
+        let mut checkpoint = |unchecked: &mut Option<usize>| {
+            let explored = unchecked.take()?;
+            walker.as_deref_mut()?.checkpoint(ctx, explored)
+        };
         while head < store.meta.len() {
             let end = store.meta.len().min(head + CHUNK_STATES * pool.threads());
             let workers = pool.threads().min((end - head).div_ceil(CHUNK_STATES));
@@ -1184,14 +1240,18 @@ impl<W: StateWord> Core<W> {
             if stages.len() < workers {
                 stages.resize_with(workers, Stage::default);
             }
-            let (frozen, frozen_hashes) = (&*store.arena, &*store.hashes);
+            let frozen = &*store;
             pool.map_mut(&mut stages[..workers], |w, stage| {
                 let start = (head + w * per_worker).min(end);
                 let states = start..(start + per_worker).min(end);
-                stage.fill(ctx, frozen, frozen_hashes, states, doomed);
+                stage.fill(ctx, frozen, states, doomed);
             });
 
+            // The parent of the records being merged, and whether a state
+            // merged earlier in the chunk superseded it after staging.
+            let (mut parent, mut dropped) = (NO_PARENT, false);
             let mut first_doomed = None;
+            let mut resume = end;
             for stage in &stages[..workers] {
                 for rec in stage.records.iter().take(PREFETCH_DISTANCE) {
                     store.index.prefetch(rec.hash);
@@ -1200,17 +1260,25 @@ impl<W: StateWord> Core<W> {
                     if let Some(ahead) = stage.records.get(r + PREFETCH_DISTANCE) {
                         store.index.prefetch(ahead.hash);
                     }
-                    // Every staged state has at least one record, so records
-                    // arrive grouped by parent in pop order.
-                    if rec.parent as usize == head {
-                        ctx.charge_pop(&mut explored)?;
-                        head += 1;
-                        if let Some(witness) = walker
-                            .as_deref_mut()
-                            .and_then(|walker| walker.checkpoint(ctx, explored))
-                        {
+                    // Records arrive grouped by parent in pop order; a
+                    // state superseded before staging has none.
+                    if rec.parent != parent {
+                        if let Some(witness) = checkpoint(&mut unchecked) {
                             return Ok(VerificationOutcome::new(false, explored, Some(witness)));
                         }
+                        parent = rec.parent;
+                        let id = parent as usize;
+                        if store.level_first <= id {
+                            store.level_first = store.meta.len();
+                        }
+                        dropped = store.superseded[id];
+                        if !dropped {
+                            ctx.charge_pop(&mut explored)?;
+                            unchecked = Some(explored);
+                        }
+                    }
+                    if dropped {
+                        continue;
                     }
                     *slot_updates += rec.diffs as usize;
                     let words = &stage.words[r * n..(r + 1) * n];
@@ -1221,14 +1289,24 @@ impl<W: StateWord> Core<W> {
                     );
                 }
                 if stage.stopped {
-                    first_doomed = Some(store.meta.len() - 1);
+                    // A chunk that straddles a level boundary can supersede
+                    // the parent whose doomed successor stopped the stage:
+                    // the search then goes on after that parent.
+                    if dropped {
+                        resume = parent as usize + 1;
+                    } else {
+                        first_doomed = Some(store.meta.len() - 1);
+                    }
                     break;
                 }
             }
             if let Some(id) = first_doomed {
                 return Ok(reject(ctx, store, &mut stages[0], id, explored));
             }
-            debug_assert_eq!(head, end, "every staged state is popped");
+            if let Some(witness) = checkpoint(&mut unchecked) {
+                return Ok(VerificationOutcome::new(false, explored, Some(witness)));
+            }
+            head = resume;
         }
 
         Ok(VerificationOutcome::new(true, explored, None))
@@ -1247,7 +1325,7 @@ fn reject<W: StateWord>(
     explored: usize,
 ) -> VerificationOutcome {
     let expiring = |ctx: &ModelCtx, codes: &[W]| expired(ctx, codes).is_some();
-    stage.fill(ctx, &store.arena, &store.hashes, id..id + 1, expiring);
+    stage.fill(ctx, store, id..id + 1, expiring);
     assert!(stage.stopped, "a doomed state has an expiring choice");
     let mask = stage.records[stage.records.len() - 1].mask;
     let witness = build_witness(ctx, &store.arena, &store.meta, id as u32, mask);
@@ -1846,6 +1924,31 @@ mod tests {
     }
 
     #[test]
+    fn a_superseded_parent_of_the_first_doomed_successor_is_skipped() {
+        // With 256-state chunks this reject's search stages a chunk that
+        // straddles a level boundary, and the first doomed successor it
+        // stages has a parent that a state merged earlier in the same
+        // chunk supersedes. The merge drops that parent's records and the
+        // search goes on after it, as the oracle's does.
+        let model = SlotSharingModel::new(vec![
+            profile("F0", 5, 1, 2, 12),
+            profile("F1", 5, 1, 1, 11),
+            profile("F2", 3, 2, 2, 8),
+            profile("F3", 1, 1, 1, 27),
+            profile("F4", 3, 2, 2, 22),
+        ])
+        .unwrap();
+        let config = VerificationConfig::unbounded();
+        let oracle = checker::verify(&model, &config).unwrap();
+        assert!(!oracle.schedulable());
+        for threads in [1, 2] {
+            let pool = cps_par::Pool::with_threads(threads);
+            let fast = SlotVerifyEngine::with_pool(pool).verify(&model, &config);
+            assert_eq!(fast.unwrap(), oracle, "t={threads}");
+        }
+    }
+
+    #[test]
     fn engine_witnesses_mark_the_replayed_miss() {
         let model =
             SlotSharingModel::new(vec![profile("A", 0, 5, 5, 30), profile("B", 0, 5, 5, 30)])
@@ -2121,19 +2224,21 @@ mod tests {
                 let ctx = ModelCtx::new(&model, &config).unwrap();
                 let mut core = Core::<u32>::default();
                 let outcome = core.run(&ctx, &cps_par::Pool::serial(), None).unwrap();
-                let Store { arena, hashes, .. } = &core.store;
+                // Test superseded states too.
+                core.store.superseded.fill(false);
+                let store = &core.store;
                 let mut stage = Stage::default();
                 let mut doomed_ids = Vec::new();
-                for (id, row) in arena.chunks(ctx.n).enumerate() {
+                for (id, row) in store.arena.chunks(ctx.n).enumerate() {
                     let expiring = |ctx: &ModelCtx, codes: &[u32]| expired(ctx, codes).is_some();
-                    stage.fill(&ctx, arena, hashes, id..id + 1, expiring);
+                    stage.fill(&ctx, store, id..id + 1, expiring);
                     proptest::prop_assert_eq!(doomed(&ctx, row), stage.stopped, "state {}", id);
                     if stage.stopped {
                         doomed_ids.push(id);
                     }
                 }
                 // Only the last state interned by a rejecting run is doomed.
-                let last = hashes.len() - 1;
+                let last = store.hashes.len() - 1;
                 let expected = if outcome.schedulable() { vec![] } else { vec![last] };
                 proptest::prop_assert_eq!(doomed_ids, expected);
             }

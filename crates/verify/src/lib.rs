@@ -40,7 +40,7 @@
 //!   formulation the instance counters keep otherwise equal states apart
 //!   and leave nothing to prune, so the bounded model costs far more than
 //!   the exact one (1,413,516 states at one instance per application
-//!   against 35,822 exact states on `{C1,C5,C4,C3}`). It is kept for
+//!   against 10,852 exact states on `{C1,C5,C4,C3}`). It is kept for
 //!   fidelity to the paper.
 //! * [`conservative`] — the prior-work-style worst-case-blocking analysis,
 //!   `B_i ≤ D_i` per application in closed form; a coarser verdict than

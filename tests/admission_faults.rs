@@ -184,14 +184,14 @@ fn a_seeded_fault_storm_replays_its_exact_schedule() {
             exact_verify_time: Duration::ZERO,
             tt_evictions: 0,
             verify: VerifyStats {
-                intern_probes: 2_247,
-                hash_hits: 566,
-                hash_skips: 69,
-                deep_compares: 1_248,
+                intern_probes: 1_746,
+                hash_hits: 441,
+                hash_skips: 35,
+                deep_compares: 747,
                 rehashes: 0,
                 rehashed_entries: 0,
-                hash_slot_updates: 3_490,
-                full_hash_words: 6_411,
+                hash_slot_updates: 2_989,
+                full_hash_words: 4_908,
             },
         }
     );

@@ -16,8 +16,11 @@
 //! - a reused engine at width 1 and a fresh engine at width 2 return the
 //!   identical outcome after the identical walk work.
 //!
-//! The pinned pops and walk samples move only when the walks, their seed
-//! or their constants do.
+//! A walk checkpoint runs once its pop's successors are merged, so when a
+//! walk and the search would decide on the same pop, the search's reject
+//! wins and the outcome is `verify_selected`'s: a walk-decided reject must
+//! end strictly earlier. The pinned pops and walk samples move only when
+//! the search, the walks, their seed or their constants do.
 
 use cps_apps::case_study;
 use cps_core::dwell::DwellSearchOptions;
@@ -130,11 +133,11 @@ fn case_study_slots_keep_their_verdicts_and_big_rejects_end_early() {
     let mut shared = SlotVerifyEngine::with_pool(cps_par::Pool::serial());
     let config = VerificationConfig::unbounded();
     // (slot, schedulable, pops, walk samples, miss sample): without the
-    // walks the two rejects take 19,352 and 19,290 pops.
+    // walks the two rejects take 14,648 and 13,579 pops.
     let pinned = [
         (&["C1", "C5", "C4", "C6"], false, 2_240, 14, Some(15)),
         (&["C1", "C5", "C4", "C2"], false, 4_160, 713, Some(14)),
-        (&["C1", "C5", "C4", "C3"], true, 38_134, 12_000, None),
+        (&["C1", "C5", "C4", "C3"], true, 13_897, 3_950, None),
     ];
     for (names, schedulable, pops, samples, miss) in pinned {
         let members = members_of(&profiles, names);
@@ -170,7 +173,7 @@ fn minimizer_reproduces_the_published_partition_with_pinned_walk_work() {
             stats.falsified_rejects,
             stats.walk_samples
         ),
-        (6, 2, 12_727)
+        (6, 2, 4_677)
     );
 }
 
@@ -244,7 +247,7 @@ fn seeded_fleets_agree_with_the_exhaustive_search() {
             *samples += falsified.walk_samples;
         }
     }
-    // Eleven unbounded and seventeen bounded searches outlive their first
-    // chunk, and walks decide six and seven rejects.
-    assert_eq!(work, [(11, 6, 0, 5_772), (17, 7, 2, 75_047)]);
+    // Six unbounded and seventeen bounded searches outlive their first
+    // chunk, and walks decide five and seven rejects.
+    assert_eq!(work, [(6, 5, 0, 688), (17, 7, 2, 75_047)]);
 }

@@ -11,6 +11,11 @@
 //! the 56 subsets with at most four members, which include every
 //! schedulable subset. The five- and six-member subsets pop 0.2–3.0 million
 //! states even pruned, too many for the naive oracle in a debug build.
+//!
+//! `PUBLISHED` pins each of those subsets' verdict and, for a reject, the
+//! sample of its witness's miss, as the search found them before it
+//! skipped superseded states. A change to the search's pruning must leave
+//! the table as it is.
 
 use cps_apps::case_study;
 use cps_core::AppTimingProfile;
@@ -18,6 +23,67 @@ use cps_verify::{
     has_interchangeable_neighbors, reference, validate_witness, SlotSharingModel, SlotVerifyEngine,
     VerificationConfig,
 };
+
+/// Per subset, in mask order (bit `i` selects `C{i+1}`): `None` when it
+/// is schedulable, else the sample at which its witness misses.
+const PUBLISHED: [(&[&str], Option<usize>); 56] = [
+    (&["C1"], None),
+    (&["C2"], None),
+    (&["C1", "C2"], None),
+    (&["C3"], None),
+    (&["C1", "C3"], None),
+    (&["C2", "C3"], None),
+    (&["C1", "C2", "C3"], None),
+    (&["C4"], None),
+    (&["C1", "C4"], None),
+    (&["C2", "C4"], None),
+    (&["C1", "C2", "C4"], None),
+    (&["C3", "C4"], None),
+    (&["C1", "C3", "C4"], None),
+    (&["C2", "C3", "C4"], None),
+    (&["C1", "C2", "C3", "C4"], Some(15)),
+    (&["C5"], None),
+    (&["C1", "C5"], None),
+    (&["C2", "C5"], None),
+    (&["C1", "C2", "C5"], None),
+    (&["C3", "C5"], None),
+    (&["C1", "C3", "C5"], None),
+    (&["C2", "C3", "C5"], None),
+    (&["C1", "C2", "C3", "C5"], Some(15)),
+    (&["C4", "C5"], None),
+    (&["C1", "C4", "C5"], None),
+    (&["C2", "C4", "C5"], None),
+    (&["C1", "C2", "C4", "C5"], Some(14)),
+    (&["C3", "C4", "C5"], None),
+    (&["C1", "C3", "C4", "C5"], None),
+    (&["C2", "C3", "C4", "C5"], Some(15)),
+    (&["C6"], None),
+    (&["C1", "C6"], None),
+    (&["C2", "C6"], None),
+    (&["C1", "C2", "C6"], None),
+    (&["C3", "C6"], None),
+    (&["C1", "C3", "C6"], None),
+    (&["C2", "C3", "C6"], None),
+    (&["C1", "C2", "C3", "C6"], Some(15)),
+    (&["C4", "C6"], None),
+    (&["C1", "C4", "C6"], None),
+    (&["C2", "C4", "C6"], Some(14)),
+    (&["C1", "C2", "C4", "C6"], Some(14)),
+    (&["C3", "C4", "C6"], None),
+    (&["C1", "C3", "C4", "C6"], Some(15)),
+    (&["C2", "C3", "C4", "C6"], Some(14)),
+    (&["C5", "C6"], None),
+    (&["C1", "C5", "C6"], None),
+    (&["C2", "C5", "C6"], Some(14)),
+    (&["C1", "C2", "C5", "C6"], Some(14)),
+    (&["C3", "C5", "C6"], None),
+    (&["C1", "C3", "C5", "C6"], Some(15)),
+    (&["C2", "C3", "C5", "C6"], Some(14)),
+    (&["C4", "C5", "C6"], None),
+    (&["C1", "C4", "C5", "C6"], Some(14)),
+    (&["C2", "C4", "C5", "C6"], Some(14)),
+    (&["C3", "C4", "C5", "C6"], Some(15)),
+];
 
 #[test]
 fn engine_matches_the_pruned_oracle_on_every_small_published_subset() {
@@ -29,12 +95,14 @@ fn engine_matches_the_pruned_oracle_on_every_small_published_subset() {
     let config = VerificationConfig::unbounded();
     let mut engine = SlotVerifyEngine::new();
     let (mut subsets, mut schedulable) = (0, 0);
-    for mask in (1u32..64).filter(|mask| mask.count_ones() <= 4) {
+    let masks = (1u32..64).filter(|mask| mask.count_ones() <= 4);
+    for (mask, (pinned, miss)) in masks.zip(PUBLISHED) {
         let members: Vec<AppTimingProfile> = (0..6)
             .filter(|i| mask & (1 << i) != 0)
             .map(|i| profiles[i].clone())
             .collect();
         let names: Vec<&str> = members.iter().map(AppTimingProfile::name).collect();
+        assert_eq!(names, pinned);
         let model = SlotSharingModel::new(members.clone()).unwrap();
         assert!(!has_interchangeable_neighbors(&model), "{names:?}");
 
@@ -47,6 +115,11 @@ fn engine_matches_the_pruned_oracle_on_every_small_published_subset() {
             "{names:?}"
         );
         assert_eq!(fast.witness(), oracle.witness(), "{names:?}");
+        assert_eq!(
+            fast.witness().map(|w| w.missed_at_sample()),
+            miss,
+            "{names:?}"
+        );
         for witness in [fast.witness(), oracle.witness()].into_iter().flatten() {
             validate_witness(&model, witness).unwrap_or_else(|e| panic!("{names:?}: {e}"));
         }

@@ -11,15 +11,16 @@
 //!
 //! The two unbounded pins count the dominance-pruned search: a successor is
 //! skipped when an interned state with the same busy cells has every idle
-//! cell at least as far along. An unpruned search explores all 1,250,000 =
-//! 25·25·40·50 cooldown phase combinations of `{C1,C5,C4,C3}` and pops
-//! 28,091 states of `{C1,C5,C4,C6}` before its miss. The bounded pin prunes
-//! nothing: its instance counters differ, so it has no idle cells.
+//! cell at least as far along, and a queued state that a later state of
+//! its own BFS level dominates is never expanded. An unpruned search
+//! explores all 1,250,000 = 25·25·40·50 cooldown phase combinations of
+//! `{C1,C5,C4,C3}` and pops 28,091 states of `{C1,C5,C4,C6}` before its
+//! miss. The bounded pin prunes nothing: its instance counters differ, so
+//! it has no idle cells.
 //!
 //! The rejected pin counts the lookahead search: it stops when it interns
-//! the first state with a deadline miss one sample ahead, so it pops
-//! 19,318 states where popping up to the expired state took 29,628. The
-//! witness is the same either way.
+//! the first state with a deadline miss one sample ahead, instead of
+//! popping up to the expired state. The witness is the same either way.
 
 use cps_apps::case_study;
 use cps_core::AppTimingProfile;
@@ -88,17 +89,17 @@ fn hardest_published_slot_explores_the_recorded_states() {
         &["C1", "C5", "C4", "C3"],
         VerificationConfig::unbounded(),
         true,
-        35_822,
+        10_852,
         None,
         VerifyStats {
-            intern_probes: 41_865,
-            hash_hits: 6_043,
-            hash_skips: 57_765,
-            deep_compares: 36_016,
+            intern_probes: 14_924,
+            hash_hits: 1_698,
+            hash_skips: 21_187,
+            deep_compares: 9_075,
             rehashes: 3,
             rehashed_entries: 5_376,
-            hash_slot_updates: 68_675,
-            full_hash_words: 188_964,
+            hash_slot_updates: 34_200,
+            full_hash_words: 81_200,
         },
     );
 }
@@ -109,17 +110,17 @@ fn rejected_published_slot_misses_at_the_recorded_state() {
         &["C1", "C5", "C4", "C6"],
         VerificationConfig::unbounded(),
         false,
-        19_318,
+        14_049,
         Some((14, 2)),
         VerifyStats {
-            intern_probes: 25_143,
-            hash_hits: 891,
-            hash_skips: 37_686,
-            deep_compares: 13_828,
+            intern_probes: 19_042,
+            hash_hits: 721,
+            hash_skips: 32_344,
+            deep_compares: 7_727,
             rehashes: 4,
             rehashed_entries: 11_520,
-            hash_slot_updates: 61_415,
-            full_hash_words: 146_652,
+            hash_slot_updates: 50_360,
+            full_hash_words: 122_248,
         },
     );
 }
