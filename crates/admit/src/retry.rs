@@ -71,12 +71,6 @@ pub struct RetryingClient {
 }
 
 impl RetryingClient {
-    /// Wraps a client with the default [`RetryPolicy`] and no fault
-    /// injection.
-    pub fn new(client: AdmissionClient) -> Self {
-        Self::with_policy(client, RetryPolicy::default())
-    }
-
     /// Wraps a client with an explicit policy.
     pub fn with_policy(client: AdmissionClient, policy: RetryPolicy) -> Self {
         RetryingClient {

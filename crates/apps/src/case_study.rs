@@ -74,23 +74,8 @@ impl CaseStudyApp {
         self.paper_row.jstar
     }
 
-    /// The minimum disturbance inter-arrival time `r` in samples.
-    pub fn min_inter_arrival(&self) -> usize {
-        self.paper_row.r
-    }
-
     /// Computes the application's timing profile (its own Table 1 row) from
-    /// scratch by simulation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dwell-table computation failures.
-    pub fn profile(&self) -> Result<AppTimingProfile, CoreError> {
-        self.profile_with(DwellSearchOptions::default())
-    }
-
-    /// Computes the timing profile with explicit search options (e.g. a
-    /// shorter horizon for quick regression tests).
+    /// scratch by simulation, with explicit search options.
     ///
     /// # Errors
     ///

@@ -5,10 +5,10 @@
 //! sensing-to-actuation delay: at instant `t[k]` the plant receives `u[k−1]`
 //! (Eq. 4 of the paper). The standard treatment augments the state with the
 //! previously applied input, `z[k] = [x[k]; u[k−1]]`, which turns the delayed
-//! plant back into a delay-free LTI system on which ordinary pole placement
-//! applies (Eq. 5).
+//! plant back into a delay-free LTI system (Eq. 5), so the event-triggered
+//! gain `K_E` is an ordinary state feedback over the augmented state.
 
-use cps_linalg::{eigen, Matrix, Vector};
+use cps_linalg::{Matrix, Vector};
 
 use crate::{feedback, ControlError, StateSpace};
 
@@ -29,7 +29,7 @@ use crate::{feedback, ControlError, StateSpace};
 ///
 /// ```
 /// use cps_control::{DelayAugmented, StateSpace};
-/// use cps_linalg::Matrix;
+/// use cps_linalg::{Matrix, Vector};
 ///
 /// # fn main() -> Result<(), cps_control::ControlError> {
 /// let plant = StateSpace::new(
@@ -38,7 +38,10 @@ use crate::{feedback, ControlError, StateSpace};
 ///     Matrix::from_rows(&[&[1.0]]).unwrap(),
 /// )?;
 /// let augmented = DelayAugmented::new(&plant)?;
-/// assert_eq!(augmented.augmented_dim(), 2);
+/// // A − B·K_E = [0.9 0.5; −1.0 −0.4] for K_E = [1.0, 0.4].
+/// let a_cl = augmented.closed_loop(&Vector::from_slice(&[1.0, 0.4]))?;
+/// assert_eq!(a_cl.dims(), (2, 2));
+/// assert_eq!(a_cl[(1, 0)], -1.0);
 /// # Ok(())
 /// # }
 /// ```
@@ -46,8 +49,6 @@ use crate::{feedback, ControlError, StateSpace};
 pub struct DelayAugmented {
     a: Matrix,
     b: Matrix,
-    c: Matrix,
-    plant_dim: usize,
 }
 
 impl DelayAugmented {
@@ -71,71 +72,7 @@ impl DelayAugmented {
         // B = [0; …; 0; 1]
         let mut b = Matrix::zeros(n + 1, 1);
         b[(n, 0)] = 1.0;
-        // C_aug = [C 0]
-        let c = plant
-            .output_matrix()
-            .hstack(&Matrix::zeros(plant.output_dim(), 1))?;
-        Ok(DelayAugmented {
-            a,
-            b,
-            c,
-            plant_dim: n,
-        })
-    }
-
-    /// The augmented state matrix `A`.
-    pub fn state_matrix(&self) -> &Matrix {
-        &self.a
-    }
-
-    /// The augmented input matrix `B`.
-    pub fn input_matrix(&self) -> &Matrix {
-        &self.b
-    }
-
-    /// The augmented output matrix `[C 0]`.
-    pub fn output_matrix(&self) -> &Matrix {
-        &self.c
-    }
-
-    /// Dimension of the original plant state.
-    pub fn plant_dim(&self) -> usize {
-        self.plant_dim
-    }
-
-    /// Dimension of the augmented state (`plant_dim + 1`).
-    pub fn augmented_dim(&self) -> usize {
-        self.plant_dim + 1
-    }
-
-    /// Returns the augmented model as a [`StateSpace`] so that generic tools
-    /// (simulation, pole placement) can be reused.
-    ///
-    /// # Errors
-    ///
-    /// Construction cannot fail for a value produced by [`DelayAugmented::new`];
-    /// the `Result` only mirrors the fallible [`StateSpace::new`] signature.
-    pub fn to_state_space(&self) -> Result<StateSpace, ControlError> {
-        StateSpace::new(self.a.clone(), self.b.clone(), self.c.clone())
-    }
-
-    /// Builds the augmented state `z = [x; u_prev]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ControlError::InconsistentDimensions`] when `x` does not have
-    /// the plant dimension.
-    pub fn augment_state(&self, x: &Vector, u_prev: f64) -> Result<Vector, ControlError> {
-        if x.len() != self.plant_dim {
-            return Err(ControlError::InconsistentDimensions {
-                reason: format!(
-                    "plant state has {} entries, expected {}",
-                    x.len(),
-                    self.plant_dim
-                ),
-            });
-        }
-        Ok(x.concat(&Vector::from_slice(&[u_prev])))
+        Ok(DelayAugmented { a, b })
     }
 
     /// Closed-loop matrix `A − B·K_E` for an event-triggered gain over the
@@ -143,19 +80,10 @@ impl DelayAugmented {
     ///
     /// # Errors
     ///
-    /// Returns a dimension error when the gain length does not equal
-    /// [`DelayAugmented::augmented_dim`].
+    /// Returns a dimension error when the gain length does not equal the
+    /// augmented dimension (the plant order plus one).
     pub fn closed_loop(&self, gain: &Vector) -> Result<Matrix, ControlError> {
         feedback::closed_loop_matrix(&self.a, &self.b, gain)
-    }
-
-    /// Returns `true` when the gain `K_E` stabilizes the delayed plant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates closed-loop construction or eigenvalue errors.
-    pub fn stabilizes(&self, gain: &Vector) -> Result<bool, ControlError> {
-        Ok(eigen::eigenvalues(&self.closed_loop(gain)?)?.is_schur_stable())
     }
 }
 
@@ -170,16 +98,14 @@ mod tests {
     #[test]
     fn augmented_matrices_have_expected_structure() {
         let aug = DelayAugmented::new(&scalar_plant()).unwrap();
-        let a = aug.state_matrix();
+        let a = &aug.a;
         assert_eq!(a.dims(), (2, 2));
         assert_eq!(a[(0, 0)], 0.9);
         assert_eq!(a[(0, 1)], 0.5);
         assert_eq!(a[(1, 0)], 0.0);
         assert_eq!(a[(1, 1)], 0.0);
-        assert_eq!(aug.input_matrix()[(1, 0)], 1.0);
-        assert_eq!(aug.input_matrix()[(0, 0)], 0.0);
-        assert_eq!(aug.output_matrix().dims(), (1, 2));
-        assert_eq!(aug.output_matrix()[(0, 1)], 0.0);
+        assert_eq!(aug.b[(1, 0)], 1.0);
+        assert_eq!(aug.b[(0, 0)], 0.0);
     }
 
     #[test]
@@ -191,8 +117,8 @@ mod tests {
         )
         .unwrap();
         let aug = DelayAugmented::new(&plant).unwrap();
-        assert_eq!(aug.plant_dim(), 3);
-        assert_eq!(aug.augmented_dim(), 4);
+        assert_eq!(aug.a.dims(), (4, 4));
+        assert_eq!(aug.b.dims(), (4, 1));
     }
 
     #[test]
@@ -212,44 +138,32 @@ mod tests {
     #[test]
     fn augmented_step_reproduces_delayed_plant() {
         // Simulate the delayed recursion directly and through the augmentation.
-        let plant = scalar_plant();
-        let aug = DelayAugmented::new(&plant).unwrap();
-        let aug_ss = aug.to_state_space().unwrap();
+        let aug = DelayAugmented::new(&scalar_plant()).unwrap();
 
         let u_sequence = [1.0, -0.5, 0.25, 0.0];
         // Direct: x[k+1] = 0.9 x[k] + 0.5 u[k-1], x[0] = 1, u[-1] = 0.
         let mut x_direct = 1.0;
         let mut u_prev = 0.0;
-        // Augmented: z = [x; u_prev].
-        let mut z = aug.augment_state(&Vector::from_slice(&[1.0]), 0.0).unwrap();
+        // Augmented: z = [x; u_prev], z⁺ = A·z + B·u.
+        let mut z = Vector::from_slice(&[1.0, 0.0]);
 
         for &u in &u_sequence {
             x_direct = 0.9 * x_direct + 0.5 * u_prev;
             u_prev = u;
-            z = aug_ss.step(&z, &Vector::from_slice(&[u])).unwrap();
+            let forced = aug.b.mul_vector(&Vector::from_slice(&[u])).unwrap();
+            z = &aug.a.mul_vector(&z).unwrap() + &forced;
             assert!((z[0] - x_direct).abs() < 1e-12);
             assert!((z[1] - u_prev).abs() < 1e-12);
         }
     }
 
     #[test]
-    fn augment_state_validates_length() {
+    fn closed_loop_of_an_augmented_gain() {
         let aug = DelayAugmented::new(&scalar_plant()).unwrap();
-        assert!(aug
-            .augment_state(&Vector::from_slice(&[1.0, 2.0]), 0.0)
-            .is_err());
-    }
-
-    #[test]
-    fn closed_loop_stability_of_augmented_gain() {
-        let aug = DelayAugmented::new(&scalar_plant()).unwrap();
-        // A reasonable gain stabilizes the delayed scalar plant.
-        let good = Vector::from_slice(&[1.0, 0.4]);
-        assert!(aug.stabilizes(&good).unwrap());
-        // Zero gain leaves the integrating input path but the plant itself is
-        // stable, so the loop remains stable; an absurdly large gain does not.
-        let bad = Vector::from_slice(&[40.0, 0.0]);
-        assert!(!aug.stabilizes(&bad).unwrap());
+        // A − B·K_E = [0.9 0.5; −K_E].
+        let a_cl = aug.closed_loop(&Vector::from_slice(&[1.0, 0.4])).unwrap();
+        let expected = Matrix::from_rows(&[&[0.9, 0.5], &[-1.0, -0.4]]).unwrap();
+        assert!(a_cl.approx_eq(&expected, 1e-12));
         assert!(aug.closed_loop(&Vector::from_slice(&[1.0])).is_err());
     }
 }

@@ -12,28 +12,14 @@ pub enum ControlError {
         /// Human readable description of the inconsistency.
         reason: String,
     },
-    /// A single-input plant was required (Ackermann pole placement and the
-    /// delay augmentation of the paper assume scalar control inputs).
+    /// A single-input plant was required (the delay augmentation of the
+    /// paper assumes a scalar control input).
     NotSingleInput {
         /// The number of inputs that was found.
         inputs: usize,
     },
-    /// The plant is not controllable, so poles cannot be placed arbitrarily.
-    NotControllable,
-    /// The number of desired poles does not match the state dimension.
-    WrongPoleCount {
-        /// Number of poles supplied.
-        got: usize,
-        /// Number of poles required (the state dimension).
-        expected: usize,
-    },
     /// An underlying linear algebra operation failed.
     Linalg(LinalgError),
-    /// A simulation parameter was invalid (e.g. a zero horizon).
-    InvalidParameter {
-        /// Human readable description of the invalid parameter.
-        reason: String,
-    },
 }
 
 impl fmt::Display for ControlError {
@@ -45,14 +31,7 @@ impl fmt::Display for ControlError {
             ControlError::NotSingleInput { inputs } => {
                 write!(f, "expected a single-input plant, got {inputs} inputs")
             }
-            ControlError::NotControllable => write!(f, "plant is not controllable"),
-            ControlError::WrongPoleCount { got, expected } => {
-                write!(f, "expected {expected} desired poles, got {got}")
-            }
             ControlError::Linalg(e) => write!(f, "linear algebra error: {e}"),
-            ControlError::InvalidParameter { reason } => {
-                write!(f, "invalid parameter: {reason}")
-            }
         }
     }
 }
@@ -80,14 +59,10 @@ mod tests {
     fn display_variants() {
         let e = ControlError::NotSingleInput { inputs: 2 };
         assert!(e.to_string().contains("2 inputs"));
-        assert!(ControlError::NotControllable
-            .to_string()
-            .contains("controllable"));
-        let e = ControlError::WrongPoleCount {
-            got: 2,
-            expected: 3,
+        let e = ControlError::InconsistentDimensions {
+            reason: "gain has 3 entries".to_string(),
         };
-        assert!(e.to_string().contains("expected 3"));
+        assert!(e.to_string().contains("gain has 3 entries"));
     }
 
     #[test]
@@ -96,6 +71,6 @@ mod tests {
         let e: ControlError = inner.clone().into();
         assert_eq!(e, ControlError::Linalg(inner));
         assert!(Error::source(&e).is_some());
-        assert!(Error::source(&ControlError::NotControllable).is_none());
+        assert!(Error::source(&ControlError::NotSingleInput { inputs: 2 }).is_none());
     }
 }

@@ -1,6 +1,6 @@
 //! State-feedback controllers and closed-loop dynamics.
 
-use cps_linalg::{eigen, Matrix, Vector};
+use cps_linalg::{Matrix, Vector};
 
 use crate::{ControlError, StateSpace};
 
@@ -14,7 +14,7 @@ use crate::{ControlError, StateSpace};
 ///
 /// ```
 /// use cps_control::{StateFeedback, StateSpace};
-/// use cps_linalg::{Matrix, Vector};
+/// use cps_linalg::Matrix;
 ///
 /// # fn main() -> Result<(), cps_control::ControlError> {
 /// let plant = StateSpace::new(
@@ -22,7 +22,7 @@ use crate::{ControlError, StateSpace};
 ///     Matrix::from_rows(&[&[1.0]]).unwrap(),
 ///     Matrix::from_rows(&[&[1.0]]).unwrap(),
 /// )?;
-/// let k = StateFeedback::new(Vector::from_slice(&[0.8]));
+/// let k = StateFeedback::from_slice(&[0.8]);
 /// let a_cl = k.closed_loop(&plant)?;
 /// assert!((a_cl[(0, 0)] - 0.2).abs() < 1e-12);
 /// # Ok(())
@@ -34,11 +34,6 @@ pub struct StateFeedback {
 }
 
 impl StateFeedback {
-    /// Creates a controller from its gain row vector.
-    pub fn new(gain: Vector) -> Self {
-        StateFeedback { gain }
-    }
-
     /// Creates a controller from a slice of gain entries.
     pub fn from_slice(gain: &[f64]) -> Self {
         StateFeedback {
@@ -54,25 +49,6 @@ impl StateFeedback {
     /// Number of states the controller expects.
     pub fn state_dim(&self) -> usize {
         self.gain.len()
-    }
-
-    /// Computes the scalar control input `u = −K·x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ControlError::InconsistentDimensions`] when `x` has a
-    /// different length than the gain.
-    pub fn control(&self, x: &Vector) -> Result<f64, ControlError> {
-        if x.len() != self.gain.len() {
-            return Err(ControlError::InconsistentDimensions {
-                reason: format!(
-                    "controller expects {} states, got {}",
-                    self.gain.len(),
-                    x.len()
-                ),
-            });
-        }
-        Ok(-self.gain.dot(x))
     }
 
     /// Computes the closed-loop state matrix `Φ − Γ·K` for a single-input
@@ -103,16 +79,6 @@ impl StateFeedback {
         let gk = plant.input_matrix().mul(&k_row)?;
         Ok(plant.state_matrix().sub(&gk)?)
     }
-
-    /// Returns `true` when the closed loop `Φ − Γ·K` is Schur stable.
-    ///
-    /// # Errors
-    ///
-    /// Propagates closed-loop construction or eigenvalue errors.
-    pub fn stabilizes(&self, plant: &StateSpace) -> Result<bool, ControlError> {
-        let a_cl = self.closed_loop(plant)?;
-        Ok(eigen::eigenvalues(&a_cl)?.is_schur_stable())
-    }
 }
 
 /// Computes the closed-loop matrix `A − B·K` for an arbitrary (already
@@ -140,14 +106,6 @@ mod tests {
 
     fn plant() -> StateSpace {
         StateSpace::from_slices(&[&[1.0, 0.1], &[0.0, 1.0]], &[0.005, 0.1], &[1.0, 0.0]).unwrap()
-    }
-
-    #[test]
-    fn control_law_is_negative_feedback() {
-        let k = StateFeedback::from_slice(&[2.0, 1.0]);
-        let u = k.control(&Vector::from_slice(&[1.0, 3.0])).unwrap();
-        assert_eq!(u, -5.0);
-        assert!(k.control(&Vector::from_slice(&[1.0])).is_err());
     }
 
     #[test]
@@ -182,15 +140,6 @@ mod tests {
             k.closed_loop(&multi),
             Err(ControlError::NotSingleInput { inputs: 2 })
         ));
-    }
-
-    #[test]
-    fn stabilizes_detects_stabilizing_gains() {
-        // Deadbeat-ish gain for the double integrator.
-        let stabilizing = StateFeedback::from_slice(&[60.0, 15.0]);
-        assert!(stabilizing.stabilizes(&plant()).unwrap());
-        let useless = StateFeedback::from_slice(&[0.0, 0.0]);
-        assert!(!useless.stabilizes(&plant()).unwrap());
     }
 
     #[test]

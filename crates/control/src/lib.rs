@@ -8,37 +8,31 @@
 //!   resulting closed-loop dynamics ([`feedback`]).
 //! * [`delay`] — the one-sample-delay augmentation used when control messages
 //!   travel over the event-triggered (dynamic) FlexRay segment.
-//! * [`place`] — controllability analysis and Ackermann pole placement, so
-//!   that new applications can design their own `K_T`/`K_E` gains.
-//! * [`sim`] — closed-loop trajectory simulation.
+//! * [`sim`] — the [`Trajectory`] a switched-loop simulation returns.
 //! * [`metrics`] — settling-time measurement (the paper's performance metric
 //!   `J`).
-//! * [`switching_stability`] — common quadratic Lyapunov function search for
-//!   pairs of closed-loop modes, the paper's switching-stability condition.
+//!
+//! The gains themselves are inputs: the case study uses the `K_T` and `K_E`
+//! that the paper's Table 1 gives.
 //!
 //! # Example
 //!
 //! ```
 //! use cps_control::{Settling, StateFeedback, StateSpace};
-//! use cps_linalg::{Matrix, Vector};
+//! use cps_linalg::Vector;
 //!
 //! # fn main() -> Result<(), cps_control::ControlError> {
 //! // A lightly damped scalar plant controlled to the origin.
-//! let plant = StateSpace::new(
-//!     Matrix::from_rows(&[&[0.9]]).unwrap(),
-//!     Matrix::from_rows(&[&[1.0]]).unwrap(),
-//!     Matrix::from_rows(&[&[1.0]]).unwrap(),
-//! )?;
-//! let controller = StateFeedback::new(cps_linalg::Vector::from_slice(&[0.5]));
-//! let closed_loop = controller.closed_loop(&plant)?;
-//! let trajectory = cps_control::sim::simulate_autonomous(
-//!     &closed_loop,
-//!     plant.output_matrix(),
-//!     &Vector::from_slice(&[1.0]),
-//!     50,
-//! )?;
-//! let settling = Settling::new(0.02);
-//! assert!(settling.settling_samples(trajectory.outputs()).is_some());
+//! let plant = StateSpace::from_slices(&[&[0.9]], &[1.0], &[1.0])?;
+//! let closed_loop = StateFeedback::from_slice(&[0.5]).closed_loop(&plant)?;
+//! // x[k+1] = (Φ − Γ·K)·x[k] = 0.4·x[k] from x[0] = 1.
+//! let mut x = Vector::from_slice(&[1.0]);
+//! let mut outputs = vec![x[0]];
+//! for _ in 0..10 {
+//!     x = closed_loop.mul_vector(&x)?;
+//!     outputs.push(x[0]);
+//! }
+//! assert_eq!(Settling::new(0.02).settling_samples(&outputs), Some(5));
 //! # Ok(())
 //! # }
 //! ```
@@ -47,19 +41,15 @@ pub mod delay;
 mod error;
 pub mod feedback;
 pub mod metrics;
-pub mod place;
 pub mod sim;
 pub mod ss;
-pub mod switching_stability;
 
 pub use delay::DelayAugmented;
 pub use error::ControlError;
 pub use feedback::StateFeedback;
 pub use metrics::{Settling, SettlingOutcome};
-pub use place::{controllability_matrix, is_controllable, place_poles};
 pub use sim::Trajectory;
 pub use ss::StateSpace;
-pub use switching_stability::{search_common_lyapunov, CommonLyapunov};
 
 #[cfg(test)]
 mod tests {

@@ -4,8 +4,6 @@
 //! as the time after which the output stays inside a band around the steady
 //! state (`‖y[k]‖ ≤ 0.02` for all `k ≥ J` in the motivational example).
 
-use crate::ControlError;
-
 /// Outcome of a settling-time measurement over a finite trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SettlingOutcome {
@@ -93,20 +91,6 @@ impl Settling {
     pub fn settling_samples(&self, outputs: &[f64]) -> Option<usize> {
         self.evaluate(outputs).sample()
     }
-
-    /// Settling time in seconds for a given sampling period `h`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ControlError::InvalidParameter`] when `h` is not positive.
-    pub fn settling_seconds(&self, outputs: &[f64], h: f64) -> Result<Option<f64>, ControlError> {
-        if h <= 0.0 {
-            return Err(ControlError::InvalidParameter {
-                reason: "sampling period must be positive".to_string(),
-            });
-        }
-        Ok(self.settling_samples(outputs).map(|k| k as f64 * h))
-    }
 }
 
 #[cfg(test)]
@@ -144,18 +128,6 @@ mod tests {
     fn already_settled_trajectory_settles_at_zero() {
         let settling = Settling::new(0.02);
         assert_eq!(settling.settling_samples(&[0.0, 0.01, 0.001]), Some(0));
-    }
-
-    #[test]
-    fn settling_seconds_scales_by_sampling_period() {
-        let settling = Settling::new(0.02);
-        let outputs = [1.0, 0.5, 0.01, 0.001];
-        assert_eq!(
-            settling.settling_seconds(&outputs, 0.02).unwrap(),
-            Some(0.04)
-        );
-        assert!(settling.settling_seconds(&outputs, 0.0).is_err());
-        assert_eq!(settling.settling_seconds(&[1.0], 0.02).unwrap(), None);
     }
 
     #[test]

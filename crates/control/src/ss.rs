@@ -1,6 +1,6 @@
 //! Discrete-time linear time-invariant state-space models.
 
-use cps_linalg::{eigen, Matrix, Vector};
+use cps_linalg::{Matrix, Vector};
 
 use crate::ControlError;
 
@@ -118,70 +118,6 @@ impl StateSpace {
     pub fn output_matrix(&self) -> &Matrix {
         &self.c
     }
-
-    /// Advances the plant one sample: `x⁺ = Φ·x + Γ·u`.
-    ///
-    /// Allocates only the returned state: each row accumulates `Φ·x` and
-    /// `Γ·u` separately (ascending columns, starting from `0.0`, matching
-    /// [`Matrix::gemv_into`]) and sums the two partials, so the result is
-    /// bitwise identical to the former `Φ·x + Γ·u` three-allocation form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a dimension error when `x` or `u` have the wrong length.
-    pub fn step(&self, x: &Vector, u: &Vector) -> Result<Vector, ControlError> {
-        let n = self.state_dim();
-        let m = self.input_dim();
-        if x.len() != n {
-            return Err(ControlError::InconsistentDimensions {
-                reason: format!("state has {} entries, plant has {n} states", x.len()),
-            });
-        }
-        if u.len() != m {
-            return Err(ControlError::InconsistentDimensions {
-                reason: format!("input has {} entries, plant has {m} inputs", u.len()),
-            });
-        }
-        let xs = x.as_slice();
-        let us = u.as_slice();
-        let mut next = Vector::zeros(n);
-        for ((slot, phi_row), gamma_row) in next
-            .as_mut_slice()
-            .iter_mut()
-            .zip(self.phi.as_slice().chunks_exact(n))
-            .zip(self.gamma.as_slice().chunks_exact(m))
-        {
-            let mut free = 0.0;
-            for (a, b) in phi_row.iter().zip(xs.iter()) {
-                free += a * b;
-            }
-            let mut forced = 0.0;
-            for (a, b) in gamma_row.iter().zip(us.iter()) {
-                forced += a * b;
-            }
-            *slot = free + forced;
-        }
-        Ok(next)
-    }
-
-    /// Computes the measured output `y = C·x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a dimension error when `x` has the wrong length.
-    pub fn output(&self, x: &Vector) -> Result<Vector, ControlError> {
-        Ok(self.c.mul_vector(x)?)
-    }
-
-    /// Returns `true` when the open-loop plant is Schur stable (all
-    /// eigenvalues of `Φ` strictly inside the unit circle).
-    ///
-    /// # Errors
-    ///
-    /// Propagates eigenvalue computation failures.
-    pub fn is_open_loop_stable(&self) -> Result<bool, ControlError> {
-        Ok(eigen::eigenvalues(&self.phi)?.is_schur_stable())
-    }
 }
 
 #[cfg(test)]
@@ -226,46 +162,6 @@ mod tests {
         assert_eq!(sys.state_dim(), 2);
         assert_eq!(sys.input_dim(), 1);
         assert_eq!(sys.output_dim(), 1);
-    }
-
-    #[test]
-    fn step_matches_hand_computation() {
-        let sys = double_integrator_like();
-        let x = Vector::from_slice(&[1.0, 2.0]);
-        let u = Vector::from_slice(&[1.0]);
-        let next = sys.step(&x, &u).unwrap();
-        // x1' = 1 + 0.1*2 + 0.005 = 1.205; x2' = 2 + 0.1 = 2.1
-        assert!(next.approx_eq(&Vector::from_slice(&[1.205, 2.1]), 1e-12));
-    }
-
-    #[test]
-    fn output_projects_the_state() {
-        let sys = double_integrator_like();
-        let y = sys.output(&Vector::from_slice(&[3.5, -1.0])).unwrap();
-        assert_eq!(y.as_slice(), &[3.5]);
-    }
-
-    #[test]
-    fn step_rejects_bad_dimensions() {
-        let sys = double_integrator_like();
-        assert!(sys
-            .step(&Vector::from_slice(&[1.0]), &Vector::from_slice(&[0.0]))
-            .is_err());
-        assert!(sys
-            .step(
-                &Vector::from_slice(&[1.0, 0.0]),
-                &Vector::from_slice(&[0.0, 0.0])
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn open_loop_stability_detection() {
-        // Marginally stable double integrator is not Schur stable.
-        assert!(!double_integrator_like().is_open_loop_stable().unwrap());
-        let stable =
-            StateSpace::from_slices(&[&[0.5, 0.0], &[0.1, 0.3]], &[1.0, 0.0], &[1.0, 0.0]).unwrap();
-        assert!(stable.is_open_loop_stable().unwrap());
     }
 
     #[test]

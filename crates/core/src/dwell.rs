@@ -71,7 +71,6 @@ impl Default for DwellSearchOptions {
 pub struct SettlingSurface {
     max_wait: usize,
     max_dwell: usize,
-    horizon: usize,
     /// Row-major: `settling[wait][dwell]`.
     settling: Vec<Vec<Option<usize>>>,
 }
@@ -85,11 +84,6 @@ impl SettlingSurface {
     /// Largest dwell time covered by the surface.
     pub fn max_dwell(&self) -> usize {
         self.max_dwell
-    }
-
-    /// Simulation horizon used to generate the surface.
-    pub fn horizon(&self) -> usize {
-        self.horizon
     }
 
     /// Settling time in samples for the given wait/dwell pair, or `None` when
@@ -197,7 +191,6 @@ pub fn settling_surface_with_backend(
     Ok(SettlingSurface {
         max_wait,
         max_dwell,
-        horizon,
         settling,
     })
 }
@@ -232,7 +225,6 @@ pub fn settling_surface_with_backend(
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DwellTimeTable {
-    jstar: usize,
     max_wait: usize,
     /// The per-wait arrays. A table never changes once built, and every
     /// fleet, request and report that holds a profile holds a clone of its
@@ -252,9 +244,8 @@ struct DwellRows {
 
 impl DwellTimeTable {
     /// The table of non-empty, equally long `rows`.
-    fn from_rows(jstar: usize, rows: DwellRows) -> Self {
+    fn from_rows(rows: DwellRows) -> Self {
         DwellTimeTable {
-            jstar,
             max_wait: rows.t_dw_min.len() - 1,
             rows: Arc::new(rows),
         }
@@ -302,13 +293,7 @@ impl DwellTimeTable {
             j_at_min: vec![jstar; len],
             j_at_plus: vec![jstar; len],
         };
-        Ok(DwellTimeTable::from_rows(jstar, rows))
-    }
-
-    /// The settling requirement `J*` in samples that the table was computed
-    /// for.
-    pub fn jstar(&self) -> usize {
-        self.jstar
+        Ok(DwellTimeTable::from_rows(rows))
     }
 
     /// The maximum admissible wait time `T_w^*` in samples.
@@ -360,21 +345,6 @@ impl DwellTimeTable {
     /// The largest useful dwell time over all admissible waits.
     pub fn max_t_dw_plus(&self) -> usize {
         self.rows.t_dw_plus.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Number of distinct values in the `T_dw^-` and `T_dw^+` arrays — the
-    /// paper notes the tables can be stored compactly because this is small.
-    pub fn distinct_values(&self) -> usize {
-        let mut values: Vec<usize> = self
-            .rows
-            .t_dw_min
-            .iter()
-            .chain(self.rows.t_dw_plus.iter())
-            .copied()
-            .collect();
-        values.sort_unstable();
-        values.dedup();
-        values.len()
     }
 }
 
@@ -557,7 +527,7 @@ pub(crate) fn compute_dwell_table_detailed(
         j_at_plus,
     };
     Ok(TableComputation {
-        table: DwellTimeTable::from_rows(jstar, rows),
+        table: DwellTimeTable::from_rows(rows),
         jt,
         je,
     })
@@ -602,7 +572,6 @@ pub mod reference {
         Ok(SettlingSurface {
             max_wait,
             max_dwell,
-            horizon,
             settling,
         })
     }
@@ -660,7 +629,7 @@ pub mod reference {
             j_at_min,
             j_at_plus,
         };
-        Ok(DwellTimeTable::from_rows(jstar, rows))
+        Ok(DwellTimeTable::from_rows(rows))
     }
 }
 
@@ -684,8 +653,10 @@ mod tests {
             .unwrap()
     }
 
+    const DEMO_JSTAR: usize = 15;
+
     fn demo_table() -> DwellTimeTable {
-        compute_dwell_table(&demo_app(), 15, DwellSearchOptions::default()).unwrap()
+        compute_dwell_table(&demo_app(), DEMO_JSTAR, DwellSearchOptions::default()).unwrap()
     }
 
     #[test]
@@ -694,7 +665,6 @@ mod tests {
         let surface = settling_surface(&app, 5, 10, 400).unwrap();
         assert_eq!(surface.max_wait(), 5);
         assert_eq!(surface.max_dwell(), 10);
-        assert_eq!(surface.horizon(), 400);
         // More dwell never hurts the settling time for a fixed wait (the
         // switching-stable pair of this demo app).
         for wait in 0..=5 {
@@ -734,7 +704,6 @@ mod tests {
     fn from_arrays_builds_published_tables() {
         let table = DwellTimeTable::from_arrays(18, vec![3, 4, 3], vec![6, 6, 5]).unwrap();
         assert_eq!(table.max_wait(), 2);
-        assert_eq!(table.jstar(), 18);
         assert_eq!(table.t_dw_min(1), Some(4));
         assert_eq!(table.t_dw_plus(2), Some(5));
         assert_eq!(table.settling_at_min(0), Some(18));
@@ -755,12 +724,11 @@ mod tests {
             let min = table.t_dw_min(wait).unwrap();
             let plus = table.t_dw_plus(wait).unwrap();
             assert!(min <= plus, "T_dw^- must not exceed T_dw^+");
-            assert!(table.settling_at_min(wait).unwrap() <= table.jstar());
+            assert!(table.settling_at_min(wait).unwrap() <= DEMO_JSTAR);
             assert!(table.settling_at_plus(wait).unwrap() <= table.settling_at_min(wait).unwrap());
         }
         assert!(table.max_t_dw_min() >= 1);
         assert!(table.max_t_dw_plus() >= table.max_t_dw_min());
-        assert!(table.distinct_values() >= 1);
         assert_eq!(table.t_dw_min(table.max_wait() + 1), None);
     }
 
@@ -838,7 +806,7 @@ mod tests {
             let dwell = table.t_dw_min(wait).unwrap();
             let schedule = ModeSchedule::new(wait, dwell, 600).unwrap();
             let j = app.settling_of_schedule(&schedule.to_modes()).unwrap();
-            assert!(j <= table.jstar());
+            assert!(j <= DEMO_JSTAR);
             // One fewer dwell sample must violate the requirement (minimality),
             // unless the minimum dwell is already zero.
             if dwell > 0 {
@@ -846,7 +814,7 @@ mod tests {
                 let j_short = app
                     .settling()
                     .settling_samples(app.simulate_modes(&shorter.to_modes()).unwrap().outputs());
-                assert!(j_short.map(|j| j > table.jstar()).unwrap_or(true));
+                assert!(j_short.map(|j| j > DEMO_JSTAR).unwrap_or(true));
             }
         }
     }

@@ -75,11 +75,6 @@ impl PrefixChain {
     pub fn last_violation(&self, wait: usize) -> Option<usize> {
         self.last_violation[wait]
     }
-
-    /// The largest wait covered by the chain.
-    pub fn max_wait(&self) -> usize {
-        self.last_violation.len() - 1
-    }
 }
 
 /// Reusable per-thread simulation buffers; allocated once per search (or per
@@ -155,14 +150,6 @@ impl<B: LinalgBackend> DwellEngineCore<B> {
 
     fn dim(&self) -> usize {
         self.z0.elements().len()
-    }
-
-    fn has_certificate(&self) -> bool {
-        self.certificate.is_some()
-    }
-
-    fn drop_certificate(&mut self) {
-        self.certificate = None;
     }
 
     fn mode_matrix(&self, mode: Mode) -> &B::Matrix {
@@ -389,18 +376,6 @@ impl DwellEngine {
         each_core!(self, core => core.backend_name())
     }
 
-    /// Whether the Lyapunov early-exit certificate is active.
-    pub fn has_certificate(&self) -> bool {
-        each_core!(self, core => core.has_certificate())
-    }
-
-    /// Drops the certificate (used by tests to compare exit-on/exit-off runs).
-    #[doc(hidden)]
-    pub fn without_certificate(mut self) -> Self {
-        each_core!(&mut self, core => core.drop_certificate());
-        self
-    }
-
     /// Number of worker threads the search layer should use: the
     /// [`cps_par::Pool::from_env`] policy (`CPS_THREADS`, falling back to the
     /// available parallelism).
@@ -419,24 +394,6 @@ impl DwellEngine {
     /// materializing a trajectory).
     pub fn pure_mode_settling(&self, mode: Mode, horizon: usize) -> Option<usize> {
         each_core!(self, core => core.pure_mode_settling(mode, horizon))
-    }
-
-    /// Computes one wait row of the settling surface: the settling time for
-    /// every dwell in `0..=max_dwell` at the given wait, appended to `out`.
-    ///
-    /// Requires `wait + max_dwell < horizon` and `wait <= prefix.max_wait()`.
-    pub fn settling_row(
-        &self,
-        prefix: &PrefixChain,
-        wait: usize,
-        max_dwell: usize,
-        horizon: usize,
-        out: &mut Vec<Option<usize>>,
-    ) {
-        each_core!(self, core => {
-            let mut ws = RowWorkspace::like(&core.z0);
-            core.settling_row_with(prefix, wait, max_dwell, horizon, &mut ws, out);
-        })
     }
 
     /// Computes the settling rows of all waits in `waits`, each with dwell
@@ -553,7 +510,8 @@ mod tests {
     #[test]
     fn demo_app_has_certificate() {
         let app = demo_app();
-        assert!(DwellEngine::new(&app).has_certificate());
+        let engine = DwellEngine::new(&app);
+        assert!(each_core!(&engine, core => core.certificate.is_some()));
     }
 
     #[test]
@@ -595,7 +553,7 @@ mod tests {
         let app = demo_app();
         let engine = DwellEngine::new(&app);
         let prefix = engine.prefix_chain(30);
-        assert_eq!(prefix.max_wait(), 30);
+        assert_eq!(prefix.last_violation.len(), 31);
         let trajectory = app.simulate_modes(&[Mode::EventTriggered; 30]).unwrap();
         for wait in 0..=30 {
             assert_eq!(
@@ -612,10 +570,9 @@ mod tests {
         let engine = DwellEngine::new(&app);
         let horizon = 250;
         let prefix = engine.prefix_chain(12);
-        for wait in 0..=12 {
-            let mut row = Vec::new();
-            engine.settling_row(&prefix, wait, 10, horizon, &mut row);
-            assert_eq!(row, naive_row(&app, wait, 10, horizon), "wait {wait}");
+        let rows = engine.settling_rows(&prefix, 0..13, 10, horizon, 1);
+        for (wait, row) in rows.iter().enumerate() {
+            assert_eq!(row, &naive_row(&app, wait, 10, horizon), "wait {wait}");
         }
     }
 
@@ -623,9 +580,9 @@ mod tests {
     fn early_exit_does_not_change_results() {
         let app = demo_app();
         let fast = DwellEngine::new(&app);
-        let slow = DwellEngine::new(&app).without_certificate();
-        assert!(fast.has_certificate());
-        assert!(!slow.has_certificate());
+        let mut slow = DwellEngine::new(&app);
+        each_core!(&mut slow, core => core.certificate = None);
+        assert!(each_core!(&fast, core => core.certificate.is_some()));
         let prefix = fast.prefix_chain(8);
         let rows_fast = fast.settling_rows(&prefix, 0..9, 12, 200, 1);
         let rows_slow = slow.settling_rows(&prefix, 0..9, 12, 200, 1);

@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn conversions_preserve_sources() {
-        let e: CoreError = ControlError::NotControllable.into();
+        let e: CoreError = ControlError::NotSingleInput { inputs: 2 }.into();
         assert!(Error::source(&e).is_some());
         let e: CoreError = LinalgError::Singular.into();
         assert!(Error::source(&e).is_some());

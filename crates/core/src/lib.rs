@@ -51,7 +51,7 @@
 //!     .disturbance_state(Vector::from_slice(&[1.0]))
 //!     .build()?;
 //! let trajectory = app.simulate_modes(&[Mode::EventTriggered; 40])?;
-//! assert_eq!(trajectory.len(), 41);
+//! assert_eq!(trajectory.outputs().len(), 41);
 //! # Ok(())
 //! # }
 //! ```

@@ -14,7 +14,6 @@ use std::fmt;
 /// ```
 /// use cps_core::Mode;
 ///
-/// assert!(Mode::TimeTriggered.is_time_triggered());
 /// assert_eq!(Mode::default(), Mode::EventTriggered);
 /// assert_eq!(Mode::TimeTriggered.to_string(), "TT");
 /// ```
@@ -26,18 +25,6 @@ pub enum Mode {
     /// the default steady-state mode.
     #[default]
     EventTriggered,
-}
-
-impl Mode {
-    /// Returns `true` for [`Mode::TimeTriggered`].
-    pub fn is_time_triggered(&self) -> bool {
-        matches!(self, Mode::TimeTriggered)
-    }
-
-    /// Returns `true` for [`Mode::EventTriggered`].
-    pub fn is_event_triggered(&self) -> bool {
-        matches!(self, Mode::EventTriggered)
-    }
 }
 
 impl fmt::Display for Mode {
@@ -52,14 +39,6 @@ impl fmt::Display for Mode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn predicates() {
-        assert!(Mode::TimeTriggered.is_time_triggered());
-        assert!(!Mode::TimeTriggered.is_event_triggered());
-        assert!(Mode::EventTriggered.is_event_triggered());
-        assert!(!Mode::EventTriggered.is_time_triggered());
-    }
 
     #[test]
     fn default_is_event_triggered() {

@@ -192,18 +192,6 @@ impl AppTimingProfile {
     pub fn max_t_dw_min(&self) -> usize {
         self.table.max_t_dw_min()
     }
-
-    /// Remaining laxity (the paper's deadline `D = T_w^* − T_w`) after having
-    /// already waited `waited` samples. `None` once the deadline is missed.
-    pub fn laxity(&self, waited: usize) -> Option<usize> {
-        self.max_wait().checked_sub(waited)
-    }
-
-    /// Whether an application that has waited `waited` samples can still meet
-    /// its requirement if granted the slot now.
-    pub fn can_still_meet_requirement(&self, waited: usize) -> bool {
-        waited <= self.max_wait()
-    }
 }
 
 #[cfg(test)]
@@ -261,17 +249,6 @@ mod tests {
             );
         }
         assert_eq!(profile.t_dw_min(profile.max_wait() + 1), None);
-    }
-
-    #[test]
-    fn laxity_counts_down_and_expires() {
-        let profile = demo_profile();
-        let max = profile.max_wait();
-        assert_eq!(profile.laxity(0), Some(max));
-        assert_eq!(profile.laxity(max), Some(0));
-        assert_eq!(profile.laxity(max + 1), None);
-        assert!(profile.can_still_meet_requirement(max));
-        assert!(!profile.can_still_meet_requirement(max + 1));
     }
 
     #[test]

@@ -60,31 +60,6 @@ impl ModeSchedule {
         })
     }
 
-    /// A schedule that never uses the TT slot (pure event-triggered).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] when the horizon is zero.
-    pub fn event_triggered_only(horizon: usize) -> Result<Self, CoreError> {
-        ModeSchedule::new(0, 0, horizon)
-    }
-
-    /// Number of event-triggered samples before the TT block (the wait time
-    /// `T_w`).
-    pub fn wait(&self) -> usize {
-        self.wait
-    }
-
-    /// Number of time-triggered samples (the dwell time `T_dw`).
-    pub fn dwell(&self) -> usize {
-        self.dwell
-    }
-
-    /// Total schedule length in samples.
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
     /// The mode at a given sample index.
     ///
     /// Samples at or beyond the horizon are event-triggered (the steady-state
@@ -98,15 +73,9 @@ impl ModeSchedule {
     }
 
     /// Expands the schedule into the per-sample mode sequence of length
-    /// [`ModeSchedule::horizon`].
+    /// `horizon`.
     pub fn to_modes(&self) -> Vec<Mode> {
         (0..self.horizon).map(|k| self.mode_at(k)).collect()
-    }
-
-    /// Number of TT samples actually consumed by this schedule — the resource
-    /// usage metric the paper's strategy minimizes.
-    pub fn tt_samples(&self) -> usize {
-        self.dwell
     }
 }
 
@@ -145,20 +114,9 @@ mod tests {
         let s = ModeSchedule::new(4, 4, 20).unwrap();
         let modes = s.to_modes();
         assert_eq!(modes.len(), 20);
-        assert!(modes[..4].iter().all(|m| m.is_event_triggered()));
-        assert!(modes[4..8].iter().all(|m| m.is_time_triggered()));
-        assert!(modes[8..].iter().all(|m| m.is_event_triggered()));
-        assert_eq!(s.tt_samples(), 4);
-        assert_eq!(s.wait(), 4);
-        assert_eq!(s.dwell(), 4);
-        assert_eq!(s.horizon(), 20);
-    }
-
-    #[test]
-    fn zero_dwell_is_pure_event_triggered() {
-        let s = ModeSchedule::event_triggered_only(10).unwrap();
-        assert!(s.to_modes().iter().all(|m| m.is_event_triggered()));
-        assert_eq!(s.tt_samples(), 0);
+        assert!(modes[..4].iter().all(|&m| m == Mode::EventTriggered));
+        assert!(modes[4..8].iter().all(|&m| m == Mode::TimeTriggered));
+        assert!(modes[8..].iter().all(|&m| m == Mode::EventTriggered));
     }
 
     #[test]
@@ -206,7 +164,7 @@ mod tests {
                 for (k, &m) in modes.iter().enumerate() {
                     prop_assert_eq!(m, s.mode_at(k));
                 }
-                let tt_count = modes.iter().filter(|m| m.is_time_triggered()).count();
+                let tt_count = modes.iter().filter(|&&m| m == Mode::TimeTriggered).count();
                 prop_assert_eq!(tt_count, dwell);
             }
         }

@@ -1,6 +1,5 @@
 //! The bi-modal switched application and its closed-loop simulator.
 
-use cps_control::switching_stability::{self, CommonLyapunov};
 use cps_control::{sim::Trajectory, DelayAugmented, Settling, StateFeedback, StateSpace};
 use cps_linalg::{Matrix, Vector};
 
@@ -10,8 +9,8 @@ use crate::{CoreError, Mode};
 /// (`K_T`, delay-free) and an event-triggered mode (`K_E`, one-sample delay).
 ///
 /// The struct owns everything needed to simulate the switched closed loop:
-/// the plant, both gains, the sampling period, the settling band and the
-/// canonical post-disturbance state. Construct it with
+/// the plant, both closed-loop matrices, the sampling period, the settling
+/// band and the canonical post-disturbance state. Construct it with
 /// [`SwitchedApplication::builder`].
 ///
 /// # Example
@@ -42,9 +41,6 @@ use crate::{CoreError, Mode};
 pub struct SwitchedApplication {
     name: String,
     plant: StateSpace,
-    augmented: DelayAugmented,
-    fast_gain: StateFeedback,
-    slow_gain: Vector,
     a_tt: Matrix,
     a_et: Matrix,
     a_tt_aug: Matrix,
@@ -65,26 +61,6 @@ impl SwitchedApplication {
         &self.name
     }
 
-    /// The underlying plant model.
-    pub fn plant(&self) -> &StateSpace {
-        &self.plant
-    }
-
-    /// The time-triggered (fast) gain `K_T`.
-    pub fn fast_gain(&self) -> &StateFeedback {
-        &self.fast_gain
-    }
-
-    /// The event-triggered (slow, augmented-state) gain `K_E`.
-    pub fn slow_gain(&self) -> &Vector {
-        &self.slow_gain
-    }
-
-    /// The delay-augmented model underlying the event-triggered mode.
-    pub fn delay_augmented(&self) -> &DelayAugmented {
-        &self.augmented
-    }
-
     /// Sampling period `h` in seconds.
     pub fn sampling_period(&self) -> f64 {
         self.sampling_period
@@ -93,11 +69,6 @@ impl SwitchedApplication {
     /// The settling-band evaluator.
     pub fn settling(&self) -> &Settling {
         &self.settling
-    }
-
-    /// The canonical post-disturbance plant state.
-    pub fn disturbance_state(&self) -> &Vector {
-        &self.disturbance_state
     }
 
     /// Closed-loop state matrix of the time-triggered mode, `Φ − Γ·K_T`.
@@ -138,11 +109,6 @@ impl SwitchedApplication {
     /// Converts a number of samples into seconds using the sampling period.
     pub fn samples_to_seconds(&self, samples: usize) -> f64 {
         samples as f64 * self.sampling_period
-    }
-
-    /// Converts a duration in seconds into (rounded-up) samples.
-    pub fn seconds_to_samples(&self, seconds: f64) -> usize {
-        (seconds / self.sampling_period).round() as usize
     }
 
     /// Simulates the switched closed loop for an explicit per-sample mode
@@ -236,75 +202,6 @@ impl SwitchedApplication {
         Ok(Trajectory::new(states, outputs))
     }
 
-    /// Advances a checkpointed augmented state one sample in `mode`, in
-    /// place: `z ← A(mode)·z`, using `scratch` as the gemv destination — zero
-    /// heap allocations. This is the batch-engine counterpart of one step of
-    /// [`SwitchedApplication::simulate_modes`]: starting from the same `z`,
-    /// both produce bitwise-identical successors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] when `z` or `scratch` does not
-    /// have the augmented dimension.
-    pub fn advance_augmented(
-        &self,
-        mode: Mode,
-        z: &mut Vector,
-        scratch: &mut Vector,
-    ) -> Result<(), CoreError> {
-        let dim = self.plant.state_dim() + 1;
-        if z.len() != dim || scratch.len() != dim {
-            return Err(CoreError::InvalidParameter {
-                reason: format!(
-                    "augmented state has {dim} entries, got z: {}, scratch: {}",
-                    z.len(),
-                    scratch.len()
-                ),
-            });
-        }
-        self.mode_matrix(mode)
-            .gemv_into(z, scratch)
-            .expect("augmented dimensions validated above");
-        std::mem::swap(z, scratch);
-        Ok(())
-    }
-
-    /// The plant output `y = [C 0]·z` of a checkpointed augmented state.
-    pub fn augmented_output(&self, z: &Vector) -> f64 {
-        self.c_aug.dot(z)
-    }
-
-    /// Advances the switched loop one sample in the given mode.
-    ///
-    /// * `M_T`: `u[k] = −K_T·x[k]` is applied within the sample, so
-    ///   `x⁺ = Φ·x + Γ·u[k]`.
-    /// * `M_E`: the freshly computed `u[k] = −K_E·[x[k]; u[k−1]]` only reaches
-    ///   the actuator one sample later, so `x⁺ = Φ·x + Γ·u[k−1]`.
-    ///
-    /// Returns the next plant state and the input that will act as `u[k−1]`
-    /// at the next sample.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension errors from the control layer.
-    pub fn step(&self, x: &Vector, u_prev: f64, mode: Mode) -> Result<(Vector, f64), CoreError> {
-        let n = self.plant.state_dim();
-        if x.len() != n {
-            return Err(CoreError::InvalidParameter {
-                reason: format!("state has {} entries, plant has {} states", x.len(), n),
-            });
-        }
-        let mut z = Vector::zeros(n + 1);
-        z.as_mut_slice()[..n].copy_from_slice(x.as_slice());
-        z.as_mut_slice()[n] = u_prev;
-        let mut next = Vector::zeros(n + 1);
-        self.mode_matrix(mode)
-            .gemv_into(&z, &mut next)
-            .expect("augmented dimensions validated above");
-        let next_x = Vector::from_slice(&next.as_slice()[..n]);
-        Ok((next_x, next.as_slice()[n]))
-    }
-
     /// Settling time, in samples, when the application stays in a single mode
     /// for the whole disturbance rejection.
     ///
@@ -332,38 +229,6 @@ impl SwitchedApplication {
             .ok_or(CoreError::DidNotSettle {
                 horizon: modes.len(),
             })
-    }
-
-    /// Searches for a common quadratic Lyapunov function of the two
-    /// closed-loop modes (the paper's switching-stability condition).
-    ///
-    /// The TT closed loop is lifted to the augmented state so that both modes
-    /// act on `[x; u_prev]`: in `M_T` the stored previous input is simply
-    /// replaced by the freshly applied `−K_T·x`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates numerical failures from the search.
-    pub fn switching_stability_certificate(&self) -> Result<Option<CommonLyapunov>, CoreError> {
-        Ok(switching_stability::search_common_lyapunov(
-            &self.a_tt_aug,
-            &self.a_et,
-            64,
-        )?)
-    }
-
-    /// The TT closed loop lifted to the augmented state `[x; u_prev]`:
-    ///
-    /// ```text
-    /// x⁺      = (Φ − Γ·K_T)·x
-    /// u_prev⁺ = −K_T·x
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates matrix construction errors.
-    pub fn tt_closed_loop_augmented(&self) -> Result<Matrix, CoreError> {
-        Ok(self.a_tt_aug.clone())
     }
 }
 
@@ -500,9 +365,8 @@ impl SwitchedApplicationBuilder {
             });
         }
 
-        let augmented = DelayAugmented::new(&plant)?;
         let a_tt = fast_gain.closed_loop(&plant)?;
-        let a_et = augmented.closed_loop(&slow_gain)?;
+        let a_et = DelayAugmented::new(&plant)?.closed_loop(&slow_gain)?;
         // Lift the TT closed loop to z = [x; u_prev] once, so the simulator
         // and the dwell engine advance either mode with a single gemv:
         //   x⁺ = (Φ − Γ·K_T)·x,  u_prev⁺ = −K_T·x.
@@ -524,9 +388,6 @@ impl SwitchedApplicationBuilder {
         Ok(SwitchedApplication {
             name: self.name,
             plant,
-            augmented,
-            fast_gain,
-            slow_gain,
             a_tt,
             a_et,
             a_tt_aug,
@@ -623,7 +484,7 @@ mod tests {
             .settling_threshold(0.02)
             .build()
             .unwrap();
-        assert_eq!(app.disturbance_state().as_slice(), &[1.0, 0.0]);
+        assert_eq!(app.disturbance_state.as_slice(), &[1.0, 0.0]);
     }
 
     #[test]
@@ -733,25 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn advance_augmented_matches_simulate_modes() {
-        let app = demo_app();
-        let modes = [
-            Mode::TimeTriggered,
-            Mode::EventTriggered,
-            Mode::TimeTriggered,
-        ];
-        let trajectory = app.simulate_modes(&modes).unwrap();
-        let mut z = app.initial_augmented_state();
-        let mut scratch = Vector::zeros(z.len());
-        assert_eq!(app.augmented_output(&z), trajectory.outputs()[0]);
-        for (k, mode) in modes.iter().enumerate() {
-            app.advance_augmented(*mode, &mut z, &mut scratch).unwrap();
-            assert_eq!(z.as_slice(), trajectory.states()[k + 1].as_slice());
-            assert_eq!(app.augmented_output(&z), trajectory.outputs()[k + 1]);
-        }
-    }
-
-    #[test]
     fn resume_validates_checkpoint_dimension() {
         let app = demo_app();
         assert!(app
@@ -763,41 +605,17 @@ mod tests {
     }
 
     #[test]
-    fn unit_conversions_roundtrip() {
+    fn samples_convert_to_seconds() {
         let app = demo_app();
         assert_eq!(app.samples_to_seconds(9), 0.18);
-        assert_eq!(app.seconds_to_samples(0.18), 9);
     }
 
     #[test]
     fn augmented_tt_closed_loop_has_gain_in_last_row() {
         let app = demo_app();
-        let a = app.tt_closed_loop_augmented().unwrap();
+        let a = app.mode_matrix(Mode::TimeTriggered);
         assert_eq!(a.dims(), (2, 2));
         assert!((a[(1, 0)] + 8.0).abs() < 1e-12);
         assert_eq!(a[(1, 1)], 0.0);
-    }
-
-    #[test]
-    fn switching_stability_certificate_is_sound_when_found() {
-        let app = demo_app();
-        // The search is a heuristic: it may or may not find a certificate for
-        // this pair, but any certificate it returns must actually certify both
-        // closed-loop modes.
-        if let Some(cert) = app.switching_stability_certificate().unwrap() {
-            let a_et = app.et_closed_loop().clone();
-            let a_tt = app.tt_closed_loop_augmented().unwrap();
-            for a in [&a_et, &a_tt] {
-                let diff = a
-                    .transpose()
-                    .mul(cert.matrix())
-                    .unwrap()
-                    .mul(a)
-                    .unwrap()
-                    .sub(cert.matrix())
-                    .unwrap();
-                assert!(cps_linalg::lyapunov::is_negative_definite(&diff).unwrap());
-            }
-        }
     }
 }

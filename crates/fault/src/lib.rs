@@ -107,18 +107,12 @@ impl fmt::Display for FaultSite {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     injected: [usize; FAULT_SITES.len()],
-    consulted: [usize; FAULT_SITES.len()],
 }
 
 impl FaultStats {
     /// Faults injected at `site`.
     pub fn injected(&self, site: FaultSite) -> usize {
         self.injected[site.index()]
-    }
-
-    /// Times `site` was consulted (fired or not).
-    pub fn consulted(&self, site: FaultSite) -> usize {
-        self.consulted[site.index()]
     }
 
     /// Total faults injected across all sites.
@@ -207,23 +201,12 @@ impl FaultPlan {
         self
     }
 
-    /// The seed this plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// `true` when no site can ever fire.
-    pub fn is_inert(&self) -> bool {
-        self.rates.0.iter().all(|&r| r == 0)
-    }
-
     /// Consults `site`: advances its decision stream and reports whether the
     /// fault fires now. Deterministic in (seed, site, consultation count).
     pub fn trip(&mut self, site: FaultSite) -> bool {
         let i = site.index();
         let n = self.counters[i];
         self.counters[i] += 1;
-        self.stats.consulted[i] += 1;
         let rate = self.rates.0[i];
         if rate == 0 {
             return false;
@@ -290,9 +273,8 @@ mod tests {
         for _ in 0..100 {
             assert!(!plan.trip(FaultSite::WorkerPanicPre));
         }
-        assert!(plan.is_inert());
         assert_eq!(plan.stats().injected(FaultSite::WorkerPanicPre), 0);
-        assert_eq!(plan.stats().consulted(FaultSite::WorkerPanicPre), 100);
+        assert_eq!(plan.counters[FaultSite::WorkerPanicPre.index()], 100);
         assert_eq!(plan.stats().total_injected(), 0);
     }
 
@@ -366,8 +348,8 @@ mod tests {
         let bytes: Vec<u8> = (0..64).collect();
         let mut inert = FaultPlan::none();
         assert_eq!(inert.damage(bytes.clone()), bytes);
-        assert_eq!(inert.stats().consulted(FaultSite::SnapshotTornWrite), 1);
-        assert_eq!(inert.stats().consulted(FaultSite::SnapshotBitFlip), 1);
+        assert_eq!(inert.counters[FaultSite::SnapshotTornWrite.index()], 1);
+        assert_eq!(inert.counters[FaultSite::SnapshotBitFlip.index()], 1);
 
         let build = || {
             FaultPlan::seeded(5)

@@ -1,14 +1,9 @@
 //! Open-addressing intern index with cached entry hashes.
 
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
-
 /// Empty-bucket sentinel; interned ids must stay below it.
 const EMPTY: u32 = u32::MAX;
 /// Buckets allocated on first use; always a power of two.
 const INITIAL_CAPACITY: usize = 1 << 10;
-
-/// Snapshot kind tag of [`CachedHashIndex`].
-const KIND: [u8; 4] = *b"CHIX";
 
 /// Work counters of a [`CachedHashIndex`], cumulative over the index's
 /// lifetime (they survive [`CachedHashIndex::reset`], so a long-lived engine
@@ -67,21 +62,6 @@ pub struct CachedHashIndex {
 }
 
 impl CachedHashIndex {
-    /// Creates an empty index; buckets are allocated lazily on first use.
-    pub fn new() -> Self {
-        CachedHashIndex::default()
-    }
-
-    /// Number of interned entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no entry is interned.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Cumulative work counters (survive [`CachedHashIndex::reset`]).
     pub fn stats(&self) -> &IndexStats {
         &self.stats
@@ -164,75 +144,6 @@ impl CachedHashIndex {
         let _ = slot;
     }
 
-    /// Writes the index into a snapshot payload, bucket positions included,
-    /// so the restored index probes exactly like the saved one. Work
-    /// counters are not persisted — a restored index counts from zero.
-    pub fn write_snapshot(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.len);
-        w.put_usize(self.ids.len());
-        for (&hash, &id) in self.hashes.iter().zip(&self.ids) {
-            w.put_u64(hash);
-            w.put_u32(id);
-        }
-    }
-
-    /// Reads an index previously written by
-    /// [`CachedHashIndex::write_snapshot`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation, a non-power-of-two capacity, or an
-    /// entry count that disagrees with the stored buckets.
-    pub fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let len = r.take_usize()?;
-        let capacity = r.take_usize()?;
-        if capacity != 0 && !capacity.is_power_of_two() {
-            return Err(SnapshotError::Corrupt {
-                reason: format!("index capacity {capacity} is not a power of two"),
-            });
-        }
-        let mut hashes = Vec::with_capacity(capacity.min(1 << 24));
-        let mut ids = Vec::with_capacity(capacity.min(1 << 24));
-        let mut occupied = 0usize;
-        for _ in 0..capacity {
-            let hash = r.take_u64()?;
-            let id = r.take_u32()?;
-            occupied += usize::from(id != EMPTY);
-            hashes.push(hash);
-            ids.push(id);
-        }
-        if occupied != len {
-            return Err(SnapshotError::Corrupt {
-                reason: format!("index claims {len} entries but stores {occupied}"),
-            });
-        }
-        Ok(CachedHashIndex {
-            hashes,
-            ids,
-            len,
-            stats: IndexStats::default(),
-        })
-    }
-
-    /// Serializes the index as a standalone snapshot.
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new(KIND);
-        self.write_snapshot(&mut w);
-        w.finish()
-    }
-
-    /// Restores an index from [`CachedHashIndex::to_snapshot_bytes`] output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates framing and payload violations as [`SnapshotError`].
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = SnapshotReader::open(bytes, KIND)?;
-        let index = CachedHashIndex::read_snapshot(&mut r)?;
-        r.finish()?;
-        Ok(index)
-    }
-
     /// Doubles the bucket array, re-bucketing every entry from its cached
     /// hash — no key is re-hashed.
     fn grow(&mut self) {
@@ -278,22 +189,22 @@ mod tests {
 
     #[test]
     fn interns_and_deduplicates() {
-        let mut index = CachedHashIndex::new();
+        let mut index = CachedHashIndex::default();
         let mut arena = Vec::new();
-        assert!(index.is_empty());
+        assert_eq!(index.len, 0);
         let a = intern_words(&mut index, &mut arena, &[1, 2, 3]);
         let b = intern_words(&mut index, &mut arena, &[4, 5, 6]);
         let a2 = intern_words(&mut index, &mut arena, &[1, 2, 3]);
         assert_eq!(a, a2);
         assert_ne!(a, b);
-        assert_eq!(index.len(), 2);
+        assert_eq!(index.len, 2);
         assert_eq!(index.stats().probes, 3);
         assert_eq!(index.stats().hits, 1);
     }
 
     #[test]
     fn growth_rebuckets_from_cached_hashes_and_preserves_entries() {
-        let mut index = CachedHashIndex::new();
+        let mut index = CachedHashIndex::default();
         let mut arena = Vec::new();
         // Enough entries to force at least one growth past the initial
         // capacity's 3/4 load bound.
@@ -308,7 +219,7 @@ mod tests {
             let id = intern_words(&mut index, &mut arena, &[i, i ^ 7]);
             assert_eq!(arena[id as usize], vec![i, i ^ 7]);
         }
-        assert_eq!(index.len(), n);
+        assert_eq!(index.len, n);
         assert_eq!(arena.len(), n);
     }
 
@@ -316,7 +227,7 @@ mod tests {
     /// but different words are still distinguished by the interner.
     #[test]
     fn forced_hash_collisions_are_distinguished_by_exact_equality() {
-        let mut index = CachedHashIndex::new();
+        let mut index = CachedHashIndex::default();
         let arena: Vec<Vec<u32>> = vec![vec![1, 2], vec![3, 4], vec![5, 6]];
         let colliding_hash = 0xDEAD_BEEF_u64;
         assert_eq!(
@@ -329,7 +240,7 @@ mod tests {
             index.intern(colliding_hash, |id| arena[id as usize] == [3, 4], 1),
             None
         );
-        assert_eq!(index.len(), 2);
+        assert_eq!(index.len, 2);
         assert!(index.stats().deep_compares >= 1);
         // Lookups under the colliding hash resolve to the right ids.
         assert_eq!(
@@ -351,17 +262,17 @@ mod tests {
 
     #[test]
     fn an_overwritten_id_is_the_one_the_entry_resolves_to() {
-        let mut index = CachedHashIndex::new();
+        let mut index = CachedHashIndex::default();
         let hash = seq_fingerprint(&[7]);
         assert_eq!(index.intern(hash, |_| true, 0), None);
         *index.intern(hash, |id| id == 0, 1).unwrap() = 5;
         assert_eq!(index.intern(hash, |id| id == 5, 1), Some(&mut 5));
-        assert_eq!(index.len(), 1);
+        assert_eq!(index.len, 1);
     }
 
     #[test]
     fn prefetch_is_only_a_hint() {
-        let mut index = CachedHashIndex::new();
+        let mut index = CachedHashIndex::default();
         // Before the first allocation there is no bucket to fetch.
         index.prefetch(0xDEAD_BEEF);
         let mut arena = Vec::new();
@@ -370,86 +281,32 @@ mod tests {
             intern_words(&mut index, &mut arena, &[i]);
         }
         let stats = *index.stats();
-        let bytes = index.to_snapshot_bytes();
+        let buckets = (index.hashes.clone(), index.ids.clone());
         for hash in [0, u64::MAX, seq_fingerprint(&[7])] {
             index.prefetch(hash);
         }
         assert_eq!(index.stats(), &stats, "prefetching counts no work");
         assert_eq!(
-            index.to_snapshot_bytes(),
-            bytes,
+            (index.hashes.clone(), index.ids.clone()),
+            buckets,
             "prefetching moves no entry"
         );
     }
 
     #[test]
     fn reset_keeps_capacity_and_cumulative_stats() {
-        let mut index = CachedHashIndex::new();
+        let mut index = CachedHashIndex::default();
         let mut arena = Vec::new();
         for i in 0..100u32 {
             intern_words(&mut index, &mut arena, &[i]);
         }
         let probes_before = index.stats().probes;
         index.reset();
-        assert!(index.is_empty());
+        assert_eq!(index.len, 0);
         assert_eq!(index.stats().probes, probes_before, "stats survive reset");
         let mut arena2 = Vec::new();
         let id = intern_words(&mut index, &mut arena2, &[42]);
         assert_eq!(id, 0, "ids restart after reset");
-    }
-
-    #[test]
-    fn snapshot_roundtrip_preserves_bucket_layout() {
-        let mut index = CachedHashIndex::new();
-        let mut arena = Vec::new();
-        for i in 0..900u32 {
-            intern_words(&mut index, &mut arena, &[i, i.wrapping_mul(31)]);
-        }
-        let bytes = index.to_snapshot_bytes();
-        let mut restored = CachedHashIndex::from_snapshot_bytes(&bytes).unwrap();
-        assert_eq!(restored.len(), index.len());
-        assert_eq!(restored.stats(), &IndexStats::default(), "counters restart");
-        // Layout-identical: re-serializing reproduces the same bytes, and
-        // every key resolves to its original id without new inserts.
-        assert_eq!(restored.to_snapshot_bytes(), bytes);
-        for i in 0..900u32 {
-            let id = intern_words(&mut restored, &mut arena, &[i, i.wrapping_mul(31)]);
-            assert_eq!(arena[id as usize], vec![i, i.wrapping_mul(31)]);
-        }
-        assert_eq!(restored.len(), 900);
-
-        // An empty (never grown) index roundtrips too.
-        let empty = CachedHashIndex::new();
-        let restored = CachedHashIndex::from_snapshot_bytes(&empty.to_snapshot_bytes()).unwrap();
-        assert!(restored.is_empty());
-    }
-
-    #[test]
-    fn snapshot_rejects_inconsistent_payloads() {
-        // Capacity that is not a power of two.
-        let mut w = crate::snapshot::SnapshotWriter::new(*b"CHIX");
-        w.put_usize(0);
-        w.put_usize(3);
-        for _ in 0..3 {
-            w.put_u64(0);
-            w.put_u32(EMPTY);
-        }
-        assert!(matches!(
-            CachedHashIndex::from_snapshot_bytes(&w.finish()).unwrap_err(),
-            SnapshotError::Corrupt { .. }
-        ));
-        // Entry count that disagrees with the stored buckets.
-        let mut w = crate::snapshot::SnapshotWriter::new(*b"CHIX");
-        w.put_usize(2);
-        w.put_usize(4);
-        for _ in 0..4 {
-            w.put_u64(7);
-            w.put_u32(EMPTY);
-        }
-        assert!(matches!(
-            CachedHashIndex::from_snapshot_bytes(&w.finish()).unwrap_err(),
-            SnapshotError::Corrupt { .. }
-        ));
     }
 
     #[test]

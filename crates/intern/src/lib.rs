@@ -34,12 +34,13 @@
 //! engines surface through `VerifyStats` / `TierStats` and the `BENCH_*.json`
 //! reports.
 //!
-//! For long-running services the containers also persist: [`snapshot`]
+//! For long-running services the verdict cache also persists: [`snapshot`]
 //! defines a versioned, dependency-free binary format (magic, kind tag,
-//! checksum), and each container offers layout-preserving
-//! `write_snapshot`/`read_snapshot` plus standalone
-//! `to_snapshot_bytes`/`from_snapshot_bytes`, so an admission service
-//! warm-starts across restarts with bit-identical probe paths and verdicts.
+//! checksum), and [`TwoWayTranspositionTable`] offers layout-preserving
+//! `write_snapshot`/`read_snapshot`, so an admission service warm-starts
+//! across restarts with bit-identical probe paths and verdicts. The
+//! verifier rebuilds its [`ZobristKeys`] and [`CachedHashIndex`] on every
+//! run, so neither is persisted.
 //! [`store`] adds the crash-safety layer on disk: atomic temp+rename writes,
 //! generation-numbered rotation with bounded retention, and a recovery
 //! ladder (latest → previous generations → cold rebuild) that treats

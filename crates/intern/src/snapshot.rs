@@ -23,9 +23,8 @@
 //! type picks a four-byte tag) and the checksum covers header and payload.
 //! [`SnapshotWriter`] / [`SnapshotReader`] implement the framing;
 //! [`Persist`] is the per-type payload codec, implemented here for the
-//! primitives and sequences the containers need and by the containers
-//! themselves ([`crate::ZobristKeys`], [`crate::CachedHashIndex`],
-//! [`crate::TwoWayTranspositionTable`]).
+//! primitives and sequences the persisted containers need
+//! ([`crate::TwoWayTranspositionTable`] and the mapping cascade's caches).
 //!
 //! Since format version 2 a payload may additionally be divided into
 //! *sections* ([`SnapshotWriter::begin_section`] /

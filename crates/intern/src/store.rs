@@ -95,23 +95,6 @@ pub enum Recovery<T> {
     },
 }
 
-impl<T> Recovery<T> {
-    /// The decoded value, if any generation was loaded.
-    pub fn value(self) -> Option<T> {
-        match self {
-            Recovery::Loaded { value, .. } => Some(value),
-            Recovery::ColdRebuild { .. } => None,
-        }
-    }
-
-    /// Generations rejected during the walk, newest first.
-    pub fn skipped(&self) -> &[(u64, String)] {
-        match self {
-            Recovery::Loaded { skipped, .. } | Recovery::ColdRebuild { skipped } => skipped,
-        }
-    }
-}
-
 /// A directory of generation-numbered snapshot files with atomic writes,
 /// bounded retention and a newest-first recovery ladder. See the module docs.
 #[derive(Debug)]
@@ -143,11 +126,6 @@ impl SnapshotStore {
     pub fn with_retention(mut self, retain: usize) -> Self {
         self.retain = retain.max(1);
         self
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// On-disk path of generation `gen` (whether or not it exists).

@@ -2,9 +2,6 @@
 
 use crate::snapshot::{Persist, SnapshotError, SnapshotReader, SnapshotWriter};
 
-/// Snapshot kind tag of [`TwoWayTranspositionTable`].
-const KIND: [u8; 4] = *b"TWTT";
-
 /// Work counters of a [`TwoWayTranspositionTable`], cumulative over its
 /// lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,21 +57,6 @@ impl<K: Eq, V> TwoWayTranspositionTable<K, V> {
             bucket_mask: (buckets - 1) as u64,
             stats: TtStats::default(),
         }
-    }
-
-    /// Maximum number of entries the table can hold.
-    pub fn capacity(&self) -> usize {
-        self.ways.len()
-    }
-
-    /// Number of entries currently stored.
-    pub fn len(&self) -> usize {
-        self.ways.iter().filter(|w| w.is_some()).count()
-    }
-
-    /// `true` when no entry is stored.
-    pub fn is_empty(&self) -> bool {
-        self.ways.iter().all(|w| w.is_none())
     }
 
     /// Cumulative work counters.
@@ -206,36 +188,37 @@ impl<K: Eq + Persist, V: Persist> TwoWayTranspositionTable<K, V> {
             stats: TtStats::default(),
         })
     }
-
-    /// Serializes the table as a standalone snapshot.
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new(KIND);
-        self.write_snapshot(&mut w);
-        w.finish()
-    }
-
-    /// Restores a table from [`TwoWayTranspositionTable::to_snapshot_bytes`]
-    /// output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates framing and payload violations as [`SnapshotError`].
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = SnapshotReader::open(bytes, KIND)?;
-        let tt = TwoWayTranspositionTable::read_snapshot(&mut r)?;
-        r.finish()?;
-        Ok(tt)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Frames a table the way a containing snapshot section does.
+    fn encode<K: Eq + Persist, V: Persist>(tt: &TwoWayTranspositionTable<K, V>) -> Vec<u8> {
+        let mut w = SnapshotWriter::new(*b"TWTT");
+        tt.write_snapshot(&mut w);
+        w.finish()
+    }
+
+    fn decode<K: Eq + Persist, V: Persist>(
+        bytes: &[u8],
+    ) -> Result<TwoWayTranspositionTable<K, V>, SnapshotError> {
+        let mut r = SnapshotReader::open(bytes, *b"TWTT")?;
+        let tt = TwoWayTranspositionTable::read_snapshot(&mut r)?;
+        r.finish()?;
+        Ok(tt)
+    }
+
+    /// Number of entries stored.
+    fn stored<K, V>(tt: &TwoWayTranspositionTable<K, V>) -> usize {
+        tt.ways.iter().flatten().count()
+    }
+
     #[test]
     fn stores_and_retrieves_on_exact_key_match() {
         let mut tt: TwoWayTranspositionTable<Vec<u32>, bool> = TwoWayTranspositionTable::new(8);
-        assert!(tt.is_empty());
+        assert_eq!(stored(&tt), 0);
         tt.insert(42, 3, vec![1, 2, 3], true);
         assert_eq!(tt.get(42, &vec![1, 2, 3]), Some(&true));
         assert_eq!(
@@ -253,7 +236,7 @@ mod tests {
         let mut tt: TwoWayTranspositionTable<u32, u32> = TwoWayTranspositionTable::new(4);
         tt.insert(7, 1, 7, 10);
         tt.insert(7, 2, 7, 20);
-        assert_eq!(tt.len(), 1);
+        assert_eq!(stored(&tt), 1);
         assert_eq!(tt.get(7, &7), Some(&20));
     }
 
@@ -271,7 +254,7 @@ mod tests {
             "the deep entry must survive in the depth-preferred way"
         );
         assert!(tt.stats().evictions > 0, "the shallow flood must evict");
-        assert_eq!(tt.capacity(), 2);
+        assert_eq!(tt.ways.len(), 2);
     }
 
     #[test]
@@ -292,14 +275,14 @@ mod tests {
         for i in 0..20u32 {
             tt.insert(u64::from(i) * 0x9E37, i % 5, vec![i, i + 1], i % 2 == 0);
         }
-        let bytes = tt.to_snapshot_bytes();
-        let mut restored = TwoWayTranspositionTable::from_snapshot_bytes(&bytes).unwrap();
-        assert_eq!(restored.capacity(), tt.capacity());
-        assert_eq!(restored.len(), tt.len());
+        let bytes = encode(&tt);
+        let mut restored: TwoWayTranspositionTable<Vec<u32>, bool> = decode(&bytes).unwrap();
+        assert_eq!(restored.ways.len(), tt.ways.len());
+        assert_eq!(stored(&restored), stored(&tt));
         assert_eq!(restored.stats(), &TtStats::default(), "counters restart");
         // Way-for-way identical: re-serializing reproduces the same bytes,
         // and every surviving entry answers exactly as in the original.
-        assert_eq!(restored.to_snapshot_bytes(), bytes);
+        assert_eq!(encode(&restored), bytes);
         for i in 0..20u32 {
             let key = vec![i, i + 1];
             let fp = u64::from(i) * 0x9E37;
@@ -312,7 +295,7 @@ mod tests {
         let mut w = crate::snapshot::SnapshotWriter::new(*b"TWTT");
         w.put_usize(3);
         assert!(matches!(
-            TwoWayTranspositionTable::<u32, bool>::from_snapshot_bytes(&w.finish()).unwrap_err(),
+            decode::<u32, bool>(&w.finish()).unwrap_err(),
             SnapshotError::Corrupt { .. }
         ));
     }
@@ -320,8 +303,8 @@ mod tests {
     #[test]
     fn bucket_count_rounds_up_to_a_power_of_two() {
         let tt: TwoWayTranspositionTable<u32, u32> = TwoWayTranspositionTable::new(5);
-        assert_eq!(tt.capacity(), 16);
+        assert_eq!(tt.ways.len(), 16);
         let tt: TwoWayTranspositionTable<u32, u32> = TwoWayTranspositionTable::new(0);
-        assert_eq!(tt.capacity(), 2);
+        assert_eq!(tt.ways.len(), 2);
     }
 }

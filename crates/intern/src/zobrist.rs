@@ -8,14 +8,9 @@
 //! fingerprints recorded in one session (memo snapshots, bench reports)
 //! remain comparable in the next.
 
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
-
 /// Per-slot key tables are cached up to this many codes; larger codes fall
 /// back to [`zobrist_key`] (bit-identical values, just not prefetched).
 const TABLE_CAP: usize = 1024;
-
-/// Snapshot kind tag of [`ZobristKeys`].
-const KIND: [u8; 4] = *b"ZOBR";
 
 /// The Zobrist key of `(slot, code)`: the splitmix64 finalizer applied to
 /// the packed pair. Bijective in the packed input, so distinct pairs below
@@ -66,11 +61,6 @@ impl ZobristKeys {
         ZobristKeys { tables }
     }
 
-    /// Number of slots the key material covers.
-    pub fn slots(&self) -> usize {
-        self.tables.len()
-    }
-
     /// The key of `(slot, code)` — identical to [`zobrist_key`].
     #[inline]
     pub fn key(&self, slot: usize, code: u32) -> u64 {
@@ -89,57 +79,6 @@ impl ZobristKeys {
             .enumerate()
             .fold(0, |fp, (slot, code)| fp ^ self.key(slot, code))
     }
-
-    /// Writes the key material into a snapshot payload. Keys are a fixed
-    /// bijective function of `(slot, code)`, so only the per-slot table
-    /// lengths need to be stored — restore re-derives the cached values.
-    pub fn write_snapshot(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.tables.len());
-        for table in &self.tables {
-            w.put_usize(table.len());
-        }
-    }
-
-    /// Reads key material previously written by
-    /// [`ZobristKeys::write_snapshot`]. The restored keys are bit-identical
-    /// to the saved ones (both are [`zobrist_key`] values).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation or a table length beyond the cache cap.
-    pub fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let slots = r.take_usize()?;
-        let mut lens = Vec::with_capacity(slots.min(1 << 20));
-        for _ in 0..slots {
-            let len = r.take_usize()?;
-            if len > TABLE_CAP {
-                return Err(SnapshotError::Corrupt {
-                    reason: format!("zobrist table length {len} exceeds the cache cap {TABLE_CAP}"),
-                });
-            }
-            lens.push(len as u64);
-        }
-        Ok(ZobristKeys::new(lens))
-    }
-
-    /// Serializes the key material as a standalone snapshot.
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new(KIND);
-        self.write_snapshot(&mut w);
-        w.finish()
-    }
-
-    /// Restores key material from [`ZobristKeys::to_snapshot_bytes`] output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates framing and payload violations as [`SnapshotError`].
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = SnapshotReader::open(bytes, KIND)?;
-        let keys = ZobristKeys::read_snapshot(&mut r)?;
-        r.finish()?;
-        Ok(keys)
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +89,7 @@ mod tests {
     #[test]
     fn cached_and_stateless_keys_agree() {
         let keys = ZobristKeys::new([4u64, 70_000, 1]);
-        assert_eq!(keys.slots(), 3);
+        assert_eq!(keys.tables.len(), 3);
         for slot in 0..3 {
             for code in [0u32, 1, 3, 1023, 1024, 65_535, 69_999] {
                 assert_eq!(keys.key(slot, code), zobrist_key(slot, code));
@@ -175,28 +114,6 @@ mod tests {
         assert_eq!(fp, seq_fingerprint(&[3, 1]) ^ zobrist_key(2, 4));
         assert_ne!(fp, seq_fingerprint(&[4, 1, 3]));
         assert_eq!(seq_fingerprint(&[]), 0);
-    }
-
-    #[test]
-    fn snapshot_roundtrip_is_bit_identical() {
-        let keys = ZobristKeys::new([4u64, 70_000, 1, 0]);
-        let restored = ZobristKeys::from_snapshot_bytes(&keys.to_snapshot_bytes()).unwrap();
-        assert_eq!(restored.slots(), keys.slots());
-        for slot in 0..keys.slots() {
-            for code in [0u32, 1, 1023, 1024, 69_999] {
-                assert_eq!(restored.key(slot, code), keys.key(slot, code));
-            }
-        }
-        // The re-serialized snapshot is byte-identical.
-        assert_eq!(restored.to_snapshot_bytes(), keys.to_snapshot_bytes());
-        // An oversized table length is rejected rather than re-cached.
-        let mut w = crate::snapshot::SnapshotWriter::new(*b"ZOBR");
-        w.put_usize(1);
-        w.put_usize(TABLE_CAP + 1);
-        assert!(matches!(
-            ZobristKeys::from_snapshot_bytes(&w.finish()).unwrap_err(),
-            SnapshotError::Corrupt { .. }
-        ));
     }
 
     proptest! {

@@ -258,7 +258,7 @@ mod tests {
         let mut via_trait = Vector::zeros(3);
         MatrixOps::gemv(&a, &x, &mut via_trait);
         let via_inherent = a.mul_vector(&x).unwrap();
-        for (t, i) in via_trait.iter().zip(via_inherent.iter()) {
+        for (t, i) in via_trait.as_slice().iter().zip(via_inherent.as_slice()) {
             assert_eq!(t.to_bits(), i.to_bits());
         }
         assert_eq!(

@@ -1,9 +1,8 @@
-//! LU decomposition with partial pivoting, linear solves, inverses and
-//! determinants.
+//! LU decomposition with partial pivoting, linear solves and inverses.
 //!
 //! The decomposition is the basis of all "solve"-type operations in the
-//! workspace: inverting closed-loop transformation matrices, solving the
-//! Kronecker-vectorized Lyapunov system, and computing Ackermann gains.
+//! workspace: solving the Kronecker-vectorized Lyapunov system and
+//! inverting its solution for the dwell engine's early-exit bound.
 
 use crate::{LinalgError, Matrix, Vector};
 
@@ -14,8 +13,8 @@ const PIVOT_TOLERANCE: f64 = 1e-12;
 /// An LU decomposition `P·A = L·U` of a square matrix with partial pivoting.
 ///
 /// The factors are stored compactly: `lu` holds `U` in its upper triangle and
-/// the sub-diagonal multipliers of `L` below it, `perm` records the row
-/// permutation and `sign` the permutation parity (used by the determinant).
+/// the sub-diagonal multipliers of `L` below it and `perm` records the row
+/// permutation.
 ///
 /// # Example
 ///
@@ -34,7 +33,6 @@ const PIVOT_TOLERANCE: f64 = 1e-12;
 pub struct LuDecomposition {
     lu: Matrix,
     perm: Vec<usize>,
-    sign: f64,
 }
 
 impl LuDecomposition {
@@ -52,7 +50,6 @@ impl LuDecomposition {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
 
         for k in 0..n {
             // Partial pivoting: find the row with the largest magnitude in
@@ -76,7 +73,6 @@ impl LuDecomposition {
                     lu[(pivot_row, j)] = tmp;
                 }
                 perm.swap(k, pivot_row);
-                sign = -sign;
             }
             for i in (k + 1)..n {
                 let factor = lu[(i, k)] / lu[(k, k)];
@@ -87,21 +83,12 @@ impl LuDecomposition {
             }
         }
 
-        Ok(LuDecomposition { lu, perm, sign })
+        Ok(LuDecomposition { lu, perm })
     }
 
     /// Dimension of the decomposed matrix.
     pub fn dim(&self) -> usize {
         self.lu.rows()
-    }
-
-    /// Determinant of the original matrix.
-    pub fn determinant(&self) -> f64 {
-        let mut det = self.sign;
-        for i in 0..self.dim() {
-            det *= self.lu[(i, i)];
-        }
-        det
     }
 
     /// Solves `A·x = b` for a single right-hand side.
@@ -174,31 +161,6 @@ impl LuDecomposition {
     }
 }
 
-/// Solves the linear system `A·x = b`.
-///
-/// Convenience wrapper around [`LuDecomposition`].
-///
-/// # Errors
-///
-/// Returns an error when `a` is rectangular, singular, or `b` has the wrong
-/// length.
-///
-/// # Example
-///
-/// ```
-/// use cps_linalg::{decomp, Matrix, Vector};
-///
-/// # fn main() -> Result<(), cps_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]])?;
-/// let x = decomp::solve(&a, &Vector::from_slice(&[2.0, 8.0]))?;
-/// assert_eq!(x.as_slice(), &[1.0, 2.0]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn solve(a: &Matrix, b: &Vector) -> Result<Vector, LinalgError> {
-    LuDecomposition::new(a)?.solve_vector(b)
-}
-
 /// Computes the inverse of a square matrix.
 ///
 /// # Errors
@@ -206,22 +168,6 @@ pub fn solve(a: &Matrix, b: &Vector) -> Result<Vector, LinalgError> {
 /// Returns an error when `a` is rectangular or singular.
 pub fn inverse(a: &Matrix) -> Result<Matrix, LinalgError> {
     LuDecomposition::new(a)?.inverse()
-}
-
-/// Computes the determinant of a square matrix.
-///
-/// Singular matrices return `0.0` rather than an error, because a zero
-/// determinant is a meaningful answer for them.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::NotSquare`] when `a` is rectangular.
-pub fn determinant(a: &Matrix) -> Result<f64, LinalgError> {
-    match LuDecomposition::new(a) {
-        Ok(lu) => Ok(lu.determinant()),
-        Err(LinalgError::Singular) => Ok(0.0),
-        Err(e) => Err(e),
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +179,7 @@ mod tests {
         let a =
             Matrix::from_rows(&[&[3.0, 2.0, -1.0], &[2.0, -2.0, 4.0], &[-1.0, 0.5, -1.0]]).unwrap();
         let b = Vector::from_slice(&[1.0, -2.0, 0.0]);
-        let x = solve(&a, &b).unwrap();
+        let x = LuDecomposition::new(&a).unwrap().solve_vector(&b).unwrap();
         assert!(x.approx_eq(&Vector::from_slice(&[1.0, -2.0, -2.0]), 1e-9));
     }
 
@@ -241,7 +187,10 @@ mod tests {
     fn solve_requires_pivoting() {
         // Leading zero forces a row swap.
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let x = solve(&a, &Vector::from_slice(&[2.0, 3.0])).unwrap();
+        let x = LuDecomposition::new(&a)
+            .unwrap()
+            .solve_vector(&Vector::from_slice(&[2.0, 3.0]))
+            .unwrap();
         assert!(x.approx_eq(&Vector::from_slice(&[3.0, 2.0]), 1e-12));
     }
 
@@ -254,26 +203,10 @@ mod tests {
     }
 
     #[test]
-    fn determinant_of_known_matrices() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert!((determinant(&a).unwrap() + 2.0).abs() < 1e-12);
-        assert!((determinant(&Matrix::identity(3)).unwrap() - 1.0).abs() < 1e-12);
-        // Singular matrix has determinant 0.
-        let s = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
-        assert_eq!(determinant(&s).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn determinant_sign_tracks_permutations() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        assert!((determinant(&a).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn singular_matrix_is_rejected_by_solver() {
         let s = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
         assert!(matches!(
-            solve(&s, &Vector::from_slice(&[1.0, 1.0])),
+            LuDecomposition::new(&s),
             Err(LinalgError::Singular)
         ));
     }
@@ -329,7 +262,7 @@ mod tests {
                 b in proptest::collection::vec(-10.0..10.0f64, 3)
             ) {
                 let b = Vector::from_vec(b);
-                let x = solve(&a, &b).unwrap();
+                let x = LuDecomposition::new(&a).unwrap().solve_vector(&b).unwrap();
                 let back = a.mul_vector(&x).unwrap();
                 prop_assert!(back.approx_eq(&b, 1e-6));
             }
@@ -339,17 +272,6 @@ mod tests {
                 let inv = inverse(&a).unwrap();
                 prop_assert!(a.mul(&inv).unwrap().approx_eq(&Matrix::identity(3), 1e-6));
                 prop_assert!(inv.mul(&a).unwrap().approx_eq(&Matrix::identity(3), 1e-6));
-            }
-
-            #[test]
-            fn determinant_of_product_is_product_of_determinants(
-                a in well_conditioned_matrix(),
-                b in well_conditioned_matrix()
-            ) {
-                let da = determinant(&a).unwrap();
-                let db = determinant(&b).unwrap();
-                let dab = determinant(&a.mul(&b).unwrap()).unwrap();
-                prop_assert!((dab - da * db).abs() < 1e-6 * (1.0 + dab.abs()));
             }
         }
     }

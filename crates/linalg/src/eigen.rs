@@ -7,6 +7,12 @@
 //! its (possibly complex) roots simultaneously. This is simple, has no special
 //! cases for complex conjugate pairs, and is numerically more than adequate
 //! for the orders involved.
+//!
+//! No pipeline stage calls this module: the dwell engine certifies its early
+//! exit with the Lyapunov solver instead. It stays as the independent
+//! stability check that tests compare against: the Lyapunov solver's tests,
+//! the case-study gain tests of `cps-apps`, and the random stable plants of
+//! the root `tests/engine_oracle.rs`.
 
 use std::fmt;
 
@@ -77,11 +83,6 @@ impl Complex {
             (self.im * other.re - self.re * other.im) / denom,
         )
     }
-
-    /// Returns `true` when the imaginary part is negligible.
-    pub fn is_real(&self, tol: f64) -> bool {
-        self.im.abs() < tol
-    }
 }
 
 impl fmt::Display for Complex {
@@ -117,17 +118,6 @@ impl Eigenvalues {
     /// The eigenvalues, in no particular order.
     pub fn values(&self) -> &[Complex] {
         &self.values
-    }
-
-    /// Number of eigenvalues (equal to the matrix dimension).
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Returns `true` when there are no eigenvalues (never the case for a
-    /// successfully computed decomposition).
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// Largest eigenvalue magnitude.
@@ -363,7 +353,7 @@ mod tests {
     fn eigenvalues_of_diagonal_matrix() {
         let a = Matrix::diagonal(&[0.5, -0.3, 0.9]);
         let eig = eigenvalues(&a).unwrap();
-        assert_eq!(eig.len(), 3);
+        assert_eq!(eig.values().len(), 3);
         assert!(contains_root(eig.values(), Complex::from_real(0.5), 1e-8));
         assert!(contains_root(eig.values(), Complex::from_real(-0.3), 1e-8));
         assert!(contains_root(eig.values(), Complex::from_real(0.9), 1e-8));
@@ -380,7 +370,7 @@ mod tests {
         // Rotation matrices have eigenvalues e^{±iθ} with unit magnitude.
         for v in eig.values() {
             assert!((v.abs() - 1.0).abs() < 1e-8);
-            assert!(!v.is_real(1e-6));
+            assert!(v.im.abs() > 1e-6);
         }
         assert!(!eig.is_schur_stable());
     }
@@ -437,7 +427,7 @@ mod tests {
                 let a = Matrix::from_vec(2, 2, entries).unwrap();
                 let eig = eigenvalues(&a).unwrap();
                 let prod = eig.values().iter().fold(Complex::from_real(1.0), |acc, &z| acc.mul(z));
-                let det = crate::decomp::determinant(&a).unwrap();
+                let det = a[(0, 0)] * a[(1, 1)] - a[(0, 1)] * a[(1, 0)];
                 prop_assert!((prod.re - det).abs() < 1e-6);
                 prop_assert!(prod.im.abs() < 1e-6);
             }

@@ -1,13 +1,13 @@
 //! Discrete-time Lyapunov equations and definiteness tests.
 //!
-//! The switching-stability analysis of the reproduced paper requires finding a
-//! *common quadratic Lyapunov function* for the two closed-loop modes. The
-//! building blocks live here:
+//! The dwell engine's early-exit certificate solves `Aᵀ·P·A − P = −I` for
+//! the event-triggered closed loop and requires `P` to be positive definite.
+//! The building blocks live here:
 //!
 //! * [`solve_discrete_lyapunov`] — solves `Aᵀ·P·A − P = −Q` by Kronecker
 //!   vectorization (exact for the small system orders involved).
-//! * [`cholesky`] / [`is_positive_definite`] / [`is_negative_definite`] —
-//!   definiteness tests used to validate candidate Lyapunov certificates.
+//! * [`cholesky`] / [`is_positive_definite`] — the definiteness test that
+//!   validates the certificate.
 
 use crate::{decomp::LuDecomposition, LinalgError, Matrix, Vector};
 
@@ -139,51 +139,10 @@ pub fn is_positive_definite(m: &Matrix) -> Result<bool, LinalgError> {
     }
 }
 
-/// Returns `true` when the symmetric matrix `M` is negative definite, i.e.
-/// `−M` is positive definite.
-///
-/// # Errors
-///
-/// Same error conditions as [`is_positive_definite`].
-pub fn is_negative_definite(m: &Matrix) -> Result<bool, LinalgError> {
-    is_positive_definite(&m.scale(-1.0))
-}
-
-/// Evaluates the quadratic form `xᵀ·P·x` without materialising `P·x`.
-///
-/// The accumulation order is the one the allocating formulation
-/// (`x.dot(&p.mul_vector(x)?)`) used — each `(P·x)[i]` folds from `0.0` over
-/// ascending columns, then the outer product folds from `0.0` over ascending
-/// rows — so results are bitwise-unchanged while the temporary vector is gone.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::DimensionMismatch`] when `P` is not square of
-/// dimension `x.len()`.
-pub fn quadratic_form(p: &Matrix, x: &Vector) -> Result<f64, LinalgError> {
-    if !p.is_square() || p.cols() != x.len() {
-        return Err(LinalgError::DimensionMismatch {
-            operation: "quadratic_form",
-            left: p.dims(),
-            right: (x.len(), 1),
-        });
-    }
-    let xs = x.as_slice();
-    let mut acc = 0.0;
-    for (&xi, row) in xs.iter().zip(p.as_slice().chunks_exact(p.cols())) {
-        let mut pxi = 0.0;
-        for (a, b) in row.iter().zip(xs.iter()) {
-            pxi += a * b;
-        }
-        acc += xi * pxi;
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eigen;
+    use crate::{eigen, MatrixOps};
 
     #[test]
     fn vectorize_roundtrip() {
@@ -209,7 +168,7 @@ mod tests {
             .unwrap()
             .add(&q)
             .unwrap();
-        assert!(residual.max_abs() < 1e-9);
+        assert!(residual.approx_eq(&Matrix::zeros(2, 2), 1e-9));
     }
 
     #[test]
@@ -260,19 +219,9 @@ mod tests {
     fn definiteness_tests() {
         assert!(is_positive_definite(&Matrix::identity(3)).unwrap());
         assert!(!is_positive_definite(&Matrix::diagonal(&[1.0, 0.0])).unwrap());
-        assert!(is_negative_definite(&Matrix::diagonal(&[-2.0, -1.0])).unwrap());
-        assert!(!is_negative_definite(&Matrix::identity(2)).unwrap());
         // Asymmetric input is an error, not `false`.
         let asym = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]).unwrap();
         assert!(is_positive_definite(&asym).is_err());
-    }
-
-    #[test]
-    fn quadratic_form_matches_hand_computation() {
-        let p = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 3.0]]).unwrap();
-        let x = Vector::from_slice(&[1.0, 2.0]);
-        assert_eq!(quadratic_form(&p, &x).unwrap(), 14.0);
-        assert!(quadratic_form(&p, &Vector::from_slice(&[1.0])).is_err());
     }
 
     #[test]
@@ -280,10 +229,10 @@ mod tests {
         let a = Matrix::from_rows(&[&[0.8, 0.2], &[-0.1, 0.6]]).unwrap();
         let p = solve_discrete_lyapunov(&a, &Matrix::identity(2)).unwrap();
         let mut x = Vector::from_slice(&[1.0, -1.0]);
-        let mut v_prev = quadratic_form(&p, &x).unwrap();
+        let mut v_prev = p.quad_form(&x);
         for _ in 0..20 {
             x = a.mul_vector(&x).unwrap();
-            let v = quadratic_form(&p, &x).unwrap();
+            let v = p.quad_form(&x);
             assert!(v < v_prev + 1e-12, "Lyapunov function must not increase");
             v_prev = v;
         }
@@ -313,7 +262,7 @@ mod tests {
                 let p = solve_discrete_lyapunov(&a, &q).unwrap();
                 let residual = a.transpose().mul(&p).unwrap().mul(&a).unwrap()
                     .sub(&p).unwrap().add(&q).unwrap();
-                prop_assert!(residual.max_abs() < 1e-7);
+                prop_assert!(residual.approx_eq(&Matrix::zeros(2, 2), 1e-7));
             }
 
             #[test]

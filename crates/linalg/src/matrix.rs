@@ -161,25 +161,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Returns the element at `(row, col)` or `None` when out of bounds.
-    pub fn get(&self, row: usize, col: usize) -> Option<f64> {
-        if row < self.rows && col < self.cols {
-            Some(self.data[row * self.cols + col])
-        } else {
-            None
-        }
-    }
-
-    /// Returns the `i`-th row as a [`Vector`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    pub fn row(&self, i: usize) -> Vector {
-        assert!(i < self.rows, "row index out of bounds");
-        Vector::from_slice(&self.data[i * self.cols..(i + 1) * self.cols])
-    }
-
     /// Returns the `j`-th column as a [`Vector`].
     ///
     /// # Panics
@@ -385,11 +366,6 @@ impl Matrix {
             cols: self.cols,
             data,
         })
-    }
-
-    /// Maximum absolute entry of the matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()))
     }
 
     /// Trace (sum of diagonal entries) of a square matrix.
@@ -639,9 +615,8 @@ mod tests {
     }
 
     #[test]
-    fn row_and_column_views() {
+    fn column_view() {
         let a = sample();
-        assert_eq!(a.row(1).as_slice(), &[3.0, 4.0]);
         assert_eq!(a.column(0).as_slice(), &[1.0, 3.0]);
     }
 
@@ -663,19 +638,17 @@ mod tests {
     }
 
     #[test]
-    fn max_abs_and_trace() {
+    fn trace_of_square_matrices() {
         let a = sample();
-        assert_eq!(a.max_abs(), 4.0);
         assert_eq!(a.trace().unwrap(), 5.0);
         assert!(Matrix::zeros(2, 3).trace().is_err());
     }
 
     #[test]
-    fn set_and_get_bounds() {
+    fn index_writes_through() {
         let mut a = Matrix::zeros(2, 2);
         a[(0, 1)] = 5.0;
-        assert_eq!(a.get(0, 1), Some(5.0));
-        assert_eq!(a.get(2, 0), None);
+        assert_eq!(a.as_slice(), &[0.0, 5.0, 0.0, 0.0]);
     }
 
     #[test]

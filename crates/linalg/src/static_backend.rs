@@ -173,7 +173,7 @@ mod tests {
         let mut s_out = sv;
         s.gemv(&sv, &mut s_out);
         let d_out = d.mul_vector(&dv).unwrap();
-        for (a, b) in s_out.elements().iter().zip(d_out.iter()) {
+        for (a, b) in s_out.elements().iter().zip(d_out.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 

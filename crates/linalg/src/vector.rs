@@ -71,16 +71,6 @@ impl Vector {
         &mut self.data
     }
 
-    /// Returns the element at `index` or `None` when out of bounds.
-    pub fn get(&self, index: usize) -> Option<f64> {
-        self.data.get(index).copied()
-    }
-
-    /// Iterator over the elements.
-    pub fn iter(&self) -> std::slice::Iter<'_, f64> {
-        self.data.iter()
-    }
-
     /// Dot product with another vector.
     ///
     /// # Panics
@@ -100,13 +90,6 @@ impl Vector {
         Vector {
             data: self.data.iter().map(|x| x * factor).collect(),
         }
-    }
-
-    /// Concatenates two vectors (used to build augmented states `[x; u]`).
-    pub fn concat(&self, other: &Vector) -> Vector {
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Vector { data }
     }
 
     /// Returns `true` when every corresponding pair of elements differs by
@@ -223,8 +206,7 @@ mod tests {
         assert_eq!(v.len(), 3);
         assert!(!v.is_empty());
         assert_eq!(v[1], 2.0);
-        assert_eq!(v.get(2), Some(3.0));
-        assert_eq!(v.get(3), None);
+        assert_eq!(v[2], 3.0);
     }
 
     #[test]
@@ -262,16 +244,8 @@ mod tests {
         let a = Vector::from_slice(&[1.0, 2.0, 3.0]);
         let mut c = a.clone();
         c.as_mut_slice()[1] = 0.0;
-        assert_eq!(c.get(1), Some(0.0));
-        assert_eq!(c.get(0), a.get(0));
-    }
-
-    #[test]
-    fn concat_builds_augmented_state() {
-        let x = Vector::from_slice(&[1.0, 2.0, 3.0]);
-        let u = Vector::from_slice(&[-0.5]);
-        let z = x.concat(&u);
-        assert_eq!(z.as_slice(), &[1.0, 2.0, 3.0, -0.5]);
+        assert_eq!(c[1], 0.0);
+        assert_eq!(c[0], a[0]);
     }
 
     #[test]

@@ -617,7 +617,10 @@ mod tests {
             assert_matches_batch(&state);
         }
         assert_eq!(state.fleet().len(), 5);
-        assert_eq!(state.report().oracle(), "online-admission-cascade");
+        assert!(state
+            .report()
+            .to_string()
+            .starts_with("online-admission-cascade oracle:"));
         assert!(state.report().oracle_calls() > 0);
     }
 

@@ -99,11 +99,6 @@ pub struct BaselineOracle {
 }
 
 impl BaselineOracle {
-    /// Creates the oracle with the non-preemptive deadline-monotonic strategy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates the oracle with an explicit baseline strategy.
     pub fn with_strategy(strategy: Strategy) -> Self {
         BaselineOracle { strategy }

@@ -102,7 +102,7 @@
 //! time goes; results and counts do not depend on its width.
 
 use cps_core::AppTimingProfile;
-use cps_verify::{VerificationConfig, VerifyError};
+use cps_verify::VerifyError;
 
 use crate::cascade::CascadeCore;
 use crate::first_fit::{place_suffix, sort_for_first_fit};
@@ -146,15 +146,6 @@ impl MapExplorerEngine {
     /// configuration and the non-preemptive deadline-monotonic baseline.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates the engine with an explicit verification configuration for
-    /// the exact tier (the screen's utilisation bound only fires for
-    /// unbounded configurations, where its unbounded-demand argument holds).
-    pub fn with_config(config: VerificationConfig) -> Self {
-        MapExplorerEngine {
-            core: CascadeCore::with_config(config),
-        }
     }
 
     /// Moves the exact verifier onto `pool` (builder style) — the tier where
@@ -360,6 +351,7 @@ mod tests {
     use crate::oracle::{ModelCheckingOracle, SlotOracle};
     use crate::{first_fit, reference};
     use cps_core::DwellTimeTable;
+    use cps_verify::VerificationConfig;
 
     fn profile(
         name: &str,
@@ -598,7 +590,9 @@ mod tests {
             },
             VerificationConfig::bounded(0),
         ] {
-            let mut engine = MapExplorerEngine::with_config(config);
+            let mut engine = MapExplorerEngine {
+                core: CascadeCore::with_config(config),
+            };
             assert!(matches!(
                 engine.admits(&fleet, &[0]),
                 Err(VerifyError::InvalidConfig { .. })

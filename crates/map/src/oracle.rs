@@ -42,32 +42,20 @@ pub trait SlotOracle {
 /// amortise the exploration buffers.
 #[derive(Debug, Default)]
 pub struct ModelCheckingOracle {
-    config: VerificationConfig,
     engine: Mutex<SlotVerifyEngine>,
 }
 
 impl Clone for ModelCheckingOracle {
     fn clone(&self) -> Self {
         // Exploration buffers are per-run scratch; a clone starts fresh.
-        ModelCheckingOracle {
-            config: self.config,
-            engine: Mutex::new(SlotVerifyEngine::new()),
-        }
+        ModelCheckingOracle::new()
     }
 }
 
 impl ModelCheckingOracle {
-    /// Creates the oracle with the default (exact) verification configuration.
+    /// Creates the oracle; it verifies with the exact default configuration.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates the oracle with an explicit verification configuration.
-    pub fn with_config(config: VerificationConfig) -> Self {
-        ModelCheckingOracle {
-            config,
-            engine: Mutex::new(SlotVerifyEngine::new()),
-        }
     }
 }
 
@@ -81,7 +69,7 @@ impl SlotOracle for ModelCheckingOracle {
         // index-based hook — no clone, no model construction.
         let mut engine = self.engine.lock().unwrap_or_else(|e| e.into_inner());
         Ok(engine
-            .verify_selected(profiles, members, &self.config)?
+            .verify_selected(profiles, members, &VerificationConfig::default())?
             .schedulable())
     }
 
@@ -130,7 +118,7 @@ mod tests {
         // dedicated-slot hold time and rejects earlier.
         let apps = [profile("A", 10, 9), profile("B", 10, 9)];
         let exact = admits_all(&ModelCheckingOracle::new(), &apps);
-        let conservative = admits_all(&BaselineOracle::new(), &apps);
+        let conservative = admits_all(&BaselineOracle::default(), &apps);
         assert!(
             exact || !conservative,
             "baseline must never accept more than the exact oracle"
@@ -142,7 +130,7 @@ mod tests {
         let fleet = [profile("A", 10, 3), profile("B", 0, 5), profile("C", 10, 3)];
         let selections: &[&[usize]] = &[&[0], &[0, 2], &[1, 2], &[2, 1, 0]];
         let mc = ModelCheckingOracle::new();
-        let bl = BaselineOracle::new();
+        let bl = BaselineOracle::default();
         for oracle in [&mc as &dyn SlotOracle, &bl as &dyn SlotOracle] {
             for members in selections {
                 let cloned: Vec<AppTimingProfile> =
@@ -165,7 +153,7 @@ mod tests {
         let impossible = [profile("A", 0, 5), profile("B", 0, 5)];
         for oracle in [
             &ModelCheckingOracle::new() as &dyn SlotOracle,
-            &BaselineOracle::new(),
+            &BaselineOracle::default(),
         ] {
             assert!(admits_all(oracle, &fleet));
             assert!(!admits_all(oracle, &impossible));

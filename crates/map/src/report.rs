@@ -216,11 +216,6 @@ impl MappingReport {
         }
     }
 
-    /// Name of the oracle that produced the mapping.
-    pub fn oracle(&self) -> &str {
-        &self.oracle
-    }
-
     /// The slot partition: each inner vector lists application indices.
     pub fn slots(&self) -> &[Vec<usize>] {
         &self.slots
@@ -385,7 +380,7 @@ mod tests {
     #[test]
     fn accessors() {
         let r = report();
-        assert_eq!(r.oracle(), "model-checking");
+        assert_eq!(r.oracle, "model-checking");
         assert_eq!(r.slot_count(), 2);
         assert_eq!(r.oracle_calls(), 5);
         assert_eq!(r.slot_of(2), Some(0));

@@ -3,8 +3,8 @@
 //! Reproduces the paper's Figs. 8 and 9: a set of applications shares one TT
 //! slot, a concrete disturbance scenario is scheduled with the switching
 //! strategy, and the resulting per-application mode schedules drive the
-//! switched closed-loop simulations. The result is one response curve per
-//! application plus the achieved settling times.
+//! switched closed-loop simulations. The result is the achieved settling
+//! time of each application, next to the schedule that produced it.
 
 use cps_core::{sequence, AppTimingProfile, SwitchedApplication};
 
@@ -32,7 +32,6 @@ pub struct CosimScenario {
 /// The result of a co-simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CosimResult {
-    outputs: Vec<Vec<f64>>,
     settling_samples: Vec<Option<usize>>,
     schedule: ScheduleOutcome,
     /// Per-application sampling periods: heterogeneous-period scenarios must
@@ -47,13 +46,6 @@ pub struct CosimResult {
 }
 
 impl CosimResult {
-    /// The absolute-time output trajectory of each application
-    /// (`outputs()[i][k]` is application `i`'s output at sample `k`; before
-    /// its disturbance the output is the steady-state value 0).
-    pub fn outputs(&self) -> &[Vec<f64>] {
-        &self.outputs
-    }
-
     /// The settling time of each application in samples, measured from its
     /// disturbance; `None` when it did not settle within the horizon.
     pub fn settling_samples(&self) -> &[Option<usize>] {
@@ -130,11 +122,6 @@ impl CosimScenario {
         &self.apps
     }
 
-    /// The simulation horizon in samples.
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
     /// Runs the scheduler and the switched closed-loop simulations.
     ///
     /// # Errors
@@ -150,7 +137,6 @@ impl CosimScenario {
             .collect();
         let schedule = scheduler.schedule(&disturbances, self.horizon)?;
 
-        let mut outputs = Vec::with_capacity(self.apps.len());
         let mut settling_samples = Vec::with_capacity(self.apps.len());
         for (index, app) in self.apps.iter().enumerate() {
             let t0 = app.disturbance_sample;
@@ -163,16 +149,9 @@ impl CosimScenario {
                 .settling()
                 .settling_samples(trajectory.outputs());
             settling_samples.push(settling);
-            // Stitch the absolute-time output: steady (zero) before the
-            // disturbance, then the simulated rejection.
-            let mut absolute = vec![0.0; t0];
-            absolute.extend_from_slice(trajectory.outputs());
-            absolute.truncate(self.horizon + 1);
-            outputs.push(absolute);
         }
 
         Ok(CosimResult {
-            outputs,
             settling_samples,
             schedule,
             sampling_periods: self
@@ -246,8 +225,6 @@ mod tests {
         let result = scenario.run().unwrap();
         assert!(result.all_meet_requirements());
         assert_eq!(result.requirements(), &[scenario.apps()[0].profile.jstar()]);
-        assert_eq!(result.outputs().len(), 1);
-        assert_eq!(result.outputs()[0].len(), 121);
         assert!(result.settling_seconds()[0].unwrap() > 0.0);
     }
 
@@ -285,15 +262,6 @@ mod tests {
         let a = &result.schedule().traces()[0].tt_samples;
         let b = &result.schedule().traces()[1].tt_samples;
         assert!(a.iter().all(|s| !b.contains(s)));
-    }
-
-    #[test]
-    fn staggered_disturbances_shift_the_response() {
-        let scenario = scenario(&[0, 10]);
-        let result = scenario.run().unwrap();
-        // Before its disturbance the second application sits at steady state.
-        assert!(result.outputs()[1][..10].iter().all(|y| *y == 0.0));
-        assert!((result.outputs()[1][10] - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl ScheduleOutcome {
         self.traces.iter().all(|t| !t.missed_deadline)
     }
 
-    /// Total number of TT samples handed out across all applications.
-    pub fn total_tt_samples(&self) -> usize {
-        self.traces.iter().map(|t| t.total_tt_samples()).sum()
-    }
-
     /// Accounts the occupation `state` of `app`, which ends at this sample;
     /// any other state holds no occupation.
     fn close(&mut self, app: usize, state: AppState, preempted: bool) {
@@ -118,11 +113,6 @@ impl SlotScheduler {
             });
         }
         Ok(SlotScheduler { profiles })
-    }
-
-    /// The application profiles in scheduler order.
-    pub fn profiles(&self) -> &[AppTimingProfile] {
-        &self.profiles
     }
 
     /// Schedules the slot for the given disturbance pattern.
@@ -467,7 +457,6 @@ mod tests {
         assert_eq!(outcome.grants().len(), 1);
         assert_eq!(outcome.grants()[0].tt_samples, 5);
         assert!(!outcome.grants()[0].preempted);
-        assert_eq!(outcome.total_tt_samples(), 5);
     }
 
     #[test]
@@ -623,10 +612,10 @@ mod tests {
         ));
         assert!(SlotScheduler::new(vec![]).is_err());
         // `first_miss` checks the same pattern rules, with no horizon.
-        assert!(first_miss(s.profiles(), &[0, 1], &[vec![0]]).is_err());
-        assert!(first_miss(s.profiles(), &[0, 1], &[vec![5, 3], vec![]]).is_err());
+        assert!(first_miss(&s.profiles, &[0, 1], &[vec![0]]).is_err());
+        assert!(first_miss(&s.profiles, &[0, 1], &[vec![5, 3], vec![]]).is_err());
         assert_eq!(
-            first_miss(s.profiles(), &[0, 1], &[vec![0], vec![50]]),
+            first_miss(&s.profiles, &[0, 1], &[vec![0], vec![50]]),
             Ok(None)
         );
     }
