@@ -89,25 +89,6 @@ impl CaseStudyApp {
         )
     }
 
-    /// Computes the timing profile with a single-threaded dwell search, for
-    /// callers that already parallelize across applications.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dwell-table computation failures.
-    pub fn profile_single_threaded(
-        &self,
-        options: DwellSearchOptions,
-    ) -> Result<AppTimingProfile, CoreError> {
-        AppTimingProfile::from_application_with_threads(
-            &self.application,
-            self.paper_row.jstar,
-            self.paper_row.r,
-            options,
-            1,
-        )
-    }
-
     /// Search options that comfortably cover the paper's case study while
     /// keeping the exhaustive dwell search fast (the published dwell times
     /// never exceed 11 samples and the slowest `J_E` is 50 samples).
@@ -342,49 +323,22 @@ pub fn all_applications() -> Result<Vec<CaseStudyApp>, CoreError> {
 }
 
 /// Recomputes the timing profile of every case-study application (the
-/// reproduction of the paper's Table 1), fanning the applications out across
-/// the worker threads of [`cps_par::Pool::from_env`].
-///
-/// The profiles are returned in the paper's order `C1..C6` regardless of
-/// which worker finishes first.
+/// reproduction of the paper's Table 1), in the paper's order `C1..C6`.
 ///
 /// # Errors
 ///
 /// Propagates dwell-table computation failures of any application.
 pub fn all_profiles(options: DwellSearchOptions) -> Result<Vec<AppTimingProfile>, CoreError> {
-    let apps = all_applications()?;
-    let pool = cps_par::Pool::from_env();
-    // Parallelism lives at the application level here; when the pool fans
-    // the apps out, each worker runs the dwell search single-threaded to
-    // avoid nested oversubscription. On a serial pool the dwell search
-    // keeps its own thread policy instead.
-    let fan_out = pool.is_parallel_for(apps.len());
-    let results: Vec<Result<AppTimingProfile, CoreError>> = pool.map_indexed(apps.len(), |i| {
-        if fan_out {
-            apps[i].profile_single_threaded(options)
-        } else {
-            apps[i].profile_with(options)
-        }
-    });
-    results.into_iter().collect()
+    all_applications()?
+        .iter()
+        .map(|app| app.profile_with(options))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cps_core::Mode;
-
-    #[test]
-    fn all_profiles_matches_per_app_computation() {
-        let options = CaseStudyApp::fast_search_options();
-        let fanned_out = all_profiles(options).unwrap();
-        let apps = all_applications().unwrap();
-        assert_eq!(fanned_out.len(), apps.len());
-        for (profile, app) in fanned_out.iter().zip(apps.iter()) {
-            assert_eq!(profile, &app.profile_with(options).unwrap());
-            assert_eq!(profile.name(), app.application().name());
-        }
-    }
 
     #[test]
     fn slot_memberships_cover_all_applications_once() {

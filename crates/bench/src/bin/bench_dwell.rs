@@ -1,9 +1,6 @@
-//! Dwell-search performance report: naive reference vs. single-threaded
-//! prefix-sharing engine, on the paper's six case-study applications with
-//! the default [`DwellSearchOptions`].
-//!
-//! The engine's result at other thread counts is pinned by tests, not timed
-//! here.
+//! Dwell-search performance report: naive reference vs. prefix-sharing
+//! engine, on the paper's six case-study applications with the default
+//! [`DwellSearchOptions`].
 //!
 //! Every timed configuration is also checked for result equality against the
 //! naive oracle, so the report doubles as an end-to-end equivalence run.
@@ -18,8 +15,8 @@ use std::fmt::Write as _;
 use cps_apps::case_study::{self, CaseStudyApp};
 use cps_bench::report::{quick_flag, timed_best, write_report};
 use cps_core::dwell::{
-    compute_dwell_table_with_backend, compute_dwell_table_with_threads, reference,
-    settling_surface_with_threads, DwellSearchOptions,
+    compute_dwell_table, compute_dwell_table_with_backend, reference, settling_surface,
+    DwellSearchOptions,
 };
 use cps_core::engine::DwellEngine;
 use cps_core::BackendChoice;
@@ -67,9 +64,8 @@ fn main() {
 
         let (naive_table, table_naive_ms) =
             timed_best(|| reference::compute_dwell_table(a, jstar, options).expect("computes"));
-        let (engine_table, table_engine_ms) = timed_best(|| {
-            compute_dwell_table_with_threads(a, jstar, options, 1).expect("computes")
-        });
+        let (engine_table, table_engine_ms) =
+            timed_best(|| compute_dwell_table(a, jstar, options).expect("computes"));
         assert_eq!(
             naive_table,
             engine_table,
@@ -82,14 +78,8 @@ fn main() {
                 .expect("computes")
         });
         let (engine_surface, surface_engine_ms) = timed_best(|| {
-            settling_surface_with_threads(
-                a,
-                options.max_wait,
-                options.max_dwell,
-                options.horizon,
-                1,
-            )
-            .expect("computes")
+            settling_surface(a, options.max_wait, options.max_dwell, options.horizon)
+                .expect("computes")
         });
         assert_eq!(
             naive_surface,
@@ -98,7 +88,7 @@ fn main() {
             a.name()
         );
 
-        // Backend comparison: the same single-threaded table workload forced
+        // Backend comparison: the same table workload forced
         // onto the heap-backed and the stack-allocated linalg kernels. The
         // static path must reproduce the oracle exactly (its floating-point
         // sequence is bitwise identical by construction, so the settling
@@ -107,11 +97,11 @@ fn main() {
             .expect("case-study augmented dimensions fit the static menu")
             .backend_name();
         let (dyn_table, backend_dyn_ms) = timed_best(|| {
-            compute_dwell_table_with_backend(a, jstar, options, 1, BackendChoice::ForceDyn)
+            compute_dwell_table_with_backend(a, jstar, options, BackendChoice::ForceDyn)
                 .expect("computes")
         });
         let (static_table, backend_static_ms) = timed_best(|| {
-            compute_dwell_table_with_backend(a, jstar, options, 1, BackendChoice::ForceStatic)
+            compute_dwell_table_with_backend(a, jstar, options, BackendChoice::ForceStatic)
                 .expect("computes")
         });
         assert_eq!(

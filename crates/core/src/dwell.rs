@@ -33,8 +33,6 @@
 //! allocation-free ones, while producing **bitwise-identical** tables: the
 //! naive search is kept in [`mod@reference`] as the oracle, and equivalence is
 //! asserted cell-for-cell by the engine tests and `tests/engine_oracle.rs`.
-//! With more than one worker thread, wait rows are additionally fanned out
-//! across `std::thread` workers.
 
 use std::sync::Arc;
 
@@ -120,9 +118,8 @@ fn validate_surface_bounds(
 /// Computes the settling-time surface `J(T_w, T_dw)` for all wait times
 /// `0..=max_wait` and dwell times `0..=max_dwell`.
 ///
-/// Uses the prefix-sharing engine with the default worker count; see
-/// [`settling_surface_with_threads`] to control parallelism explicitly and
-/// [`reference::settling_surface`] for the naive oracle.
+/// Uses the prefix-sharing engine; see [`reference::settling_surface`] for
+/// the naive oracle.
 ///
 /// # Errors
 ///
@@ -134,46 +131,16 @@ pub fn settling_surface(
     max_dwell: usize,
     horizon: usize,
 ) -> Result<SettlingSurface, CoreError> {
-    settling_surface_with_threads(
-        app,
-        max_wait,
-        max_dwell,
-        horizon,
-        DwellEngine::default_threads(),
-    )
+    settling_surface_with_backend(app, max_wait, max_dwell, horizon, BackendChoice::Auto)
 }
 
-/// [`settling_surface`] with an explicit worker-thread count (`1` forces the
-/// single-threaded engine).
+/// [`settling_surface`] on an explicitly chosen linalg backend (used by the
+/// bench harness to compare the dynamic and static kernels on the same
+/// workload).
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidParameter`] when the horizon cannot accommodate
-/// the largest wait/dwell combination.
-pub fn settling_surface_with_threads(
-    app: &SwitchedApplication,
-    max_wait: usize,
-    max_dwell: usize,
-    horizon: usize,
-    threads: usize,
-) -> Result<SettlingSurface, CoreError> {
-    settling_surface_with_backend(
-        app,
-        max_wait,
-        max_dwell,
-        horizon,
-        threads,
-        BackendChoice::Auto,
-    )
-}
-
-/// [`settling_surface_with_threads`] on an explicitly chosen linalg backend
-/// (used by the bench harness to compare the dynamic and static kernels on
-/// the same workload).
-///
-/// # Errors
-///
-/// As for [`settling_surface_with_threads`], plus
+/// As for [`settling_surface`], plus
 /// [`CoreError::InvalidParameter`] when [`BackendChoice::ForceStatic`] is
 /// requested for an augmented dimension outside the static menu.
 pub fn settling_surface_with_backend(
@@ -181,13 +148,12 @@ pub fn settling_surface_with_backend(
     max_wait: usize,
     max_dwell: usize,
     horizon: usize,
-    threads: usize,
     backend: BackendChoice,
 ) -> Result<SettlingSurface, CoreError> {
     validate_surface_bounds(max_wait, max_dwell, horizon)?;
     let engine = DwellEngine::with_backend(app, backend)?;
     let prefix = engine.prefix_chain(max_wait);
-    let settling = engine.settling_rows(&prefix, 0..max_wait + 1, max_dwell, horizon, threads);
+    let settling = engine.settling_rows(&prefix, 0..max_wait + 1, max_dwell, horizon);
     Ok(SettlingSurface {
         max_wait,
         max_dwell,
@@ -404,28 +370,12 @@ pub fn compute_dwell_table(
     jstar: usize,
     options: DwellSearchOptions,
 ) -> Result<DwellTimeTable, CoreError> {
-    compute_dwell_table_with_threads(app, jstar, options, DwellEngine::default_threads())
+    compute_dwell_table_with_backend(app, jstar, options, BackendChoice::Auto)
 }
 
-/// [`compute_dwell_table`] with an explicit worker-thread count (`1` forces
-/// the single-threaded engine).
-///
-/// # Errors
-///
-/// As for [`compute_dwell_table`].
-pub fn compute_dwell_table_with_threads(
-    app: &SwitchedApplication,
-    jstar: usize,
-    options: DwellSearchOptions,
-    threads: usize,
-) -> Result<DwellTimeTable, CoreError> {
-    compute_dwell_table_detailed(app, jstar, options, threads, BackendChoice::Auto)
-        .map(|detail| detail.table)
-}
-
-/// [`compute_dwell_table_with_threads`] on an explicitly chosen linalg
-/// backend (used by the bench harness to compare the dynamic and static
-/// kernels on the same workload).
+/// [`compute_dwell_table`] on an explicitly chosen linalg backend (used by
+/// the bench harness to compare the dynamic and static kernels on the same
+/// workload).
 ///
 /// # Errors
 ///
@@ -436,10 +386,9 @@ pub fn compute_dwell_table_with_backend(
     app: &SwitchedApplication,
     jstar: usize,
     options: DwellSearchOptions,
-    threads: usize,
     backend: BackendChoice,
 ) -> Result<DwellTimeTable, CoreError> {
-    compute_dwell_table_detailed(app, jstar, options, threads, backend).map(|detail| detail.table)
+    compute_dwell_table_detailed(app, jstar, options, backend).map(|detail| detail.table)
 }
 
 /// A computed dwell table together with the pure-mode settling times the
@@ -457,7 +406,6 @@ pub(crate) fn compute_dwell_table_detailed(
     app: &SwitchedApplication,
     jstar: usize,
     options: DwellSearchOptions,
-    threads: usize,
     backend: BackendChoice,
 ) -> Result<TableComputation, CoreError> {
     if options.horizon <= options.max_wait + options.max_dwell {
@@ -489,32 +437,25 @@ pub(crate) fn compute_dwell_table_detailed(
     let mut j_at_plus = Vec::new();
 
     let prefix = engine.prefix_chain(options.max_wait);
-    // The scan stops at the first infeasible wait (T_w^* + 1). Rows are
-    // computed in blocks so worker threads stay busy while at most one block
-    // of rows past T_w^* is wasted.
-    let block = if threads > 1 { threads * 2 } else { 1 };
-    'scan: for block_start in (0..=options.max_wait).step_by(block) {
-        let block_end = (block_start + block - 1).min(options.max_wait);
-        let rows = engine.settling_rows(
-            &prefix,
-            block_start..block_end + 1,
-            options.max_dwell,
-            options.horizon,
-            threads,
-        );
-        for settling_per_dwell in rows.iter() {
+    engine.scan_rows(
+        &prefix,
+        0..options.max_wait + 1,
+        options.max_dwell,
+        options.horizon,
+        |settling_per_dwell| {
+            // A wait that cannot meet the requirement (and by monotonicity of
+            // the problem every larger wait) ends the scan: the previous wait
+            // was T_w^*.
             let Some(row) = table_row(settling_per_dwell, jstar) else {
-                // This wait (and by monotonicity of the problem every larger
-                // wait) cannot meet the requirement: the previous wait was
-                // T_w^*.
-                break 'scan;
+                return false;
             };
             t_dw_min.push(row.min_dwell);
             t_dw_plus.push(row.plus_dwell);
             j_at_min.push(row.j_at_min);
             j_at_plus.push(row.j_at_plus);
-        }
-    }
+            true
+        },
+    );
 
     if t_dw_min.is_empty() {
         return Err(CoreError::RequirementInfeasible { jt, jstar });
@@ -779,22 +720,6 @@ mod tests {
         };
         assert!(compute_dwell_table(&app, 15, options).is_err());
         assert!(reference::compute_dwell_table(&app, 15, options).is_err());
-    }
-
-    #[test]
-    fn single_threaded_and_parallel_tables_agree() {
-        let app = demo_app();
-        let options = DwellSearchOptions {
-            horizon: 300,
-            max_dwell: 20,
-            max_wait: 60,
-        };
-        let serial = compute_dwell_table_with_threads(&app, 15, options, 1).unwrap();
-        let parallel = compute_dwell_table_with_threads(&app, 15, options, 4).unwrap();
-        assert_eq!(serial, parallel);
-        let s1 = settling_surface_with_threads(&app, 12, 10, 300, 1).unwrap();
-        let s4 = settling_surface_with_threads(&app, 12, 10, 300, 4).unwrap();
-        assert_eq!(s1, s4);
     }
 
     #[test]

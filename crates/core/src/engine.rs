@@ -77,8 +77,8 @@ impl PrefixChain {
     }
 }
 
-/// Reusable per-thread simulation buffers; allocated once per search (or per
-/// worker thread), never inside the per-sample loop.
+/// Reusable simulation buffers; allocated once per row scan, never inside
+/// the per-sample loop.
 #[derive(Debug)]
 struct RowWorkspace<B: LinalgBackend> {
     /// Checkpoint: state at the end of the current TT block.
@@ -237,28 +237,24 @@ impl<B: LinalgBackend> DwellEngineCore<B> {
         }
     }
 
-    fn settling_rows(
+    fn scan_rows(
         &self,
         prefix: &PrefixChain,
         waits: std::ops::Range<usize>,
         max_dwell: usize,
         horizon: usize,
-        threads: usize,
-    ) -> Vec<Vec<Option<usize>>> {
-        let wait_list: Vec<usize> = waits.collect();
-        let mut rows: Vec<Vec<Option<usize>>> = vec![Vec::new(); wait_list.len()];
-        let row_dwell = |w: usize| max_dwell.min(horizon - w - 1);
-
-        // Each worker takes a contiguous band of rows with its own workspace;
-        // rows are pure functions of the wait, so any banding is equivalent.
-        cps_par::Pool::with_threads(threads).for_each_chunk(&mut rows, |start, out_chunk| {
-            let waits_chunk = &wait_list[start..start + out_chunk.len()];
-            let mut ws = RowWorkspace::<B>::like(&self.z0);
-            for (row, &w) in out_chunk.iter_mut().zip(waits_chunk) {
-                self.settling_row_with(prefix, w, row_dwell(w), horizon, &mut ws, row);
+        mut visit: impl FnMut(&[Option<usize>]) -> bool,
+    ) {
+        let mut ws = RowWorkspace::<B>::like(&self.z0);
+        let mut row = Vec::with_capacity(max_dwell + 1);
+        for wait in waits {
+            row.clear();
+            let row_dwell = max_dwell.min(horizon - wait - 1);
+            self.settling_row_with(prefix, wait, row_dwell, horizon, &mut ws, &mut row);
+            if !visit(&row) {
+                break;
             }
-        });
-        rows
+        }
     }
 
     /// `true` when `z` lies in the certified sublevel set from which the
@@ -376,13 +372,6 @@ impl DwellEngine {
         each_core!(self, core => core.backend_name())
     }
 
-    /// Number of worker threads the search layer should use: the
-    /// [`cps_par::Pool::from_env`] policy (`CPS_THREADS`, falling back to the
-    /// available parallelism).
-    pub fn default_threads() -> usize {
-        cps_par::Pool::from_env().threads()
-    }
-
     /// Simulates the event-triggered prefix once, checkpointing the state and
     /// the running last-violation index after every sample.
     pub fn prefix_chain(&self, max_wait: usize) -> PrefixChain {
@@ -397,17 +386,34 @@ impl DwellEngine {
     }
 
     /// Computes the settling rows of all waits in `waits`, each with dwell
-    /// `0..=min(max_dwell, horizon − wait − 1)`, fanning the rows out over
-    /// `threads` workers.
+    /// `0..=min(max_dwell, horizon − wait − 1)`.
     pub fn settling_rows(
         &self,
         prefix: &PrefixChain,
         waits: std::ops::Range<usize>,
         max_dwell: usize,
         horizon: usize,
-        threads: usize,
     ) -> Vec<Vec<Option<usize>>> {
-        each_core!(self, core => core.settling_rows(prefix, waits, max_dwell, horizon, threads))
+        let mut rows = Vec::with_capacity(waits.len());
+        self.scan_rows(prefix, waits, max_dwell, horizon, |row| {
+            rows.push(row.to_vec());
+            true
+        });
+        rows
+    }
+
+    /// Computes the rows of [`DwellEngine::settling_rows`] one wait after
+    /// another into one reused buffer, handing each to `visit`; the scan
+    /// stops after the first row for which `visit` returns `false`.
+    pub(crate) fn scan_rows(
+        &self,
+        prefix: &PrefixChain,
+        waits: std::ops::Range<usize>,
+        max_dwell: usize,
+        horizon: usize,
+        visit: impl FnMut(&[Option<usize>]) -> bool,
+    ) {
+        each_core!(self, core => core.scan_rows(prefix, waits, max_dwell, horizon, visit))
     }
 }
 
@@ -537,8 +543,8 @@ mod tests {
             );
         }
         assert_eq!(
-            fast.settling_rows(&prefix_fast, 0..11, 12, 200, 1),
-            slow.settling_rows(&prefix_slow, 0..11, 12, 200, 1)
+            fast.settling_rows(&prefix_fast, 0..11, 12, 200),
+            slow.settling_rows(&prefix_slow, 0..11, 12, 200)
         );
         for mode in [Mode::TimeTriggered, Mode::EventTriggered] {
             assert_eq!(
@@ -570,7 +576,7 @@ mod tests {
         let engine = DwellEngine::new(&app);
         let horizon = 250;
         let prefix = engine.prefix_chain(12);
-        let rows = engine.settling_rows(&prefix, 0..13, 10, horizon, 1);
+        let rows = engine.settling_rows(&prefix, 0..13, 10, horizon);
         for (wait, row) in rows.iter().enumerate() {
             assert_eq!(row, &naive_row(&app, wait, 10, horizon), "wait {wait}");
         }
@@ -584,19 +590,9 @@ mod tests {
         each_core!(&mut slow, core => core.certificate = None);
         assert!(each_core!(&fast, core => core.certificate.is_some()));
         let prefix = fast.prefix_chain(8);
-        let rows_fast = fast.settling_rows(&prefix, 0..9, 12, 200, 1);
-        let rows_slow = slow.settling_rows(&prefix, 0..9, 12, 200, 1);
+        let rows_fast = fast.settling_rows(&prefix, 0..9, 12, 200);
+        let rows_slow = slow.settling_rows(&prefix, 0..9, 12, 200);
         assert_eq!(rows_fast, rows_slow);
-    }
-
-    #[test]
-    fn parallel_rows_match_sequential_rows() {
-        let app = demo_app();
-        let engine = DwellEngine::new(&app);
-        let prefix = engine.prefix_chain(20);
-        let sequential = engine.settling_rows(&prefix, 0..21, 15, 300, 1);
-        let parallel = engine.settling_rows(&prefix, 0..21, 15, 300, 4);
-        assert_eq!(sequential, parallel);
     }
 
     #[test]

@@ -100,36 +100,12 @@ impl AppTimingProfile {
         min_inter_arrival: usize,
         options: dwell::DwellSearchOptions,
     ) -> Result<Self, CoreError> {
-        Self::from_application_with_threads(
-            app,
-            jstar,
-            min_inter_arrival,
-            options,
-            crate::engine::DwellEngine::default_threads(),
-        )
-    }
-
-    /// [`AppTimingProfile::from_application`] with an explicit worker-thread
-    /// count for the dwell search — pass `1` when the caller already fans
-    /// applications out across threads, to avoid nested oversubscription.
-    ///
-    /// # Errors
-    ///
-    /// As for [`AppTimingProfile::from_application`].
-    pub fn from_application_with_threads(
-        app: &SwitchedApplication,
-        jstar: usize,
-        min_inter_arrival: usize,
-        options: dwell::DwellSearchOptions,
-        threads: usize,
-    ) -> Result<Self, CoreError> {
         // The table computation's sanity checks already measure J_T and J_E
         // through the engine; reuse them instead of re-simulating.
         let detail = dwell::compute_dwell_table_detailed(
             app,
             jstar,
             options,
-            threads,
             crate::kernel::BackendChoice::Auto,
         )?;
         AppTimingProfile::new(

@@ -137,13 +137,15 @@ impl TierStats {
     }
 }
 
+/// Renders the counts only: `exact_verify_time` is left out, so the same
+/// work renders the same text on every run.
 impl fmt::Display for TierStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "{} queries: {} singleton, {} memo-hit, {} quick-reject, \
-             {} anti-monotone, {} baseline-accept, {} exact-verify ({:.2} ms, \
-             {} falsified by {} walk samples), {} degraded-accept, {} deferred; \
+             {} anti-monotone, {} baseline-accept, {} exact-verify \
+             ({} falsified by {} walk samples), {} degraded-accept, {} deferred; \
              {} tt-evictions; verifier: {} probes, {} hash-hits, {} rehashes",
             self.queries,
             self.singleton_accepts,
@@ -152,7 +154,6 @@ impl fmt::Display for TierStats {
             self.anti_monotone_rejects,
             self.baseline_accepts,
             self.exact_verifies,
-            self.exact_verify_time.as_secs_f64() * 1e3,
             self.falsified_rejects,
             self.walk_samples,
             self.degraded_accepts,
@@ -474,7 +475,7 @@ mod tests {
         assert!(rendered.contains("degraded-accept"), "{rendered}");
         assert!(rendered.contains("deferred"), "{rendered}");
         assert!(
-            rendered.contains("1 falsified by 300 walk samples"),
+            rendered.contains("2 exact-verify (1 falsified by 300 walk samples)"),
             "{rendered}"
         );
 
@@ -482,6 +483,20 @@ mod tests {
         let mut total = earlier;
         total.accumulate(&delta);
         assert_eq!(total, stats);
+    }
+
+    #[test]
+    fn tier_stats_render_the_same_text_at_any_verify_time() {
+        let fast = TierStats {
+            exact_verifies: 6,
+            exact_verify_time: Duration::from_micros(3_210),
+            ..TierStats::default()
+        };
+        let slow = TierStats {
+            exact_verify_time: Duration::from_micros(3_080),
+            ..fast
+        };
+        assert_eq!(fast.to_string(), slow.to_string());
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Scoped worker pool and deterministic sharded reduction for the state
-//! engines.
+//! Scoped worker pool and deterministic sharded reduction for the exact
+//! slot verifier.
 //!
-//! Every parallel section in the workspace follows the same discipline:
+//! The verifier's parallel section follows this discipline:
 //!
 //! 1. **Shard deterministically.** Work is split into contiguous index
 //!    ranges (never work-stealing), so the assignment of items to workers
@@ -13,19 +13,17 @@
 //!    which is what makes verdicts, witnesses, interned ids and statistics
 //!    **bit-identical under any thread count**.
 //!
-//! The pool's users are the data-parallel kernels: the per-application
-//! profile fan-out of the case study, the dwell-time and settling-surface
-//! searches, the co-simulation chains, and the exact slot verifier's
-//! successor generation. The searches above them (first-fit, the slot
-//! minimizer, the admission cascade) run serially and reach the pool only
-//! through the verifier.
+//! The pool's one user is the exact slot verifier's successor staging. The
+//! searches above it (first-fit, the slot minimizer, the admission cascade)
+//! run serially and reach the pool only through the verifier; the dwell
+//! search and the case-study profiles run on the caller's thread.
 //!
 //! The pool itself is a lightweight policy object: it owns no threads.
 //! Parallel sections run on [`std::thread::scope`], so borrows of the
 //! caller's data work without `Arc` and a panicking worker propagates
-//! instead of deadlocking. At `threads() == 1` every combinator degrades to
+//! instead of deadlocking. At `threads() == 1` [`Pool::map_mut`] degrades to
 //! a plain serial loop over the same closure — the serial path *is* the
-//! parallel path with one shard, so no call site keeps a serial fork.
+//! parallel path with one shard, so the caller keeps no serial fork.
 //!
 //! Thread-count selection, in priority order:
 //!
@@ -40,11 +38,11 @@ pub const THREADS_ENV: &str = "CPS_THREADS";
 /// spawning thousands of scoped threads per section.
 pub const MAX_THREADS: usize = 256;
 
-/// A thread-count policy plus the deterministic fork/join combinators the
-/// engines are written against.
+/// A thread-count policy plus the deterministic fork/join combinator the
+/// verifier is written against.
 ///
-/// Cheap to copy and store per engine; spawns scoped threads only inside a
-/// combinator call and only when both `threads() > 1` and the work has more
+/// Cheap to copy and store per engine; spawns scoped threads only inside
+/// [`Pool::map_mut`] and only when both `threads() > 1` and the work has more
 /// than one item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
@@ -52,7 +50,7 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// A single-threaded pool: every combinator runs the plain serial loop.
+    /// A single-threaded pool: [`Pool::map_mut`] runs the plain serial loop.
     pub fn serial() -> Self {
         Pool { threads: 1 }
     }
@@ -84,47 +82,14 @@ impl Pool {
         self.threads
     }
 
-    /// Whether a combinator over `items` work items would actually spawn.
-    pub fn is_parallel_for(&self, items: usize) -> bool {
-        self.threads > 1 && items > 1
-    }
-
-    /// Maps `f` over `0..items`, returning results in index order.
-    ///
-    /// Items are split into `min(threads, items)` contiguous shards; shard
-    /// results are concatenated in shard order, so the output is identical
-    /// to the serial `(0..items).map(f).collect()` for any thread count.
-    pub fn map_indexed<R, F>(&self, items: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let workers = self.threads.min(items);
-        if workers <= 1 {
-            return (0..items).map(f).collect();
-        }
-        let chunk = items.div_ceil(workers);
-        let parts: Vec<Vec<R>> = std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let start = w * chunk;
-                    let end = ((w + 1) * chunk).min(items);
-                    scope.spawn(move || (start..end).map(f).collect::<Vec<R>>())
-                })
-                .collect();
-            handles.into_iter().map(join_worker).collect()
-        });
-        concat_in_order(parts, items)
-    }
-
     /// Maps `f` over the items of a mutable slice (receiving the global item
     /// index and exclusive access to the item), returning the per-item
     /// results in slice order.
     ///
-    /// The slice is split into contiguous chunks via
+    /// The slice is split into `min(threads, len)` contiguous chunks via
     /// [`slice::chunks_mut`], one per worker, so each item is visited by
-    /// exactly one thread.
+    /// exactly one thread; chunk results are concatenated in chunk order, so
+    /// the output is identical to the serial loop's for any thread count.
     pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
     where
         T: Send,
@@ -160,30 +125,6 @@ impl Pool {
         });
         concat_in_order(parts, len)
     }
-
-    /// Splits a mutable slice into one contiguous chunk per worker and runs
-    /// `f(chunk_start, chunk)` on each — the shape of row-banded kernels
-    /// (e.g. settling-time search) where the worker wants the whole band,
-    /// not item-at-a-time dispatch.
-    pub fn for_each_chunk<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        let len = items.len();
-        let workers = self.threads.min(len);
-        if workers <= 1 {
-            f(0, items);
-            return;
-        }
-        let chunk = len.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let f = &f;
-            for (w, slice) in items.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || f(w * chunk, slice));
-            }
-        });
-    }
 }
 
 impl Default for Pool {
@@ -217,8 +158,11 @@ mod tests {
     fn serial_pool_maps_in_order() {
         let pool = Pool::serial();
         assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.map_indexed(5, |i| i * 2), vec![0, 2, 4, 6, 8]);
-        assert!(!pool.is_parallel_for(100));
+        let mut items = [5, 6, 7, 8, 9];
+        assert_eq!(
+            pool.map_mut(&mut items, |i, item| i * *item),
+            vec![0, 6, 14, 24, 36]
+        );
     }
 
     #[test]
@@ -226,21 +170,6 @@ mod tests {
         assert_eq!(Pool::with_threads(0).threads(), 1);
         assert_eq!(Pool::with_threads(4).threads(), 4);
         assert_eq!(Pool::with_threads(100_000).threads(), MAX_THREADS);
-    }
-
-    #[test]
-    fn map_indexed_matches_serial_for_every_thread_count() {
-        let serial: Vec<usize> = (0..23).map(|i| i * i + 1).collect();
-        for threads in [1, 2, 3, 4, 8, 23, 64] {
-            let pool = Pool::with_threads(threads);
-            assert_eq!(pool.map_indexed(23, |i| i * i + 1), serial, "t={threads}");
-        }
-        // More workers than items must not produce empty-shard artifacts.
-        assert_eq!(Pool::with_threads(8).map_indexed(3, |i| i), vec![0, 1, 2]);
-        assert_eq!(
-            Pool::with_threads(8).map_indexed(0, |i| i),
-            Vec::<usize>::new()
-        );
     }
 
     #[test]
@@ -256,21 +185,10 @@ mod tests {
             assert_eq!(results, expected, "t={threads}");
             assert!(items.iter().all(|&v| v >= 100));
         }
-    }
-
-    #[test]
-    fn for_each_chunk_covers_the_slice_with_correct_offsets() {
-        for threads in [1, 2, 4, 16] {
-            let pool = Pool::with_threads(threads);
-            let mut items = vec![0usize; 29];
-            pool.for_each_chunk(&mut items, |start, chunk| {
-                for (k, item) in chunk.iter_mut().enumerate() {
-                    *item = start + k;
-                }
-            });
-            let expected: Vec<usize> = (0..29).collect();
-            assert_eq!(items, expected, "t={threads}");
-        }
+        // More workers than items must not produce empty-shard artifacts.
+        let pool = Pool::with_threads(8);
+        assert_eq!(pool.map_mut(&mut [7u8, 8, 9], |i, _| i), vec![0, 1, 2]);
+        assert_eq!(pool.map_mut(&mut [0u8; 0], |i, _| i), Vec::<usize>::new());
     }
 
     #[test]
@@ -288,8 +206,9 @@ mod tests {
     #[test]
     fn workers_propagate_panics() {
         let pool = Pool::with_threads(2);
-        let result = std::panic::catch_unwind(|| {
-            pool.map_indexed(4, |i| {
+        let mut items = [0u32; 4];
+        let result = std::panic::catch_unwind(move || {
+            pool.map_mut(&mut items, |i, _| {
                 assert!(i < 2, "boom");
                 i
             })
